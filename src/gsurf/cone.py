@@ -41,8 +41,10 @@ def is_in_cone(w: SymplecticClass, max_degree: int = DEFAULT_PARTIAL_DEGREE) -> 
     if w.square() <= 0:
         return OUTSIDE
     n = w.n
+    # Positional, as every other caller passes it: lru_cache keys a keyword
+    # call apart from the positional one and would enumerate twice.
     exc = enumerate_exceptional(n) if n <= 8 \
-        else enumerate_exceptional(n, max_degree=max_degree)
+        else enumerate_exceptional(n, max_degree)
     for e in exc:
         if w.area(e) <= 0:
             return OUTSIDE

@@ -10,9 +10,11 @@ on the root set (order only, feasible for the largest Weyl group).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt
+from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -87,12 +89,13 @@ def reflection(alpha: CohClass) -> Isometry:
     """
     if alpha.square() != -2:
         raise LatticeError(f"reflection needs alpha^2 = -2, got {alpha.square()}")
-    dim = alpha.n + 1
-    cols = []
-    for j in range(dim):
-        e = CohClass(tuple(1 if t == j else 0 for t in range(dim)))
-        cols.append((e + pairing(e, alpha) * alpha).coords)
-    return Isometry.from_columns(cols)
+    # Column j is e_j + (e_j.alpha)*alpha, and e_j.alpha = q_j*alpha_j with
+    # q = diag(1, -1, ..., -1).
+    a = alpha.coords
+    qa = (a[0],) + tuple(-x for x in a[1:])
+    return Isometry(tuple(
+        tuple((1 if i == j else 0) + qa[j] * ai for j in range(len(a)))
+        for i, ai in enumerate(a)))
 
 
 def simple_reflections(n: int) -> Tuple[Isometry, ...]:
@@ -239,8 +242,12 @@ def weyl_group(n: int, limit: int = 10_000_000) -> FiniteIsometryGroup:
 # ---------------------------------------------------------------------------
 
 def _pcompose(p: tuple, q: tuple) -> tuple:
-    """Product acting as q first, then p."""
-    return tuple(p[i] for i in q)
+    """Product acting as q first, then p; q must have degree >= 2.
+
+    Every product in the chain has that degree, since a non-identity
+    permutation moves at least two points.
+    """
+    return itemgetter(*q)(p)
 
 
 def _pinv(p: tuple) -> tuple:
@@ -250,16 +257,13 @@ def _pinv(p: tuple) -> tuple:
     return tuple(inv)
 
 
-def _is_id(p: tuple) -> bool:
-    return all(i == v for i, v in enumerate(p))
-
-
 class StabilizerChain:
     """Deterministic Schreier-Sims over a faithful permutation action.
 
     Level i stores the strong generators whose first moved base point is
     base[i]; the generating set effective at level i is the union over all
-    levels >= i, since deeper generators also stabilize the prefix.
+    levels >= i, since deeper generators also stabilize the prefix.  Each
+    transversal element is stored with its inverse, which sifting needs.
     """
 
     def __init__(self, degree: int):
@@ -267,6 +271,7 @@ class StabilizerChain:
         self.base: List[int] = []
         self.assigned: List[List[tuple]] = []
         self.transversals: List[dict] = []
+        self._inverses: List[dict] = []
         self._done: List[set] = []
         self._id = tuple(range(degree))
 
@@ -280,7 +285,7 @@ class StabilizerChain:
         if len(perm) != self.degree:
             raise LatticeError("permutation degree mismatch")
         residue, at = self._strip(0, perm)
-        if _is_id(residue):
+        if residue == self._id:
             return
         self._assign(at, residue)
         for i in range(at, -1, -1):
@@ -288,15 +293,14 @@ class StabilizerChain:
 
     def contains(self, perm: tuple) -> bool:
         residue, _ = self._strip(0, perm)
-        return _is_id(residue)
+        return residue == self._id
 
     def _strip(self, start: int, p: tuple):
         for i in range(start, len(self.base)):
-            img = p[self.base[i]]
-            u = self.transversals[i].get(img)
-            if u is None:
+            uinv = self._inverses[i].get(p[self.base[i]])
+            if uinv is None:
                 return p, i
-            p = _pcompose(_pinv(u), p)
+            p = _pcompose(uinv, p)
         return p, len(self.base)
 
     def _assign(self, at: int, gen: tuple) -> None:
@@ -305,6 +309,7 @@ class StabilizerChain:
             self.base.append(beta)
             self.assigned.append([])
             self.transversals.append({beta: self._id})
+            self._inverses.append({beta: self._id})
             self._done.append(set())
         if gen not in self.assigned[at]:
             self.assigned[at].append(gen)
@@ -315,16 +320,16 @@ class StabilizerChain:
                 yield j, idx, g
 
     def _extend_orbit(self, i: int) -> None:
-        trans = self.transversals[i]
-        gens = [g for _, _, g in self._effective(i)]
+        trans, inverses = self.transversals[i], self._inverses[i]
+        gens = [(g, _pinv(g)) for _, _, g in self._effective(i)]
         queue = list(trans)
-        while queue:
-            pt = queue.pop(0)
-            upt = trans[pt]
-            for g in gens:
+        for pt in queue:
+            upt, uinv = trans[pt], inverses[pt]
+            for g, ginv in gens:
                 img = g[pt]
                 if img not in trans:
                     trans[img] = _pcompose(g, upt)
+                    inverses[img] = _pcompose(uinv, ginv)
                     queue.append(img)
 
     def _complete(self, i: int) -> None:
@@ -333,21 +338,23 @@ class StabilizerChain:
         Assumes deeper levels are complete on entry and re-completes any
         level it adds generators to, so the invariant holds on exit.
         """
+        ident = self._id
         while True:
             self._extend_orbit(i)
-            trans = self.transversals[i]
+            trans, inverses = self.transversals[i], self._inverses[i]
+            done = self._done[i]
             progressed = False
             for j, idx, g in list(self._effective(i)):
                 for pt in list(trans):
                     mark = (pt, j, idx)
-                    if mark in self._done[i]:
+                    if mark in done:
                         continue
-                    self._done[i].add(mark)
-                    s = _pcompose(_pinv(trans[g[pt]]), _pcompose(g, trans[pt]))
-                    if _is_id(s):
+                    done.add(mark)
+                    s = _pcompose(inverses[g[pt]], _pcompose(g, trans[pt]))
+                    if s == ident:
                         continue
                     residue, at = self._strip(i + 1, s)
-                    if _is_id(residue):
+                    if residue == ident:
                         continue
                     self._assign(at, residue)
                     for jj in range(at, i, -1):
@@ -357,43 +364,68 @@ class StabilizerChain:
                 return
 
 
-def _rank_of_rows(rows: List[List[int]]) -> int:
-    """Rank over the rationals by fraction-free elimination."""
-    mat = [list(r) for r in rows]
-    rank = 0
-    cols = len(mat[0]) if mat else 0
-    for c in range(cols):
-        piv = None
-        for r in range(rank, len(mat)):
-            if mat[r][c] != 0:
-                piv = r
-                break
+def _rank_of_rows(rows: Sequence[Sequence[int]]) -> int:
+    """Rank over the rationals, by fraction-free elimination row by row.
+
+    Each row is reduced against the echelon basis built so far and joins
+    it if anything is left; the scan stops once every column has a pivot.
+    """
+    cols = len(rows[0]) if rows else 0
+    basis: List[Tuple[int, List[int]]] = []
+    for row in rows:
+        r = list(row)
+        for c, b in basis:
+            if r[c]:
+                a, f = b[c], r[c]
+                r = [a * x - f * y for x, y in zip(r, b)]
+        piv = next((c for c, x in enumerate(r) if x), None)
         if piv is None:
             continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        for r in range(len(mat)):
-            if r != rank and mat[r][c] != 0:
-                a, b = mat[rank][c], mat[r][c]
-                mat[r] = [a * x - b * y for x, y in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == len(mat):
+        g = 0
+        for x in r:
+            g = gcd(g, x)
+        basis.append((piv, [x // g for x in r]))
+        if len(basis) == cols:
             break
-    return rank
+    return len(basis)
+
+
+def _images(mat: tuple, rows: List[tuple], pmax: int) -> List[tuple]:
+    """Image coordinates of every row under ``mat``, exactly.
+
+    int64 is exact when dim * max|M| * max|point| < 2**63, which bounds
+    every partial sum of the product; past that, Python ints are used.
+    """
+    dim = len(mat)
+    mmax = max(abs(v) for r in mat for v in r)
+    if dim * max(mmax, 1) * max(pmax, 1) < 2 ** 63:
+        pts = np.array(rows, dtype=np.int64).reshape(len(rows), dim)
+        prod = pts @ np.array(mat, dtype=np.int64).T
+        return list(map(tuple, prod.tolist()))
+    return [tuple(sum(a * b for a, b in zip(mr, p)) for mr in mat) for p in rows]
 
 
 def perm_action(gens: Sequence[Isometry], points: Sequence[CohClass]):
-    """Permutations induced on ``points``; error if a point leaves the set."""
+    """Permutations induced on ``points``; error if a point leaves the set.
+
+    Each generator maps the whole point set with one matrix product.
+    """
     index = {p.coords: i for i, p in enumerate(points)}
     if len(index) != len(points):
         raise LatticeError("duplicate points")
+    rows = list(index)
+    dims = {len(r) for r in rows}
+    pmax = max(map(abs, itertools.chain.from_iterable(rows)), default=0)
     perms = []
     for g in gens:
+        if dims - {g.dim}:
+            raise LatticeError("dimension mismatch")
         images = []
-        for p in points:
-            q = g.apply(p)
-            if q.coords not in index:
+        for p, q in zip(points, _images(g.mat, rows, pmax)):
+            i = index.get(q)
+            if i is None:
                 raise LatticeError(f"generator moves {p} off the point set")
-            images.append(index[q.coords])
+            images.append(i)
         if sorted(images) != list(range(len(points))):
             raise LatticeError("generator does not permute the point set")
         perms.append(tuple(images))
@@ -403,19 +435,18 @@ def perm_action(gens: Sequence[Isometry], points: Sequence[CohClass]):
 def _certify_faithful(gens: Sequence[Isometry], points: Sequence[CohClass]):
     """The action on ``points`` determines the matrix, hence is faithful.
 
-    Sufficient conditions, checked exactly: the points span the ambient
-    rational space, or they span a hyperplane and every generator fixes K
-    with K outside that hyperplane.
+    Sufficient conditions, checked exactly: every generator fixes K and
+    K with the points spans the ambient rational space, or the points
+    alone span it.  The first is tried first: for roots, which span K's
+    orthogonal complement, its rank scan ends after about dim rows.
     """
     dim = gens[0].dim
-    rows = [list(p.coords) for p in points]
-    r = _rank_of_rows(rows)
-    if r == dim:
-        return
+    rows = [p.coords for p in points]
     k = canonical_class(dim - 1)
-    if r == dim - 1 and all(g.fixes(k) for g in gens):
-        if _rank_of_rows(rows + [list(k.coords)]) == dim:
-            return
+    if all(g.fixes(k) for g in gens) and _rank_of_rows([k.coords] + rows) == dim:
+        return
+    if _rank_of_rows(rows) == dim:
+        return
     raise LatticeError("action on the point set cannot be certified faithful")
 
 
@@ -429,8 +460,9 @@ def stabilizer_chain(gens: Sequence[Isometry],
     points = list(points)
     _certify_faithful(gens, points)
     perms = perm_action(gens, points)
+    ident = tuple(range(len(points)))
     for g, p in zip(gens, perms):
-        if _is_id(p) and not g.is_identity():
+        if p == ident and not g.is_identity():
             raise LatticeError("unfaithful action: non-identity generator acts trivially")
     chain = StabilizerChain(len(points))
     for p in perms:

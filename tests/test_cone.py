@@ -19,6 +19,7 @@ from gsurf.cone import (
     span2_coefficients,
 )
 from gsurf.errors import LatticeError
+from gsurf.exceptional import enumerate_exceptional
 from gsurf.gconic import fiber_class
 from gsurf.lattice import SymplecticClass, canonical_class, pairing
 
@@ -36,6 +37,15 @@ class TestMembership:
     def test_partial_positive_for_many_blowups(self):
         w = SymplecticClass((4,) + (1,) * 9)
         assert is_in_cone(w, max_degree=5) == PARTIAL_POSITIVE
+
+    def test_shares_the_enumeration_cache(self):
+        enumerate_exceptional.cache_clear()
+        enumerate_exceptional(9, 5)
+        misses = enumerate_exceptional.cache_info().misses
+        w = SymplecticClass((4,) + (1,) * 9)
+        assert is_in_cone(w) == PARTIAL_POSITIVE
+        assert is_in_cone(w, max_degree=5) == PARTIAL_POSITIVE
+        assert enumerate_exceptional.cache_info().misses == misses
 
 
 class TestCanonicalSign:

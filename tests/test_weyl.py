@@ -18,6 +18,7 @@ from gsurf.weyl import (
     integer_kernel,
     invariant_lattice,
     minimality_rank_dichotomy,
+    perm_action,
     reflection,
     root_system_type,
     simple_reflections,
@@ -102,6 +103,14 @@ class TestReflection:
         with pytest.raises(LatticeError):
             reflection(CohClass((0, 1, 0, 0)))
 
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_matches_pairing_route(self, n):
+        basis = [CohClass(tuple(1 if t == j else 0 for t in range(n + 1)))
+                 for j in range(n + 1)]
+        for alpha in all_roots(n):
+            cols = [(e + pairing(e, alpha) * alpha).coords for e in basis]
+            assert reflection(alpha) == Isometry.from_columns(cols)
+
 
 class TestClosure:
     @pytest.mark.parametrize("n", (3, 4, 5))
@@ -164,6 +173,66 @@ class TestChain:
         gens = simple_reflections(4)
         with pytest.raises(LatticeError):
             stabilizer_chain(gens, list(all_roots(4))[:5])
+
+    def test_generator_moving_k_with_roots_rejected(self):
+        # -I moves K and the roots span only K's orthogonal complement.
+        minus = Isometry(tuple(tuple(-1 if i == j else 0 for j in range(5))
+                               for i in range(5)))
+        with pytest.raises(LatticeError, match="certified faithful"):
+            stabilizer_chain([minus], all_roots(4))
+
+    @pytest.mark.parametrize("n", (3, 4, 5, 6, 7))
+    def test_matches_closure_random_subgroups(self, n):
+        rng = random.Random(100 + n)
+        refl = simple_reflections(n)
+        checked = 0
+        while checked < 4:
+            gens = []
+            for _ in range(rng.randint(1, 3)):
+                word = Isometry.identity(n)
+                for _ in range(rng.randint(1, 6)):
+                    word = word @ rng.choice(refl)
+                gens.append(word)
+            try:
+                group = generate_group(gens, limit=1000)
+            except LimitExceeded:
+                continue
+            assert group_order_via_chain(gens) == group.order
+            checked += 1
+
+    def test_e8_chain_shape(self):
+        chain = stabilizer_chain(simple_reflections(8))
+        assert len(chain.base) == 7
+        assert [len(t) for t in chain.transversals] == [240, 56, 27, 16, 10, 6, 2]
+
+
+def _apply_route(gens, points):
+    index = {p.coords: i for i, p in enumerate(points)}
+    return [tuple(index[g.apply(p).coords] for p in points) for g in gens]
+
+
+class TestPermAction:
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_matches_apply_route(self, n):
+        refl = simple_reflections(n)
+        gens = list(refl) + [refl[0] @ refl[-1] @ refl[1]]
+        roots = all_roots(n)
+        assert perm_action(gens, roots) == _apply_route(gens, roots)
+
+    def test_exact_past_int64(self):
+        gens = list(simple_reflections(4)) + [cremona_isometry(4, (2, 3, 4))]
+        roots = all_roots(4)
+        big = [CohClass(tuple(c * 2 ** 64 for c in r.coords)) for r in roots]
+        assert perm_action(gens, big) == perm_action(gens, roots)
+
+    def test_error_messages(self):
+        gens = simple_reflections(4)
+        roots = list(all_roots(4))
+        with pytest.raises(LatticeError, match="^duplicate points$"):
+            perm_action(gens, roots + roots[:1])
+        with pytest.raises(LatticeError,
+                           match=r"^generator moves \[.*\] off the point set$"):
+            perm_action(gens, roots[:5])
 
 
 def test_integer_kernel_primitive():

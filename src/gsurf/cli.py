@@ -174,8 +174,7 @@ def _cmd_conic(args, argv):
     n = _resolve_n(args.n, gens[0].n, "the generator matrices")
     model = gconic.ConicBundleModel(n)
     group = weyl.generate_group(gens, limit=args.limit)
-    elements = list(group)
-    dec = gconic.decompose(elements, model, args.g0)
+    dec = gconic.decompose(group, model, args.g0)
     results = {
         "minimal": dec.minimal,
         "case": dec.case_tag,
@@ -223,7 +222,7 @@ def _cmd_cone(args, argv):
               "scan": args.scan}
     if args.scan:
         grid = _parse_scan(args.scan)
-        sl = cone.slice_scan(n, fiber, k0, grid, threads=args.threads)
+        sl = cone.slice_scan(n, fiber, k0, grid)
         results["slice"] = sl.to_json()
     else:
         results["slice"] = None
@@ -272,8 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gsurf",
         description="Exact lattice arithmetic for finite group actions on"
                     " blown-up planes.")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for parallelizable scans")
     parser.add_argument("--timing", action="store_true",
                         help="include wall time in the JSON report (breaks"
                              " byte-for-byte reproducibility)")

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
+from . import exceptional
 from .errors import InvariantViolation, LatticeError
-from .exceptional import enumerate_exceptional
+from .gconic import fiber_class
 from .lattice import (
     CohClass,
     SymplecticClass,
@@ -42,9 +43,10 @@ def is_in_cone(w: SymplecticClass, max_degree: int = DEFAULT_PARTIAL_DEGREE) -> 
         return OUTSIDE
     n = w.n
     # Positional, as every other caller passes it: lru_cache keys a keyword
-    # call apart from the positional one and would enumerate twice.
-    exc = enumerate_exceptional(n) if n <= 8 \
-        else enumerate_exceptional(n, max_degree)
+    # call apart from the positional one and would enumerate twice.  Called
+    # through the module so that a wrapper installed there sees the call.
+    exc = exceptional.enumerate_exceptional(n) if n <= 8 \
+        else exceptional.enumerate_exceptional(n, max_degree)
     for e in exc:
         if w.area(e) <= 0:
             return OUTSIDE
@@ -67,12 +69,6 @@ def span2_coefficients(w: SymplecticClass, u: CohClass, v: CohClass):
     return None
 
 
-def _fiber_for(k0: CohClass) -> CohClass:
-    coords = [0] * (k0.n + 1)
-    coords[0], coords[1] = 1, -1
-    return CohClass(tuple(coords))
-
-
 def canonical_sign(w: SymplecticClass, k0: CohClass,
                    fiber: Optional[CohClass] = None) -> int:
     """The sign s making s*w a positive multiple of -K0 + b*F with b > -1.
@@ -82,7 +78,7 @@ def canonical_sign(w: SymplecticClass, k0: CohClass,
     4b > N - 9, hence b >= -1 in the bundle range N >= 5.
     """
     if fiber is None:
-        fiber = _fiber_for(k0)
+        fiber = fiber_class(k0.n)
     if w.square() <= 0:
         raise LatticeError("positive square required")
     xy = span2_coefficients(w, k0, fiber)
@@ -108,7 +104,7 @@ def fiber_pairs(n: int) -> Tuple[int, ...]:
     if n < 2:
         raise LatticeError("need at least two blowups")
     k = canonical_class(n)
-    f = _fiber_for(k)
+    f = fiber_class(n)
     out = []
     for a in range(1, 9):
         fp = -a * k - f
@@ -189,7 +185,7 @@ def fiber_report(group_or_gens, g0_order: int = 1,
     if not unique or len(cands) <= 1:
         return FiberReport(dich.rank, cands, unique, cands, ())
     if preferred is None:
-        default = _fiber_for(canonical_class(n))
+        default = fiber_class(n)
         preferred = default if default in cands else cands[0]
     if preferred not in cands:
         raise LatticeError("preferred fiber class is not a candidate")
@@ -234,29 +230,20 @@ def slice_point(k0: CohClass, fiber: CohClass, d) -> SymplecticClass:
 
 
 def slice_scan(n: int, fiber: CohClass, k0: CohClass,
-               delta_grid: Sequence, max_degree: int = DEFAULT_PARTIAL_DEGREE,
-               threads: int = 1) -> ConeSlice:
+               delta_grid: Sequence,
+               max_degree: int = DEFAULT_PARTIAL_DEGREE) -> ConeSlice:
     """Evaluate cone membership on a delta grid and assert monotonicity.
 
     A monotonicity violation would contradict F.e >= 0 over the exceptional
-    classes and is reported as an internal error.  The grid is evaluated
-    pointwise (optionally across worker threads) and merged in grid order.
+    classes and is reported as an internal error.
     """
     if fiber.n != n or k0.n != n:
         raise LatticeError("dimension mismatch")
     grid = sorted(Fraction(d) for d in delta_grid)
     if len(set(grid)) != len(grid):
         raise LatticeError("duplicate grid values")
-
-    def member(d):
-        return is_in_cone(slice_point(k0, fiber, d), max_degree=max_degree) != OUTSIDE
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            flags = list(pool.map(member, grid))
-    else:
-        flags = [member(d) for d in grid]
+    flags = [is_in_cone(slice_point(k0, fiber, d), max_degree=max_degree) != OUTSIDE
+             for d in grid]
     for (d1, f1), (d2, f2) in zip(zip(grid, flags), zip(grid[1:], flags[1:])):
         if f1 and not f2:
             raise InvariantViolation(

@@ -29,7 +29,9 @@ from .lattice import (
     is_reduced_class,
     pairing,
     permutation_isometry,
+    unit,
 )
+from .weyl import reflection
 
 
 def is_exceptional(e: CohClass) -> bool:
@@ -178,15 +180,6 @@ def cremona_reflect(x, indices):
     raise LatticeError("CohClass or SymplecticClass expected")
 
 
-def cremona_isometry(n: int, indices) -> Isometry:
-    """The reflection of ``cremona_reflect`` as a matrix."""
-    cols = []
-    for col in range(n + 1):
-        e = CohClass(tuple(1 if t == col else 0 for t in range(n + 1)))
-        cols.append(cremona_reflect(e, indices).coords)
-    return Isometry.from_columns(cols)
-
-
 @dataclass(frozen=True)
 class ReductionTrace:
     """Steps of the degree-descent on an exceptional class.
@@ -260,7 +253,7 @@ def reduce_symplectic(w: SymplecticClass, max_iters: int = 10_000):
             cur = perm.apply(cur)
             iso = perm @ iso
         if cur.nu - sum(cur.lambdas[:3]) < 0:
-            step = cremona_isometry(n, (1, 2, 3))
+            step = reflection(h_ijk(n, 1, 2, 3))
             cur = cremona_reflect(cur, (1, 2, 3))
             iso = step @ iso
         else:
@@ -277,19 +270,17 @@ SMALL_FIBER = "small-fiber"
 OTHER = "other"
 
 
-def structure_test(w: SymplecticClass, basis_reduced: bool = True):
+def structure_test(w: SymplecticClass):
     """Classify a reduced class as monotone, small-fiber shaped, or other.
 
     Small fiber shape means lam1 > lam2 = ... = lamN with nu - lam1 = 2*lam2;
     the returned candidate set then collects the classes of minimal area,
-    {Ej, H - E1 - Ej : j > 1}.  ``basis_reduced`` records the caller's
-    claim; the reduced-form inequalities are verified either way.
+    {Ej, H - E1 - Ej : j > 1}.  The reduced-form inequalities are verified.
     """
     if w.n < 3:
         raise LatticeError("need at least three blowups")
     if not is_reduced_class(w):
         raise LatticeError(f"{w} is not in reduced form")
-    del basis_reduced
     if is_monotone(w):
         return MONOTONE, None
     lams = w.lambdas
@@ -298,9 +289,7 @@ def structure_test(w: SymplecticClass, basis_reduced: bool = True):
         n = w.n
         cands = []
         for j in range(2, n + 1):
-            e = [0] * (n + 1)
-            e[j] = 1
-            cands.append(CohClass(tuple(e)))
+            cands.append(unit(n, j))
             cands.append(h_ij(n, 1, j))
         return SMALL_FIBER, tuple(sorted(cands, key=lambda c: c.coords))
     return OTHER, None
@@ -333,7 +322,7 @@ def is_reduced_by_minimal_areas(w: SymplecticClass) -> bool:
     for i in range(n, 0, -1):
         sub = [e for e in pool
                if all(e.coords[j] == 0 for j in range(i + 1, n + 1))]
-        ei = CohClass(tuple(1 if t == i else 0 for t in range(n + 1)))
+        ei = unit(n, i)
         if ei not in sub:
             return False
         if any(w.area(e) < w.area(ei) for e in sub):

@@ -17,17 +17,13 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
 from .errors import InvariantViolation, LatticeError
-from .lattice import CohClass, Isometry, canonical_class, pairing
+from .lattice import CohClass, Isometry, canonical_class, pairing, unit
 from .weyl import FiniteIsometryGroup
 
 CASE_CYCLIC_CORE = "cyclic-core"
 CASE_INVOLUTION = "involution"
 CASE_KLEIN = "klein-four"
 CASE_NON_MINIMAL = "non-minimal"
-
-
-def _unit(n: int, i: int) -> CohClass:
-    return CohClass(tuple(1 if t == i else 0 for t in range(n + 1)))
 
 
 def fiber_class(n: int) -> CohClass:
@@ -54,13 +50,13 @@ class ConicBundleModel:
         if n < 3:
             raise LatticeError("a conic bundle model needs at least 3 blowups")
         if self.sphere_classes is None:
-            spheres = tuple(_unit(n, j) for j in range(2, n + 1))
+            spheres = tuple(unit(n, j) for j in range(2, n + 1))
         else:
             spheres = tuple(self.sphere_classes)
         object.__setattr__(self, "sphere_classes", spheres)
         f = fiber_class(n)
         k = canonical_class(n)
-        std = {frozenset((_unit(n, j).coords, (f - _unit(n, j)).coords))
+        std = {frozenset((unit(n, j).coords, (f - unit(n, j)).coords))
                for j in range(2, n + 1)}
         got = set()
         for e in spheres:
@@ -106,6 +102,10 @@ class FiberAction:
             raise LatticeError("pi is not a permutation of the fiber labels")
         if len(self.eps) != len(self.pi) or any(e not in (1, -1) for e in self.eps):
             raise LatticeError("eps must consist of +1/-1 flags")
+
+    @classmethod
+    def identity(cls, size: int) -> "FiberAction":
+        return cls(tuple(range(2, 2 + size)), (1,) * size)
 
     @property
     def size(self) -> int:
@@ -176,8 +176,8 @@ def matrix_from_fiber_action(pi: Sequence[int], eps: Sequence[int],
     images = {}
     total = CohClass((0,) * (n + 1))
     for t, j in enumerate(range(2, n + 1)):
-        img = _unit(n, action.pi[t]) if action.eps[t] == 1 \
-            else f - _unit(n, action.pi[t])
+        img = unit(n, action.pi[t]) if action.eps[t] == 1 \
+            else f - unit(n, action.pi[t])
         images[j] = img
         total = total + img
     num = total - k - 3 * f
@@ -196,25 +196,18 @@ def full_swap(n: int) -> Isometry:
 
 def is_minimal_bundle(group: Iterable[Isometry], model: ConicBundleModel) -> bool:
     """Every fiber is switched by some element fixing that fiber."""
+    return _is_minimal((fiber_action(g, model) for g in group), model)
+
+
+def _is_minimal(actions: Iterable[FiberAction], model: ConicBundleModel) -> bool:
     needed = set(model.labels())
-    for g in _iter_isometries(group):
-        act = fiber_action(g, model)
-        for t, j in enumerate(model.labels()):
-            if act.pi[t] == j and act.eps[t] == -1:
-                needed.discard(j)
+    for act in actions:
+        needed.difference_update(
+            j for j, p, e in zip(model.labels(), act.pi, act.eps)
+            if p == j and e == -1)
         if not needed:
             return True
     return not needed
-
-
-def _iter_isometries(group) -> Iterable[Isometry]:
-    if isinstance(group, FiniteIsometryGroup):
-        return iter(group)
-    return iter(group)
-
-
-def _as_isometry_list(group) -> List[Isometry]:
-    return list(_iter_isometries(group))
 
 
 @dataclass(frozen=True)
@@ -244,30 +237,36 @@ class GroupDecomposition:
 def decompose(group, model: ConicBundleModel, g0_order: int = 1) -> GroupDecomposition:
     """Split a closed isometry group along the bundle and classify it.
 
+    Each element's fiber action is extracted once and the classification
+    runs on those signed permutations; ``fiber_action`` is a faithful
+    homomorphism on isometries fixing F and K, so this is exact.  A
+    ``FiniteIsometryGroup`` is closed by construction and is not re-checked;
+    any other collection of isometries is checked for closure in full.
+
     Structures incompatible with the classification of minimal bundles are
     reported as InvariantViolation: they cannot arise from a group action
     on the surface, only from adversarial lattice data.
     """
     if g0_order < 1:
         raise LatticeError("the declared core order must be at least 1")
-    elements = _as_isometry_list(group)
+    elements = list(group)
     n = model.n_blowups
-    actions = [(g, fiber_action(g, model)) for g in elements]
-    if len(elements) <= 200:
-        keys = {g.key() for g in elements}
-        for g in elements:
-            for h in elements:
-                if (g @ h).key() not in keys:
+    actions = [fiber_action(g, model) for g in elements]
+    if not isinstance(group, FiniteIsometryGroup):
+        present = set(actions)
+        for a in actions:
+            for b in actions:
+                if a.compose(b) not in present:
                     raise LatticeError("input group is not closed under products")
-    q = tuple(g for g, a in actions if a.is_base_trivial())
-    q_actions = [a for _, a in actions if a.is_base_trivial()]
-    p_structure = tuple(sorted({a.pi for _, a in actions}))
-    minimal = is_minimal_bundle(elements, model)
+    q = tuple(g for g, a in zip(elements, actions) if a.is_base_trivial())
+    p_structure = tuple(sorted({a.pi for a in actions}))
+    minimal = _is_minimal(actions, model)
     m = g0_order
 
-    nontrivial = [(g, a) for g, a in zip(q, q_actions) if not g.is_identity()]
-    for g, _ in nontrivial:
-        if not (g @ g).is_identity():  # pragma: no cover - forced by the model
+    identity = FiberAction.identity(n - 1)
+    nontrivial = [a for a in actions if a.is_base_trivial() and a != identity]
+    for a in nontrivial:
+        if a.compose(a) != identity:  # pragma: no cover - forced by the model
             raise InvariantViolation("base-trivial element is not an involution")
 
     sigma_sets = sigma_sizes = parity = None
@@ -277,7 +276,7 @@ def decompose(group, model: ConicBundleModel, g0_order: int = 1) -> GroupDecompo
         if n % 2 == 0:
             raise LatticeError("a nontrivial core forces an odd number of blowups")
         q_image = _q_image_name(len(q))
-        full = all(e == -1 for _, a in nontrivial for e in a.eps)
+        full = all(e == -1 for a in nontrivial for e in a.eps)
         shape_ok = len(nontrivial) <= 1 and full
         if shape_ok and nontrivial:
             q_abstract = (f"D{2 * m}",)
@@ -300,15 +299,14 @@ def decompose(group, model: ConicBundleModel, g0_order: int = 1) -> GroupDecompo
         if len(q) == 2:
             tag = CASE_INVOLUTION if minimal else CASE_NON_MINIMAL
             q_abstract = ("Z2",)
-            tau = next(a for _, a in nontrivial)
-            sig = tau.sigma()
+            sig = nontrivial[0].sigma()
             sigma_sets = (sig,)
             sigma_sizes = (len(sig),)
             parity = len(sig) % 2 == (n - 1) % 2
         elif len(q) == 4:
             tag = CASE_KLEIN if minimal else CASE_NON_MINIMAL
             q_abstract = ("Z2xZ2",)
-            s1, s2, s3, parity = sigma_partition([g for g, _ in nontrivial], model)
+            s1, s2, s3, parity = _sigma_partition(nontrivial, model)
             sigma_sets = (s1, s2, s3)
             sigma_sizes = (len(s1), len(s2), len(s3))
         elif minimal:
@@ -344,18 +342,22 @@ def sigma_partition(involutions: Sequence[Isometry], model: ConicBundleModel):
     modulo 2.  Overlap means the data admits no group action on the
     surface and raises InvariantViolation.
     """
-    taus = [g for g in involutions if not g.is_identity()]
-    if len(taus) != 3 or len({g.key() for g in taus}) != 3:
+    return _sigma_partition([fiber_action(g, model) for g in involutions], model)
+
+
+def _sigma_partition(actions: Sequence[FiberAction], model: ConicBundleModel):
+    identity = FiberAction.identity(model.n_blowups - 1)
+    taus = [a for a in actions if a != identity]
+    if len(taus) != 3 or len(set(taus)) != 3:
         raise LatticeError("exactly three distinct involutions expected")
-    acts = [fiber_action(g, model) for g in taus]
-    for g, a in zip(taus, acts):
+    for a in taus:
         if not a.is_base_trivial():
             raise LatticeError("involutions must act trivially on the base")
-        if not (g @ g).is_identity():
+        if a.compose(a) != identity:
             raise LatticeError("non-involution in the base-trivial subgroup")
-    if (taus[0] @ taus[1]).key() not in {taus[2].key()}:
+    if taus[0].compose(taus[1]) != taus[2]:
         raise LatticeError("the involutions do not form a Klein four group")
-    sigmas = [set(a.sigma()) for a in acts]
+    sigmas = [set(a.sigma()) for a in taus]
     for i in range(3):
         for j in range(i + 1, 3):
             common = sigmas[i] & sigmas[j]
@@ -510,9 +512,9 @@ def vertical_decompositions(target: CohClass, model: ConicBundleModel) -> tuple:
                 if p < 0:
                     return
                 if p:
-                    combo.append((_unit(n, j), p))
+                    combo.append((unit(n, j), p))
                 if q:
-                    combo.append((f - _unit(n, j), q))
+                    combo.append((f - unit(n, j), q))
             if u:
                 combo.append((f, u))
             out.append(tuple(sorted(combo, key=lambda cm: cm[0].coords)))
@@ -546,8 +548,7 @@ def invariant_exceptional_n6() -> CohClass:
 
 def q_subgroup(group, model: ConicBundleModel) -> tuple:
     """Elements leaving each singular fiber invariant (pi = identity)."""
-    return tuple(g for g in _iter_isometries(group)
-                 if fiber_action(g, model).is_base_trivial())
+    return tuple(g for g in group if fiber_action(g, model).is_base_trivial())
 
 
 def q_invariance_check(model: ConicBundleModel, model_prime: ConicBundleModel,
@@ -560,7 +561,7 @@ def q_invariance_check(model: ConicBundleModel, model_prime: ConicBundleModel,
     """
     if model.n_blowups != model_prime.n_blowups:
         raise LatticeError("models live on different lattices")
-    elements = _as_isometry_list(group)
+    elements = list(group)
     q1 = {g.key() for g in q_subgroup(elements, model)}
     q2 = {g.key() for g in q_subgroup(elements, model_prime)}
     return q1 == q2

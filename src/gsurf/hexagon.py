@@ -200,8 +200,7 @@ def build_gamma(n: int, k: int, b: int) -> tuple:
         raise LatticeError(f"k = {k} must divide n = {n}")
     if (b * b + b + 1) % k:
         raise LatticeError(f"b^2 + b + 1 = {b*b+b+1} is not 0 mod k = {k}")
-    h1 = TorusElement((Fraction(0), Fraction(k, n)))
-    ht1 = TorusElement((Fraction(1, n), Fraction(b % n, n)))
+    h1, ht1 = gamma_generators(n, k, b)
     seen = {TorusElement.identity()}
     frontier = [TorusElement.identity()]
     while frontier:

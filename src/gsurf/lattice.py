@@ -208,7 +208,7 @@ class PicardLattice:
     def E(self, i: int) -> CohClass:
         if not 1 <= i <= self.n_blowups:
             raise LatticeError(f"index {i} out of range 1..{self.n_blowups}")
-        return CohClass(tuple(1 if j == i else 0 for j in range(self.dim)))
+        return unit(self.n_blowups, i)
 
     def basis(self) -> tuple:
         return (self.H(),) + tuple(self.E(i) for i in range(1, self.n_blowups + 1))
@@ -219,6 +219,11 @@ class PicardLattice:
 
     def canonical(self) -> CohClass:
         return canonical_class(self.n_blowups)
+
+
+def unit(n: int, i: int) -> CohClass:
+    """The basis class with raw coordinate i equal to 1: H for i = 0, else Ei."""
+    return CohClass(tuple(1 if t == i else 0 for t in range(n + 1)))
 
 
 def canonical_class(n: int) -> CohClass:

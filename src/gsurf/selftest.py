@@ -17,7 +17,8 @@ from typing import Callable, List
 
 from . import cone, exceptional, gconic, hexagon, weyl
 from .errors import InvariantViolation
-from .lattice import CohClass, Isometry, SymplecticClass, canonical_class, pairing
+from .lattice import (CohClass, Isometry, SymplecticClass, canonical_class,
+                      pairing, unit)
 
 EXPECTED_EXCEPTIONAL_COUNTS = {2: 3, 3: 6, 4: 10, 5: 16, 6: 27, 7: 56, 8: 240}
 EXPECTED_WEYL_ORDERS = {3: 12, 4: 120, 5: 1920, 6: 51840, 7: 2903040}
@@ -66,8 +67,7 @@ def criterion_02_reduction(quick: bool = False) -> CriterionResult:
             degs = trace.degrees()
             if any(d2 >= d1 for d1, d2 in zip(degs, degs[1:])):
                 problems.append(f"degree not strictly decreasing for {e}")
-            if trace.final != CohClass(tuple(
-                    1 if i == trace.final_index else 0 for i in range(n + 1))):
+            if trace.final != unit(n, trace.final_index):
                 problems.append(f"trace of {e} does not end at a basis class")
             for w in omegas:
                 for _, before, after in trace.steps:

@@ -98,7 +98,9 @@ def reflection(alpha: CohClass) -> Isometry:
         for i, ai in enumerate(a)))
 
 
+@lru_cache(maxsize=None)
 def simple_reflections(n: int) -> Tuple[Isometry, ...]:
+    """Reflections in the simple roots; cached, as isometries are immutable."""
     return tuple(reflection(a) for a in simple_roots(n))
 
 

@@ -1,9 +1,11 @@
+import argparse
 import json
 
 from gsurf import cli
-from gsurf.exceptional import cremona_isometry
+from gsurf.exceptional import h_ijk
 from gsurf.gconic import full_swap
 from gsurf.lattice import coh_from_json
+from gsurf.weyl import reflection
 
 
 def run(capsys, *args):
@@ -85,7 +87,7 @@ def test_weyl_chain_order_only(capsys):
 
 
 def test_invariants_subcommand(tmp_path, capsys):
-    gens = [list(map(list, cremona_isometry(4, (1, 2, 3)).mat))]
+    gens = [list(map(list, reflection(h_ijk(4, 1, 2, 3)).mat))]
     path = tmp_path / "gens.json"
     path.write_text(json.dumps(gens))
     code, report = run_json(capsys, "invariants", "--gens", str(path))
@@ -108,7 +110,7 @@ def test_group_file_rejects_non_isometry(tmp_path, capsys):
 
 
 def test_group_file_n_conflict(tmp_path, capsys):
-    gens = [list(map(list, cremona_isometry(4, (1, 2, 3)).mat))]
+    gens = [list(map(list, reflection(h_ijk(4, 1, 2, 3)).mat))]
     path = tmp_path / "gens.json"
     path.write_text(json.dumps(gens))
     code = cli.main(["invariants", "--gens", str(path), "--n", "7"])
@@ -166,6 +168,19 @@ def test_schema_is_json(capsys):
     assert set(doc["subcommands"]) == {
         "exc", "reduce", "weyl", "invariants", "conic", "cone", "hexagon",
         "selftest", "schema"}
+    # the documented flags are exactly the parser's, globally and per subcommand
+    parser = cli.build_parser()
+
+    def flags(p):
+        return {s for a in p._actions if not isinstance(a, argparse._HelpAction)
+                for s in a.option_strings}
+
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(doc["global_flags"]) == flags(parser)
+    assert set(doc["subcommands"]) == set(sub.choices)
+    for name, p in sub.choices.items():
+        assert set(doc["subcommands"][name]["flags"]) == flags(p), name
 
 
 def test_timing_flag_adds_field(capsys):
@@ -173,13 +188,6 @@ def test_timing_flag_adds_field(capsys):
     assert "timing" not in plain
     _, timed = run_json(capsys, "--timing", "exc", "--n", "3", "--json")
     assert "timing" in timed
-
-
-def test_threads_flag_accepted(capsys):
-    code, report = run_json(capsys, "--threads", "2", "cone", "--n", "5",
-                            "--scan", "0,1")
-    assert code == 0
-    assert report["results"]["slice"]["samples"] == [[0, True], [1, True]]
 
 
 def test_weyl_n8_needs_chain(capsys):

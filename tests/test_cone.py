@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from gsurf import exceptional
 from gsurf.cone import (
     FULL,
     OUTSIDE,
@@ -46,6 +47,18 @@ class TestMembership:
         assert is_in_cone(w) == PARTIAL_POSITIVE
         assert is_in_cone(w, max_degree=5) == PARTIAL_POSITIVE
         assert enumerate_exceptional.cache_info().misses == misses
+
+    def test_enumerates_through_the_module(self, monkeypatch):
+        calls = []
+        original = exceptional.enumerate_exceptional
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(exceptional, "enumerate_exceptional", spy)
+        assert is_in_cone(SymplecticClass((3,) + (1,) * 5)) == FULL
+        assert calls == [(5,)]
 
 
 class TestCanonicalSign:
@@ -207,14 +220,6 @@ class TestSliceScan:
     def test_duplicate_grid_rejected(self):
         with pytest.raises(LatticeError):
             slice_scan(5, fiber_class(5), canonical_class(5), [0, Fraction(0)])
-
-    def test_thread_merge_matches_serial(self):
-        n = 6
-        grid = [Fraction(k, 7) for k in range(-12, 9)]
-        serial = slice_scan(n, fiber_class(n), canonical_class(n), grid)
-        threaded = slice_scan(n, fiber_class(n), canonical_class(n), grid,
-                              threads=3)
-        assert serial.samples == threaded.samples
 
     def test_bad_fiber_rejected(self):
         n = 5

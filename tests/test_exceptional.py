@@ -7,7 +7,6 @@ from gsurf.exceptional import (
     MONOTONE,
     OTHER,
     SMALL_FIBER,
-    cremona_isometry,
     cremona_reflect,
     enumerate_exceptional,
     h_ij,
@@ -19,6 +18,7 @@ from gsurf.exceptional import (
     structure_test,
 )
 from gsurf.lattice import CohClass, SymplecticClass, canonical_class, pairing
+from gsurf.weyl import reflection
 
 import oracles
 
@@ -96,7 +96,7 @@ class TestCremona:
             assert cremona_reflect(cremona_reflect(x, ijk), ijk) == x
 
     def test_matrix_form_is_isometry(self):
-        iso = cremona_isometry(5, (1, 2, 3))
+        iso = reflection(h_ijk(5, 1, 2, 3))
         assert (iso @ iso).is_identity()
         assert iso.fixes(canonical_class(5))
 

@@ -29,7 +29,8 @@ from gsurf.gconic import (
     vertical_decompositions,
 )
 from gsurf.lattice import CohClass, Isometry, canonical_class, pairing
-from gsurf.weyl import reflection
+from gsurf.selftest import klein_four_group, parity_consistent_partitions
+from gsurf.weyl import generate_group, reflection
 
 
 def units(n):
@@ -123,6 +124,7 @@ class TestFiberAction:
                 lhs = fiber_action(g @ h, m)
                 rhs = fiber_action(g, m).compose(fiber_action(h, m))
                 assert lhs == rhs
+                assert (g == h) == (fiber_action(g, m) == fiber_action(h, m))
 
 
 class TestMinimality:
@@ -191,6 +193,23 @@ class TestDecompose:
         swap = full_swap(n)
         with pytest.raises(LatticeError, match="closed"):
             decompose([Isometry.identity(n), g, swap], ConicBundleModel(n), 1)
+
+    def test_closure_checked_at_any_size(self):
+        n = 10
+        labels = tuple(range(2, n + 1))
+        evens = [eps for eps in itertools.product((1, -1), repeat=n - 1)
+                 if eps.count(-1) % 2 == 0]
+        group = [matrix_from_fiber_action(labels, eps, n) for eps in evens]
+        assert len(group) == 256
+        with pytest.raises(LatticeError, match="closed"):
+            decompose(group[:-1], ConicBundleModel(n), 1)
+
+    @pytest.mark.parametrize("n", range(4, 8))
+    def test_group_and_list_agree(self, n):
+        model = ConicBundleModel(n)
+        for sets in parity_consistent_partitions(n):
+            group = generate_group(klein_four_group(n, sets)[1:])
+            assert decompose(group, model, 1) == decompose(list(group), model, 1)
 
     def test_minimal_with_oversized_base_kernel_is_a_violation(self):
         n = 9

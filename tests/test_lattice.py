@@ -21,6 +21,7 @@ from gsurf.lattice import (
     rational_from_json,
     rational_to_json,
     symplectic_from_json,
+    unit,
 )
 
 L3 = PicardLattice(3)
@@ -41,6 +42,14 @@ def test_gram_matrix_is_standard():
             for j, v in enumerate(row):
                 want = 0 if i != j else (1 if i == 0 else -1)
                 assert v == want
+
+
+def test_unit_is_the_basis():
+    assert (unit(3, 0), unit(3, 1), unit(3, 3)) == (H, E1, E3)
+    with pytest.raises(LatticeError):
+        L3.E(0)
+    with pytest.raises(LatticeError):
+        L3.E(4)
 
 
 def test_pairing_symmetric_bilinear():

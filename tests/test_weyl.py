@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from gsurf.errors import LatticeError, LimitExceeded
-from gsurf.exceptional import cremona_isometry
+from gsurf.exceptional import cremona_reflect, h_ijk
 from gsurf.gconic import fiber_class, full_swap, matrix_from_fiber_action
-from gsurf.lattice import CohClass, Isometry, canonical_class, pairing
+from gsurf.lattice import CohClass, Isometry, canonical_class, pairing, unit
 from gsurf.weyl import (
     NEITHER,
     RANK1,
@@ -66,6 +66,10 @@ def test_roots_closed_under_simple_reflections():
             assert {s.apply(r) for r in roots} == roots
 
 
+def test_simple_reflections_are_cached():
+    assert simple_reflections(6) is simple_reflections(6)
+
+
 def test_roots_are_the_orbit_of_simple_roots():
     for n in (3, 4, 5):
         refl = simple_reflections(n)
@@ -91,7 +95,8 @@ class TestReflection:
 
     def test_equals_cremona(self):
         alpha = CohClass((1, -1, -1, -1, 0))
-        assert reflection(alpha) == cremona_isometry(4, (1, 2, 3))
+        cols = [cremona_reflect(unit(4, j), (1, 2, 3)).coords for j in range(5)]
+        assert reflection(alpha) == Isometry.from_columns(cols)
 
     def test_involutive_and_negates(self):
         alpha = CohClass((1, -1, -1, -1))
@@ -161,7 +166,7 @@ class TestChain:
     def test_chain_membership(self):
         chain = stabilizer_chain(simple_reflections(4))
         from gsurf.weyl import perm_action
-        perms = perm_action([cremona_isometry(4, (2, 3, 4))], all_roots(4))
+        perms = perm_action([reflection(h_ijk(4, 2, 3, 4))], all_roots(4))
         assert chain.contains(perms[0])
 
     def test_unfaithful_point_set_rejected(self):
@@ -220,7 +225,7 @@ class TestPermAction:
         assert perm_action(gens, roots) == _apply_route(gens, roots)
 
     def test_exact_past_int64(self):
-        gens = list(simple_reflections(4)) + [cremona_isometry(4, (2, 3, 4))]
+        gens = list(simple_reflections(4)) + [reflection(h_ijk(4, 2, 3, 4))]
         roots = all_roots(4)
         big = [CohClass(tuple(c * 2 ** 64 for c in r.coords)) for r in roots]
         assert perm_action(gens, big) == perm_action(gens, roots)

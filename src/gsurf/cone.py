@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Optional, Sequence, Tuple
 
 from . import exceptional
@@ -47,8 +49,13 @@ def is_in_cone(w: SymplecticClass, max_degree: int = DEFAULT_PARTIAL_DEGREE) -> 
     # through the module so that a wrapper installed there sees the call.
     exc = exceptional.enumerate_exceptional(n) if n <= 8 \
         else exceptional.enumerate_exceptional(n, max_degree)
+    # Clear denominators once: with L > 0 the lcm of the denominators, the
+    # area of e is positive exactly when (L*w).e is, and (L*w).e is an
+    # integer dot product with e's raw coordinates.
+    scale = lcm(*(c.denominator for c in w.coords))
+    scaled = [c.numerator * (scale // c.denominator) for c in w.coords]
     for e in exc:
-        if w.area(e) <= 0:
+        if sum(map(mul, scaled, e.coords)) <= 0:
             return OUTSIDE
     return FULL if exc.complete else PARTIAL_POSITIVE
 
@@ -116,21 +123,26 @@ def fiber_pairs(n: int) -> Tuple[int, ...]:
 def blowdown_obstruction(n: int, a_min: int) -> Tuple[Tuple[int, int], ...]:
     """Pairs (a, m) with m = -a^2 K^2 / (2a - 1) a positive integer.
 
-    Such a pair would allow an invariant union of m disjoint (-1)-spheres
-    in the class a*K + b*F; the divisibility gcd(a^2, 2a-1) = 1 kills every
-    case except N = 6, a = -1.
+    Here a_min <= a <= -1.  Such a pair would allow an invariant union of m
+    disjoint (-1)-spheres in the class a*K + b*F.
+
+    Write d = 1 - 2a, an odd integer >= 3, so that m = a^2 K^2 / d.  Any
+    common divisor of a and 2a - 1 divides 2a - (2a - 1) = 1, so
+    gcd(a^2, d) = 1 and d divides a^2 K^2 exactly when it divides
+    K^2 = 9 - N; and m > 0 needs K^2 > 0.  The pairs are therefore read off
+    the odd divisors d >= 3 of K^2 with a = (1 - d)/2 >= a_min, so the cost
+    does not grow with |a_min|.  They come in ascending a, i.e. descending
+    d.  In the bundle range N >= 5 only N = 6, a = -1 survives; below it
+    N = 2, 3, 4 give one pair each.
     """
     if a_min > -1:
         raise LatticeError("a_min must be at most -1")
     ksq = 9 - n
     out = []
-    for a in range(a_min, 0):
-        num = -(a * a * ksq)
-        den = 2 * a - 1
-        if num % den == 0:
-            m = num // den
-            if m > 0:
-                out.append((a, m))
+    for d in range(min(ksq, 1 - 2 * a_min), 2, -1):
+        if d % 2 and ksq % d == 0:
+            a = (1 - d) // 2
+            out.append((a, a * a * ksq // d))
     return tuple(out)
 
 

@@ -13,7 +13,6 @@ N >= 9 the caller must supply a degree cap and the result is flagged partial.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
@@ -92,11 +91,10 @@ def _degree_range(n: int) -> Tuple[int, int]:
     return lo, hi
 
 
-def _solutions_for_degree(n: int, a: int):
-    """Integer b-vectors with sum 3a-1 and square sum a^2+1, as multisets.
+def _multisets_for_degree(n: int, a: int):
+    """Non-increasing integer b-vectors with sum 3a-1 and square sum a^2+1.
 
-    Enumerates non-increasing vectors with Cauchy-Schwarz pruning on the
-    remaining tail, then expands distinct permutations.
+    Cauchy-Schwarz prunes the remaining tail at every position.
     """
     target_s = 3 * a - 1
     target_q = a * a + 1
@@ -126,11 +124,38 @@ def _solutions_for_degree(n: int, a: int):
             prefix.pop()
 
     rec(0, isqrt(target_q), target_s, target_q, [])
-    out = []
-    for multiset in found:
-        for perm in set(itertools.permutations(multiset)):
-            out.append(CohClass((a,) + tuple(-b for b in perm)))
-    return out
+    return found
+
+
+def _distinct_permutations(items):
+    """Each distinct ordering of a multiset once, in lexicographic order.
+
+    Knuth, TAOCP 4A, Section 7.2.1.2, Algorithm L: step to the next
+    permutation by one swap and one suffix reversal.  Repeated entries
+    never produce a repeated ordering, so the cost follows the number of
+    distinct orderings, not len(items)!.
+    """
+    a = sorted(items)
+    n = len(a)
+    while True:
+        yield tuple(a)
+        j = n - 2
+        while j >= 0 and a[j] >= a[j + 1]:
+            j -= 1
+        if j < 0:
+            return
+        k = n - 1
+        while a[j] >= a[k]:
+            k -= 1
+        a[j], a[k] = a[k], a[j]
+        a[j + 1:] = a[:j:-1]
+
+
+def _solutions_for_degree(n: int, a: int):
+    """Exceptional classes of degree a: each multiset in every distinct order."""
+    return [CohClass((a,) + perm)
+            for multiset in _multisets_for_degree(n, a)
+            for perm in _distinct_permutations([-b for b in multiset])]
 
 
 @lru_cache(maxsize=None)

@@ -254,6 +254,8 @@ def decompose(group, model: ConicBundleModel, g0_order: int = 1) -> GroupDecompo
     actions = [fiber_action(g, model) for g in elements]
     if not isinstance(group, FiniteIsometryGroup):
         present = set(actions)
+        if len(present) != len(actions):
+            raise LatticeError("input group lists an element more than once")
         for a in actions:
             for b in actions:
                 if a.compose(b) not in present:

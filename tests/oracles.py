@@ -1,12 +1,24 @@
-"""Brute-force oracles, independent of the library's enumerators.
+"""Brute-force oracles: a second route to each of the library's results.
 
 These recompute expected values by direct search so the main code paths
 are checked against a second route: plain per-coordinate recursion here
-versus the multiset-with-permutations enumerator in the package, and a
-dict-based pure-Python closure versus the vectorized one.
+versus the multiset enumerator in the package, a dict-based pure-Python
+closure versus the vectorized one, and the scans that the package's closed
+forms replaced (the a-scan blowdown obstruction, the expansion of each
+multiset through all of its n! orderings, cone membership by exact
+``Fraction`` areas).
 """
 
-from math import isqrt
+import itertools
+from collections import Counter
+from math import factorial, isqrt
+
+from gsurf.cone import FULL, OUTSIDE, PARTIAL_POSITIVE
+from gsurf.exceptional import (
+    _degree_range,
+    _multisets_for_degree,
+    enumerate_exceptional,
+)
 
 
 def raw_pairing(x, y):
@@ -60,6 +72,70 @@ def root_classes_oracle(n):
     return out
 
 
+def _degree_window(n, max_degree):
+    """The degrees ``enumerate_exceptional(n, max_degree)`` covers."""
+    if n <= 8:
+        lo, hi = _degree_range(n)
+        return lo, hi if max_degree is None else min(hi, max_degree)
+    return -1, max_degree
+
+
+def exc_coords_by_permutation_sets(n, max_degree=None):
+    """Sorted raw coordinates of the enumeration, multisets expanded by sets.
+
+    Each multiset of b-values is expanded through all n! orderings of
+    ``itertools.permutations`` and deduplicated by a set, the route that
+    Algorithm L replaced in the package.
+    """
+    lo, hi = _degree_window(n, max_degree)
+    out = []
+    for a in range(lo, hi + 1):
+        for multiset in _multisets_for_degree(n, a):
+            for perm in set(itertools.permutations(multiset)):
+                out.append((a,) + tuple(-b for b in perm))
+    return tuple(sorted(out))
+
+
+def exc_count_by_multinomials(n, max_degree=None):
+    """Size of the enumeration: n! / prod(multiplicity!) per multiset."""
+    lo, hi = _degree_window(n, max_degree)
+    total = 0
+    for a in range(lo, hi + 1):
+        for multiset in _multisets_for_degree(n, a):
+            count = factorial(n)
+            for k in Counter(multiset).values():
+                count //= factorial(k)
+            total += count
+    return total
+
+
+def blowdown_obstruction_scan(n, a_min):
+    """Pairs (a, m), m = -a^2 K^2 / (2a - 1) > 0, scanning a over [a_min, -1]."""
+    ksq = 9 - n
+    out = []
+    for a in range(a_min, 0):
+        num = -(a * a * ksq)
+        den = 2 * a - 1
+        if num % den == 0:
+            m = num // den
+            if m > 0:
+                out.append((a, m))
+    return tuple(out)
+
+
+def cone_verdict_by_fraction_areas(w, max_degree=5):
+    """Cone membership with each exceptional area paired in ``Fraction``s."""
+    if w.square() <= 0:
+        return OUTSIDE
+    n = w.n
+    exc = enumerate_exceptional(n) if n <= 8 \
+        else enumerate_exceptional(n, max_degree)
+    for e in exc:
+        if w.area(e) <= 0:
+            return OUTSIDE
+    return FULL if exc.complete else PARTIAL_POSITIVE
+
+
 def tuple_closure(gen_mats, limit=1_000_000):
     """Pure-Python breadth-first closure over tuple-of-tuples matrices."""
     dim = len(gen_mats[0])
@@ -93,7 +169,6 @@ def hexagon_edge_transitive_subgroup_orders():
     vertex reflections, which is edge-transitive but not vertex-transitive;
     the library's transitivity notion excludes it.
     """
-    import itertools
     elems = [tuple((i + r) % 6 for i in range(6)) for r in range(6)] + \
             [tuple((c - i) % 6 for i in range(6)) for c in range(6)]
     ident = tuple(range(6))

@@ -147,6 +147,12 @@ def test_cone_six_blowups(capsys):
     assert report["results"]["obstructions"] == [[-1, 1]]
 
 
+def test_cone_far_a_min(capsys):
+    code, report = run_json(capsys, "cone", "--n", "5", "--a-min", "-100000000")
+    assert code == 0
+    assert report["results"]["obstructions"] == []
+
+
 def test_hexagon_subcommand(capsys):
     code, report = run_json(capsys, "hexagon", "--kind", "Gnks", "--n", "9",
                             "--k", "3", "--s", "2", "--verify")

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gsurf import exceptional
 from gsurf.cone import (
@@ -23,6 +25,33 @@ from gsurf.errors import LatticeError
 from gsurf.exceptional import enumerate_exceptional
 from gsurf.gconic import fiber_class
 from gsurf.lattice import SymplecticClass, canonical_class, pairing
+
+import oracles
+
+
+@st.composite
+def rational_classes(draw):
+    """Classes near -K with small denominators; some with an area exactly 0.
+
+    Each coordinate is -K's moved by at most 1/4.  Near -K (every
+    exceptional area 1) the cone boundary is close, so every verdict comes
+    up.  The zero area is forced on a drawn exceptional class by solving
+    for its first nonzero coordinate.
+    """
+    n = draw(st.integers(3, 9))
+
+    def coord(base):
+        d = draw(st.integers(1, 6))
+        return base + Fraction(draw(st.integers(-d, d)), 4 * d)
+
+    coords = [coord(3)] + [coord(1) for _ in range(n)]
+    if draw(st.booleans()):
+        exc = enumerate_exceptional(n) if n <= 8 else enumerate_exceptional(n, 5)
+        e = exc.classes[draw(st.integers(0, len(exc) - 1))].coords
+        k = next(i for i, c in enumerate(e) if c)
+        rest = sum(x * c for i, (x, c) in enumerate(zip(coords, e)) if i != k)
+        coords[k] = -rest / e[k]
+    return SymplecticClass(tuple(coords))
 
 
 class TestMembership:
@@ -47,6 +76,14 @@ class TestMembership:
         assert is_in_cone(w) == PARTIAL_POSITIVE
         assert is_in_cone(w, max_degree=5) == PARTIAL_POSITIVE
         assert enumerate_exceptional.cache_info().misses == misses
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(rational_classes())
+    @example(SymplecticClass((Fraction(7, 2), Fraction(3, 2), 1, 1)))  # full
+    @example(SymplecticClass((Fraction(5, 2), Fraction(3, 2), 1, 1, 1)))  # area 0
+    @example(SymplecticClass((Fraction(7, 2),) + (1,) * 9))  # partial
+    def test_matches_fraction_areas(self, w):
+        assert is_in_cone(w) == oracles.cone_verdict_by_fraction_areas(w)
 
     def test_enumerates_through_the_module(self, monkeypatch):
         calls = []
@@ -128,6 +165,26 @@ class TestBlowdown:
     def test_nonpositive_square_excluded(self):
         assert blowdown_obstruction(9, -50) == ()
         assert blowdown_obstruction(12, -50) == ()
+
+    @pytest.mark.parametrize("a_min", [-1, -2, -7, -10**4])
+    def test_matches_the_scan(self, a_min):
+        for n in range(1, 40):
+            assert blowdown_obstruction(n, a_min) == \
+                oracles.blowdown_obstruction_scan(n, a_min)
+
+    def test_cost_independent_of_a_min(self):
+        expected = {2: ((-3, 9),), 3: ((-1, 2),), 4: ((-2, 4),), 6: ((-1, 1),)}
+        for n in range(2, 11):
+            got = blowdown_obstruction(n, -10**8)
+            assert got == expected.get(n, ())
+            assert got == oracles.blowdown_obstruction_scan(n, -10)
+
+    def test_ascending_a_with_several_divisors(self):
+        # K^2 <= 8 on every surface, so it has at most one odd divisor >= 3;
+        # K^2 = 45 (N = -36) has five, which pins the order of the pairs.
+        got = blowdown_obstruction(-36, -30)
+        assert [a for a, _ in got] == [-22, -7, -4, -2, -1]
+        assert got == oracles.blowdown_obstruction_scan(-36, -30)
 
     def test_coprimality_fact(self):
         for a in range(-200, 0):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from gsurf.exceptional import (
     MONOTONE,
     OTHER,
     SMALL_FIBER,
+    _distinct_permutations,
     cremona_reflect,
     enumerate_exceptional,
     h_ij,
@@ -47,6 +49,27 @@ def test_defining_equations():
         for e in enumerate_exceptional(n):
             assert e.square() == -1
             assert pairing(k, e) == -1
+
+
+@pytest.mark.parametrize("args", [(n,) for n in range(2, 9)] + [(9, 5), (10, 3)],
+                         ids=lambda args: ",".join(map(str, args)))
+def test_enumeration_matches_permutation_sets(args):
+    got = tuple(c.coords for c in enumerate_exceptional(*args))
+    assert got == oracles.exc_coords_by_permutation_sets(*args)
+
+
+def test_eleven_blowups_degree_four():
+    classes = enumerate_exceptional(11, 4)
+    assert len(classes) == 13178
+    assert len(classes) == oracles.exc_count_by_multinomials(11, 4)
+    assert len(set(classes)) == len(classes)
+
+
+@pytest.mark.parametrize("items", [(), (0,), (1, 1, 1), (2, 1, 1, 0),
+                                   (-1, 0, 0, 1, 1), (3, 1, 4, 1, 5, 9, 2, 6)])
+def test_distinct_permutations_in_lexicographic_order(items):
+    got = list(_distinct_permutations(items))
+    assert got == sorted(set(itertools.permutations(items)))
 
 
 def test_large_n_needs_degree_cap():

@@ -204,6 +204,14 @@ class TestDecompose:
         with pytest.raises(LatticeError, match="closed"):
             decompose(group[:-1], ConicBundleModel(n), 1)
 
+    @pytest.mark.parametrize("extra", [[], [full_swap(5)]],
+                             ids=["identity-twice", "identity-twice-and-swap"])
+    def test_repeated_element_rejected(self, extra):
+        n = 5
+        group = [Isometry.identity(n)] * 2 + extra
+        with pytest.raises(LatticeError, match="more than once"):
+            decompose(group, ConicBundleModel(n), 1)
+
     @pytest.mark.parametrize("n", range(4, 8))
     def test_group_and_list_agree(self, n):
         model = ConicBundleModel(n)

@@ -17,7 +17,7 @@ import time
 from fractions import Fraction
 from importlib import resources
 
-from . import __version__, cone, exceptional, gconic, hexagon, selftest, weyl
+from . import __version__, cone, exceptional, gconic, hexagon, weyl
 from .errors import InvariantViolation, LatticeError
 from .lattice import (
     CohClass,
@@ -92,7 +92,7 @@ def _class_list(classes) -> list:
 # -- subcommand handlers -----------------------------------------------------
 
 def _cmd_exc(args, argv):
-    exc = exceptional.enumerate_exceptional(args.n, args.max_degree)
+    exc = exceptional.enumerate_exceptional(args.n, args.max_degree, args.limit)
     results = {
         "count": len(exc),
         "complete": exc.complete,
@@ -231,7 +231,8 @@ def _cmd_cone(args, argv):
 
 
 def _cmd_hexagon(args, argv):
-    group = hexagon.make_imprimitive(args.kind, args.n, args.k, args.s)
+    group = hexagon.make_imprimitive(args.kind, args.n, args.k, args.s,
+                                     args.limit)
     relations_ok = None
     if args.verify:
         relations_ok = hexagon.presentation_check(args.n, group.k, group.s)
@@ -248,6 +249,7 @@ def _cmd_hexagon(args, argv):
 
 
 def _cmd_selftest(args, argv):
+    from . import selftest
     results = selftest.run_all(quick=args.quick, log=sys.stderr)
     payload = {
         "criteria": [{"name": r.name, "ok": r.ok, "detail": r.detail,
@@ -280,6 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-degree", type=int, default=None)
     p.add_argument("--json", action="store_true")
+    p.add_argument("--limit", type=int, default=exceptional.DEFAULT_LIMIT)
     p.set_defaults(func=_cmd_exc)
 
     p = sub.add_parser("reduce", help="Cremona-reduce an exceptional class")
@@ -328,6 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--s", type=int, default=None)
     p.add_argument("--verify", action="store_true")
+    p.add_argument("--limit", type=int, default=hexagon.DEFAULT_LIMIT)
     p.set_defaults(func=_cmd_hexagon)
 
     p = sub.add_parser("selftest", help="run the acceptance criteria")

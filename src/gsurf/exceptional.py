@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
+from itertools import groupby
+from math import comb, isqrt
 from typing import Iterable, Optional, Tuple
 
 from .errors import LatticeError, LimitExceeded
@@ -151,19 +152,28 @@ def _distinct_permutations(items):
         a[j + 1:] = a[:j:-1]
 
 
-def _solutions_for_degree(n: int, a: int):
-    """Exceptional classes of degree a: each multiset in every distinct order."""
-    return [CohClass((a,) + perm)
-            for multiset in _multisets_for_degree(n, a)
-            for perm in _distinct_permutations([-b for b in multiset])]
+def _arrangements(multiset) -> int:
+    """Number of distinct orderings: len! over the product of run factorials."""
+    count, placed = 1, 0
+    for _, run in groupby(multiset):
+        k = sum(1 for _ in run)
+        placed += k
+        count *= comb(placed, k)
+    return count
+
+
+DEFAULT_LIMIT = 1_000_000
 
 
 @lru_cache(maxsize=None)
-def enumerate_exceptional(n: int, max_degree: Optional[int] = None) -> ExceptionalSet:
+def enumerate_exceptional(n: int, max_degree: Optional[int] = None,
+                          limit: int = DEFAULT_LIMIT) -> ExceptionalSet:
     """All classes with e.e = -1, K.e = -1 up to the degree bound.
 
     Complete for N <= 8; for N >= 9 ``max_degree`` is required and the
-    result is flagged partial.  Results are cached and immutable.
+    result is flagged partial.  Results are cached and immutable.  Raises
+    LimitExceeded, before any class is built, when there are more than
+    ``limit`` classes.
     """
     if n < 1:
         raise LatticeError("need at least one blowup")
@@ -177,11 +187,22 @@ def enumerate_exceptional(n: int, max_degree: Optional[int] = None) -> Exception
             raise LatticeError(f"max_degree is required for N = {n} >= 9")
         lo, hi = -1, max_degree
         complete = False
-    classes = []
+    # Each multiset stands for as many classes as it has distinct
+    # orderings, so the count is known before anything is expanded.
+    multisets = []
+    count = 0
     for a in range(lo, hi + 1):
         if not _degree_feasible(n, a):
             continue
-        classes.extend(_solutions_for_degree(n, a))
+        for multiset in _multisets_for_degree(n, a):
+            count += _arrangements(multiset)
+            if count > limit:
+                raise LimitExceeded(
+                    f"exceptional classes for N = {n} up to degree {hi}"
+                    f" exceed the limit of {limit} (gsurf exc --limit)")
+            multisets.append((a, multiset))
+    classes = [CohClass((a,) + perm) for a, multiset in multisets
+               for perm in _distinct_permutations([-b for b in multiset])]
     classes.sort(key=lambda e: e.coords)
     return ExceptionalSet(n, tuple(classes), complete, hi)
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Tuple
 
-from .errors import InvariantViolation, LatticeError
+from .errors import InvariantViolation, LatticeError, LimitExceeded
 from .lattice import CohClass, pairing
 
 ORIENTATION_CCW = "counter-clockwise"
@@ -390,11 +390,21 @@ def _imprimitive_generators(kind: str, n: int, k: Optional[int], s: Optional[int
     raise LatticeError(f"unknown kind {kind!r}")
 
 
+DEFAULT_LIMIT = 100_000
+
+
 def make_imprimitive(kind: str, n: int, k: Optional[int] = None,
-                     s: Optional[int] = None) -> MonomialGroup:
+                     s: Optional[int] = None,
+                     limit: int = DEFAULT_LIMIT) -> MonomialGroup:
     """Closure of the listed generators; the order matches the semidirect
-    product description (3n^2, 6n^2, 3n^2/k, 2n^2 by kind)."""
+    product description (3n^2, 6n^2, 3n^2/k, 2n^2 by kind).
+
+    Raises LimitExceeded, before closing, when that order exceeds ``limit``.
+    """
     gens, expected, k_eff, s_eff = _imprimitive_generators(kind, n, k, s)
+    if expected > limit:
+        raise LimitExceeded(f"{kind} at n = {n} has order {expected}, above"
+                            f" the limit of {limit} (gsurf hexagon --limit)")
     seen = {MonomialGroupElement.identity(n)}
     frontier = list(seen)
     while frontier:

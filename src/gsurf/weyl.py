@@ -6,6 +6,9 @@ the integer classes with r.r = -2 and K.r = 0.  Finite isometry groups are
 handled two ways: breadth-first closure of the generators (with the full
 element set materialized) and a stabilizer chain over the faithful action
 on the root set (order only, feasible for the largest Weyl group).
+numpy is imported inside the four functions that use it (closure, row
+sort, traces, the chain's point product), so the commands that never
+close a group or build a chain start without it.
 """
 
 from __future__ import annotations
@@ -15,12 +18,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
 from operator import itemgetter
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from .errors import InvariantViolation, LatticeError, LimitExceeded
 from .lattice import CohClass, Isometry, canonical_class, pairing
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ROOT_SYSTEM_TYPES = {3: "A2+A1", 4: "A4", 5: "D5", 6: "E6", 7: "E7", 8: "E8"}
 
@@ -141,6 +145,7 @@ class FiniteIsometryGroup:
 
     def trace_vector(self) -> np.ndarray:
         """Trace of every element on the full degree-2 lattice."""
+        import numpy as np
         arr = self.element_array().astype(np.int64)
         return np.einsum("kii->k", arr)
 
@@ -154,6 +159,7 @@ def generate_group(gens: Sequence[Isometry], limit: int = 10_000_000,
     Matrix entries are kept in 16-bit range; the finite groups of interest
     here stay within single digits.
     """
+    import numpy as np
     gens = list(gens)
     if not gens:
         raise LatticeError("at least one generator required")
@@ -216,6 +222,7 @@ def generate_group(gens: Sequence[Isometry], limit: int = 10_000_000,
 
 def _sort_rows(arr: np.ndarray) -> np.ndarray:
     """Rows in row-major value order, via packed multi-column keys."""
+    import numpy as np
     if arr.shape[0] < 2:
         return arr
     # int16 value order equals uint16 order after flipping the sign bit
@@ -398,6 +405,7 @@ def _images(mat: tuple, rows: List[tuple], pmax: int) -> List[tuple]:
     int64 is exact when dim * max|M| * max|point| < 2**63, which bounds
     every partial sum of the product; past that, Python ints are used.
     """
+    import numpy as np
     dim = len(mat)
     mmax = max(abs(v) for r in mat for v in r)
     if dim * max(mmax, 1) * max(pmax, 1) < 2 ** 63:

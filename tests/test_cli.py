@@ -1,5 +1,13 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+import time
+
+import pytest
+
+import gsurf
 
 from gsurf import cli
 from gsurf.exceptional import h_ijk
@@ -194,6 +202,53 @@ def test_timing_flag_adds_field(capsys):
     assert "timing" not in plain
     _, timed = run_json(capsys, "--timing", "exc", "--n", "3", "--json")
     assert "timing" in timed
+
+
+@pytest.mark.parametrize("argv", [["exc", "--n", "20", "--max-degree", "12"],
+                                  ["hexagon", "--kind", "Gn", "--n", "3000"]])
+def test_work_limits_stop_huge_inputs(capsys, argv):
+    t0 = time.monotonic()
+    code = cli.main(argv)
+    assert time.monotonic() - t0 < 2
+    assert code == 1
+    assert "--limit" in capsys.readouterr().err
+
+
+def test_limit_flags_stay_out_of_inputs(capsys):
+    _, plain = run_json(capsys, "exc", "--n", "6", "--json")
+    _, capped = run_json(capsys, "exc", "--n", "6", "--json", "--limit", "27")
+    assert capped["inputs"] == plain["inputs"]
+    assert cli.main(["exc", "--n", "6", "--limit", "26"]) == 1
+    argv = ["hexagon", "--kind", "Gn", "--n", "10"]
+    _, plain = run_json(capsys, *argv)
+    _, capped = run_json(capsys, *argv, "--limit", "300")
+    assert capped["inputs"] == plain["inputs"]
+    assert cli.main(argv + ["--limit", "299"]) == 1
+
+
+@pytest.mark.parametrize("argv, loads_numpy", [
+    (["exc", "--n", "6"], False),
+    (["reduce", "--class", "[6,-3,-2,-2,-2,-2,-2,-2,-2]"], False),
+    (["cone", "--n", "5", "--scan", "0,1/2,1,2"], False),
+    (["hexagon", "--kind", "Gnks", "--n", "9", "--k", "3", "--s", "2",
+      "--verify"], False),
+    (["schema"], False),
+    (["weyl", "--n", "4"], True),
+], ids=lambda v: v[0] if isinstance(v, list) else str(v))
+def test_cold_start_imports_numpy_only_for_groups(argv, loads_numpy):
+    # numpy is about 40% of a small command's start-up; only a group
+    # closure or a stabilizer chain needs it.
+    script = ("import contextlib, io, sys\n"
+              "from gsurf import cli\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              f"    code = cli.main({argv!r})\n"
+              "print(code, 'numpy' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(gsurf.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", script], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}).stdout
+    assert out.split() == ["0", str(loads_numpy)]
 
 
 def test_weyl_n8_needs_chain(capsys):

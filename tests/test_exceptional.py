@@ -8,6 +8,7 @@ from gsurf.exceptional import (
     MONOTONE,
     OTHER,
     SMALL_FIBER,
+    _arrangements,
     _distinct_permutations,
     cremona_reflect,
     enumerate_exceptional,
@@ -70,6 +71,23 @@ def test_eleven_blowups_degree_four():
 def test_distinct_permutations_in_lexicographic_order(items):
     got = list(_distinct_permutations(items))
     assert got == sorted(set(itertools.permutations(items)))
+    assert _arrangements(sorted(items, reverse=True)) == len(got)
+
+
+def test_limit_just_above_the_count_returns_everything():
+    assert len(enumerate_exceptional(11, 4, 13_179)) == 13_178
+    assert len(enumerate_exceptional(11, 4, 13_178)) == 13_178
+
+
+def test_limit_is_checked_before_any_class_is_built(monkeypatch):
+    def refuse(coords):
+        raise AssertionError("a class was built")
+    monkeypatch.setattr("gsurf.exceptional.CohClass", refuse)
+    with pytest.raises(LimitExceeded, match="--limit"):
+        enumerate_exceptional(11, 4, 13_177)
+    # about 5.7e15 classes, stopped by the default limit
+    with pytest.raises(LimitExceeded, match="--limit"):
+        enumerate_exceptional(20, 12)
 
 
 def test_large_n_needs_degree_cap():

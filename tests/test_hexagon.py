@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from gsurf.errors import LatticeError
+from gsurf.errors import LatticeError, LimitExceeded
 from gsurf.hexagon import (
     HEX_EDGES,
     KIND_GN,
@@ -211,6 +211,18 @@ class TestImprimitive:
             make_imprimitive(KIND_GTN32, 4)        # needs 3 | n
         with pytest.raises(LatticeError):
             make_imprimitive("nope", 3)
+
+    @pytest.mark.parametrize("kind, n, k, s, order", [
+        (KIND_GN, 10, None, None, 300), (KIND_GTN, 10, None, None, 600),
+        (KIND_GNKS, 9, 3, 2, 81), (KIND_GTN32, 12, None, None, 288)])
+    def test_limit_on_the_closed_form_order(self, kind, n, k, s, order):
+        assert make_imprimitive(kind, n, k, s, limit=order).order == order
+        with pytest.raises(LimitExceeded, match="--limit"):
+            make_imprimitive(kind, n, k, s, limit=order - 1)
+
+    def test_default_limit_stops_a_huge_closure(self):
+        with pytest.raises(LimitExceeded):
+            make_imprimitive(KIND_GN, 3000)   # 27,000,000 elements
 
 
 class TestPresentation:

@@ -13,7 +13,7 @@ even.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence
 
 from .errors import InvariantViolation, LatticeError
@@ -39,11 +39,14 @@ class ConicBundleModel:
 
     The default choice is (E2, ..., EN); a relabeled model may pick the
     other component of a fiber or permute the fibers, as long as the set
-    of unordered pairs {e, F - e} is the standard one.
+    of unordered pairs {e, F - e} is the standard one.  ``components``
+    maps the coordinates of both components of every fiber to (label, +1)
+    for the chosen sphere and (label, -1) for the other one.
     """
 
     n_blowups: int
     sphere_classes: tuple = None
+    components: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = self.n_blowups
@@ -56,17 +59,19 @@ class ConicBundleModel:
         object.__setattr__(self, "sphere_classes", spheres)
         f = fiber_class(n)
         k = canonical_class(n)
-        std = {frozenset((unit(n, j).coords, (f - unit(n, j)).coords))
-               for j in range(2, n + 1)}
-        got = set()
-        for e in spheres:
+        components = {}
+        for j, e in enumerate(spheres, start=2):
             if e.n != n:
                 raise LatticeError("sphere class of wrong dimension")
             if e.square() != -1 or pairing(k, e) != -1 or pairing(f, e) != 0:
                 raise LatticeError(f"{e} is not a vertical sphere class")
-            got.add(frozenset((e.coords, (f - e).coords)))
-        if got != std or len(spheres) != n - 1:
+            components[e.coords] = (j, 1)
+            components[(f - e).coords] = (j, -1)
+        # Every vertical sphere class is some Ej or H - E1 - Ej (j >= 2), so
+        # the standard fibers are labelled iff N - 1 spheres hit N - 1 fibers.
+        if len(spheres) != n - 1 or len(components) != 2 * (n - 1):
             raise LatticeError("sphere classes do not label the standard fibers")
+        object.__setattr__(self, "components", components)
 
     @property
     def fiber(self) -> CohClass:
@@ -133,29 +138,29 @@ class FiberAction:
 
 
 def fiber_action(g: Isometry, model: ConicBundleModel) -> FiberAction:
-    """Extract (pi, eps) from a matrix, or fail if it breaks the bundle."""
+    """Extract (pi, eps) from a matrix, or fail if it breaks the bundle.
+
+    Each sphere's image, a sum of the columns its coordinates select, is
+    looked up in the model's component table.
+    """
     n = model.n_blowups
     if g.n != n:
         raise LatticeError("dimension mismatch")
-    f, k = model.fiber, model.canonical
-    if not g.fixes(f):
+    if not g.fixes(model.fiber):
         raise LatticeError("isometry does not fix the fiber class")
-    if not g.fixes(k):
+    if not g.fixes(model.canonical):
         raise LatticeError("isometry does not fix the canonical class")
-    plus = {e.coords: j for j, e in zip(model.labels(), model.sphere_classes)}
-    minus = {(f - e).coords: j for j, e in zip(model.labels(), model.sphere_classes)}
+    cols = tuple(zip(*g.mat))
     pi: List[int] = []
     eps: List[int] = []
     for e in model.sphere_classes:
-        img = g.apply(e).coords
-        if img in plus:
-            pi.append(plus[img])
-            eps.append(1)
-        elif img in minus:
-            pi.append(minus[img])
-            eps.append(-1)
-        else:
+        terms = [(c, cols[i]) for i, c in enumerate(e.coords) if c]
+        img = tuple(sum(c * col[r] for c, col in terms) for r in range(n + 1))
+        hit = model.components.get(img)
+        if hit is None:
             raise LatticeError(f"isometry moves {e} out of the singular fibers")
+        pi.append(hit[0])
+        eps.append(hit[1])
     return FiberAction(tuple(pi), tuple(eps))
 
 
@@ -163,29 +168,28 @@ def matrix_from_fiber_action(pi: Sequence[int], eps: Sequence[int],
                              n: int) -> Isometry:
     """Integral isometry realizing (pi, eps) on the standard model.
 
-    Fixing F and K forces E1 -> (sum of the Ej images - K - 3F) / 2, so an
-    integral lift exists iff the number of swapped fibers is even.
+    The column of Ej is E_pi(j), or F - E_pi(j) when fiber j is swapped.
+    Fixing F and K forces E1 -> (sum of the Ej images - K - 3F) / 2; with
+    s swapped fibers, whose images form the set S, that is
+
+        E1 -> (s/2) H + (1 - s/2) E1 - sum of Ep over p in S,
+
+    integral iff s is even, and H = F + E1 goes to F plus E1's image.
     """
     action = FiberAction(tuple(pi), tuple(eps))
     if action.size != n - 1:
         raise LatticeError("wrong number of fiber labels")
-    if action.swap_count() % 2:
+    s = action.swap_count()
+    if s % 2:
         raise LatticeError(
             "no integral lift: the number of swapped fibers must be even")
-    f, k = fiber_class(n), canonical_class(n)
-    images = {}
-    total = CohClass((0,) * (n + 1))
-    for t, j in enumerate(range(2, n + 1)):
-        img = unit(n, action.pi[t]) if action.eps[t] == 1 \
-            else f - unit(n, action.pi[t])
-        images[j] = img
-        total = total + img
-    num = total - k - 3 * f
-    if any(c % 2 for c in num.coords):  # pragma: no cover - parity checked above
-        raise InvariantViolation("parity bookkeeping failed")
-    e1_img = CohClass(tuple(c // 2 for c in num.coords))
-    h_img = f + e1_img
-    cols = [h_img.coords, e1_img.coords] + [images[j].coords for j in range(2, n + 1)]
+    sign = dict(zip(action.pi, action.eps))
+    e1_img = [s // 2, 1 - s // 2] + [min(sign[p], 0) for p in range(2, n + 1)]
+    cols = [[e1_img[0] + 1, e1_img[1] - 1] + e1_img[2:], e1_img]
+    for p, e in zip(action.pi, action.eps):
+        col = [0] * (n + 1) if e == 1 else [1, -1] + [0] * (n - 1)
+        col[p] = e
+        cols.append(col)
     return Isometry.from_columns(cols)
 
 

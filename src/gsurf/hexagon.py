@@ -66,10 +66,6 @@ class HexagonModel:
     def first_vertex(self) -> tuple:
         return (self.edges[5], self.edges[0])
 
-    def vertex_edges(self, idx: int) -> tuple:
-        """The two edges meeting at vertex idx (edge before, edge after)."""
-        return (self.edges[(idx - 1) % 6], self.edges[idx % 6])
-
 
 def propagate_rotation(pair) -> list:
     """Rotation pairs at the six vertices from the pair at the first vertex.
@@ -193,28 +189,22 @@ def _solve_congruence(k: int, c: int, n: int) -> Optional[int]:
 def build_gamma(n: int, k: int, b: int) -> tuple:
     """The torus kernel generated by weights (0, 1) of order n/k and (1, b).
 
-    Requires k | n and b^2 + b + 1 = 0 (mod k); the group has order n^2/k
-    and is the additive closure of the two generators in Q/Z x Q/Z.
+    Requires k | n and b^2 + b + 1 = 0 (mod k).  The generator ht1 = (1, b)
+    has order n and first angle 1/n, while h1 = (0, k) has order n/k and
+    first angle 0, so the two cyclic groups meet only in the identity and
+    the kernel is their direct sum, of order n^2/k:
+
+        {(i/n, (i*b + j*k mod n)/n) : 0 <= i < n, 0 <= j < n/k}.
+
+    For fixed i the second numerators are r + j*k with r = i*b mod k, so
+    listing i and then j ascending is already the sorted order.
     """
     if n < 1 or k < 1 or n % k:
         raise LatticeError(f"k = {k} must divide n = {n}")
     if (b * b + b + 1) % k:
         raise LatticeError(f"b^2 + b + 1 = {b*b+b+1} is not 0 mod k = {k}")
-    h1, ht1 = gamma_generators(n, k, b)
-    seen = {TorusElement.identity()}
-    frontier = [TorusElement.identity()]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in (h1, ht1):
-                y = x * g
-                if y not in seen:
-                    seen.add(y)
-                    new.append(y)
-        frontier = new
-    if len(seen) != n * n // k:  # pragma: no cover
-        raise InvariantViolation("torus kernel has unexpected order")
-    return tuple(sorted(seen, key=TorusElement.sort_key))
+    return tuple(TorusElement((Fraction(i, n), Fraction(i * b % k + j * k, n)))
+                 for i in range(n) for j in range(n // k))
 
 
 def gamma_generators(n: int, k: int, b: int) -> tuple:
@@ -396,30 +386,42 @@ DEFAULT_LIMIT = 100_000
 def make_imprimitive(kind: str, n: int, k: Optional[int] = None,
                      s: Optional[int] = None,
                      limit: int = DEFAULT_LIMIT) -> MonomialGroup:
-    """Closure of the listed generators; the order matches the semidirect
-    product description (3n^2, 6n^2, 3n^2/k, 2n^2 by kind).
+    """The group of the listed generators, built as T x| P, sorted.
 
-    Raises LimitExceeded, before closing, when that order exceeds ``limit``.
+    The permutation generators carry zero scalars, so they generate a
+    complement P (C3 or S3).  Conjugation by a permutation permutes the
+    scalars, so the diagonal part T is the subgroup of (Z/n)^3/diagonal
+    generated by the P-permuted scalar generators; it is normal, meets P
+    trivially, and every element is uniquely t * p, so the order is
+    |T| * |P| (3n^2, 6n^2, 3n^2/k, 2n^2 by kind).  T grows by coset
+    extension: for each generator v with m least such that m*v is in T,
+    T + {0, ..., m-1}*v is a subgroup m times larger, with no repeats.
+
+    Raises LimitExceeded, before building anything, when that order
+    exceeds ``limit``.
     """
     gens, expected, k_eff, s_eff = _imprimitive_generators(kind, n, k, s)
     if expected > limit:
         raise LimitExceeded(f"{kind} at n = {n} has order {expected}, above"
                             f" the limit of {limit} (gsurf hexagon --limit)")
-    seen = {MonomialGroupElement.identity(n)}
-    frontier = list(seen)
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = x * g
-                if y not in seen:
-                    seen.add(y)
-                    new.append(y)
-        frontier = new
-    if len(seen) != expected:  # pragma: no cover
+    perms = sorted(_perm_closure([g.perm for g in gens if g.perm != (0, 1, 2)], 3))
+    torus = [(0, 0)]
+    for c, p in itertools.product((g.scalars for g in gens if g.perm == (0, 1, 2)),
+                                  perms):
+        v = ((c[p[1]] - c[p[0]]) % n, (c[p[2]] - c[p[0]]) % n)
+        members, coset = set(torus), torus
+        while True:
+            coset = [((x + v[0]) % n, (y + v[1]) % n) for x, y in coset]
+            if coset[0] in members:
+                break
+            torus += coset
+    order = len(perms) * len(torus)
+    if order != expected:  # pragma: no cover
         raise InvariantViolation(
-            f"{kind} closure has order {len(seen)}, expected {expected}")
-    elements = tuple(sorted(seen, key=MonomialGroupElement.sort_key))
+            f"{kind} closure has order {order}, expected {expected}")
+    torus.sort()
+    elements = tuple(MonomialGroupElement(p, (0,) + t, n)
+                     for p in perms for t in torus)
     return MonomialGroup(kind, n, k_eff, s_eff, gens, elements)
 
 
@@ -482,6 +484,23 @@ def _orbit(perms, start) -> set:
     return orb
 
 
+def _compose(p: tuple, q: tuple) -> tuple:
+    """The permutation p after q."""
+    return tuple(p[i] for i in q)
+
+
+def _perm_closure(gens, degree: int) -> set:
+    """The permutation group of the given degree generated by ``gens``."""
+    ident = tuple(range(degree))
+    group = {ident}
+    frontier = [ident]
+    while frontier:
+        frontier = [y for y in {_compose(x, g) for x in frontier for g in gens}
+                    if y not in group]
+        group.update(frontier)
+    return group
+
+
 def transitive_hexagon_subgroups() -> tuple:
     """Subgroups of the full hexagon symmetry group acting transitively.
 
@@ -492,26 +511,8 @@ def transitive_hexagon_subgroups() -> tuple:
     group of order 12.
     """
     elems = _hexagon_symmetries()
-    ident = tuple(range(6))
-
-    def compose(p, q):
-        return tuple(p[q[i]] for i in range(6))
-
-    subgroups = set()
     pool = [()] + [(g,) for g in elems] + list(itertools.combinations(elems, 2))
-    for gens in pool:
-        group = {ident}
-        frontier = [ident]
-        while frontier:
-            new = []
-            for x in frontier:
-                for g in gens:
-                    y = compose(x, g)
-                    if y not in group:
-                        group.add(y)
-                        new.append(y)
-            frontier = new
-        subgroups.add(frozenset(group))
+    subgroups = {frozenset(_perm_closure(gens, 6)) for gens in pool}
 
     out = []
     for sg in subgroups:
@@ -527,19 +528,5 @@ def transitive_hexagon_subgroups() -> tuple:
 
 
 def _is_cyclic(perms) -> bool:
-    n = len(perms)
-
-    def compose(p, q):
-        return tuple(p[q[i]] for i in range(6))
-
-    for p in perms:
-        acc = p
-        k = 1
-        while acc != tuple(range(6)):
-            acc = compose(acc, p)
-            k += 1
-            if k > n:
-                break
-        if k == n:
-            return True
-    return False
+    """Some element's order, the size of the group it generates, is |G|."""
+    return any(len(_perm_closure([p], len(p))) == len(perms) for p in perms)

@@ -27,6 +27,8 @@ Rational = Union[int, Fraction]
 
 def _norm_rat(x: Rational) -> Rational:
     """Collapse integer-valued Fractions to int; reject floats."""
+    if type(x) is int:
+        return x
     if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
         raise LatticeError(f"exact coordinate expected, got {type(x).__name__}")
     if isinstance(x, Fraction) and x.denominator == 1:

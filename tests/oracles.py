@@ -6,7 +6,9 @@ versus the multiset enumerator in the package, a dict-based pure-Python
 closure versus the vectorized one, and the scans that the package's closed
 forms replaced (the a-scan blowdown obstruction, the expansion of each
 multiset through all of its n! orderings, cone membership by exact
-``Fraction`` areas).
+``Fraction`` areas, the breadth-first closures of the monomial groups and
+torus kernels, and the bundle isometries pushed through ``CohClass``
+arithmetic).
 """
 
 import itertools
@@ -19,6 +21,14 @@ from gsurf.exceptional import (
     _multisets_for_degree,
     enumerate_exceptional,
 )
+from gsurf.gconic import FiberAction, fiber_class
+from gsurf.hexagon import (
+    MonomialGroupElement,
+    TorusElement,
+    _imprimitive_generators,
+    gamma_generators,
+)
+from gsurf.lattice import CohClass, canonical_class, unit
 
 
 def raw_pairing(x, y):
@@ -214,3 +224,66 @@ def hexagon_edge_transitive_subgroup_orders():
         if len(orbit) == 6:
             orders.append(len(sg))
     return sorted(orders)
+
+
+def _bfs(identity, gens):
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in gens:
+                y = x * g
+                if y not in seen:
+                    seen.add(y)
+                    new.append(y)
+        frontier = new
+    return seen
+
+
+def monomial_group_by_closure(kind, n, k=None, s=None):
+    """Sorted elements of a monomial group, closed breadth-first."""
+    gens = _imprimitive_generators(kind, n, k, s)[0]
+    seen = _bfs(MonomialGroupElement.identity(n), gens)
+    return tuple(sorted(seen, key=MonomialGroupElement.sort_key))
+
+
+def torus_kernel_by_closure(n, k, b):
+    """Sorted elements of the torus kernel, closed breadth-first."""
+    seen = _bfs(TorusElement.identity(), gamma_generators(n, k, b))
+    return tuple(sorted(seen, key=TorusElement.sort_key))
+
+
+def fiber_action_by_classes(g, model):
+    """(pi, eps) from each sphere's image under ``Isometry.apply``."""
+    f = model.fiber
+    plus = {e.coords: j for j, e in zip(model.labels(), model.sphere_classes)}
+    minus = {(f - e).coords: j
+             for j, e in zip(model.labels(), model.sphere_classes)}
+    pi, eps = [], []
+    for e in model.sphere_classes:
+        img = g.apply(e).coords
+        if img in plus:
+            pi.append(plus[img])
+            eps.append(1)
+        else:
+            pi.append(minus[img])
+            eps.append(-1)
+    return FiberAction(tuple(pi), tuple(eps))
+
+
+def matrix_from_fiber_action_by_classes(pi, eps, n):
+    """Rows of the lift with E1 -> (sum of the Ej images - K - 3F) / 2.
+
+    The columns are summed as ``CohClass`` values; the result is the bare
+    tuple of rows, so comparing it costs no second pairing check.
+    """
+    f, k = fiber_class(n), canonical_class(n)
+    images = [unit(n, p) if e == 1 else f - unit(n, p) for p, e in zip(pi, eps)]
+    total = CohClass((0,) * (n + 1))
+    for img in images:
+        total = total + img
+    num = total - k - 3 * f
+    e1_img = CohClass(tuple(c // 2 for c in num.coords))
+    cols = [(f + e1_img).coords, e1_img.coords] + [img.coords for img in images]
+    return tuple(zip(*cols))

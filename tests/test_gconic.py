@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsurf.errors import InvariantViolation, LatticeError
 from gsurf.gconic import (
@@ -29,8 +31,14 @@ from gsurf.gconic import (
     vertical_decompositions,
 )
 from gsurf.lattice import CohClass, Isometry, canonical_class, pairing
-from gsurf.selftest import klein_four_group, parity_consistent_partitions
+from gsurf.selftest import (
+    _swap_relabels,
+    klein_four_group,
+    parity_consistent_partitions,
+)
 from gsurf.weyl import generate_group, reflection
+
+import oracles
 
 
 def units(n):
@@ -62,6 +70,24 @@ class TestModel:
             ConicBundleModel(4, (units(4)[2], units(4)[3]))  # one fiber missing
         with pytest.raises(LatticeError):
             ConicBundleModel(2)
+
+    @pytest.mark.parametrize("picks", [(2, 2, 4), (2, -2, 4), (2, 3, 4, 4)])
+    def test_rejects_a_fiber_labelled_twice(self, picks):
+        f = fiber_class(4)
+        spheres = tuple(units(4)[j] if j > 0 else f - units(4)[-j]
+                        for j in picks)
+        with pytest.raises(LatticeError, match="label the standard fibers"):
+            ConicBundleModel(4, spheres)
+
+    def test_component_table(self):
+        m = ConicBundleModel(4, (CohClass((1, -1, 0, 0, -1)),
+                                 units(4)[2], units(4)[3]))
+        assert m.components == {
+            (1, -1, 0, 0, -1): (2, 1), (0, 0, 0, 0, 1): (2, -1),
+            (0, 0, 1, 0, 0): (3, 1), (1, -1, -1, 0, 0): (3, -1),
+            (0, 0, 0, 1, 0): (4, 1), (1, -1, 0, -1, 0): (4, -1)}
+        assert m == ConicBundleModel(4, m.sphere_classes)
+        assert "components" not in repr(m)
 
 
 class TestFiberAction:
@@ -125,6 +151,69 @@ class TestFiberAction:
                 rhs = fiber_action(g, m).compose(fiber_action(h, m))
                 assert lhs == rhs
                 assert (g == h) == (fiber_action(g, m) == fiber_action(h, m))
+
+
+def even_swap_actions(n):
+    labels = tuple(range(2, n + 1))
+    for pi in itertools.permutations(labels):
+        for eps in itertools.product((1, -1), repeat=n - 1):
+            if eps.count(-1) % 2 == 0:
+                yield pi, eps
+
+
+@st.composite
+def even_swap_action(draw, n):
+    pi = draw(st.permutations(range(2, n + 1)))
+    eps = draw(st.lists(st.sampled_from((1, -1)), min_size=n - 1,
+                        max_size=n - 1))
+    if eps.count(-1) % 2:
+        eps[0] = -eps[0]
+    return FiberAction(tuple(pi), tuple(eps))
+
+
+@st.composite
+def action_pairs(draw):
+    n = draw(st.integers(3, 10))
+    return n, draw(even_swap_action(n)), draw(even_swap_action(n))
+
+
+class TestAgainstClassRoutes:
+    """The column formulas against the ``CohClass`` routes they replaced."""
+
+    def test_every_even_swap_lift(self):
+        count = 0
+        for n in range(3, 8):
+            for pi, eps in even_swap_actions(n):
+                got = matrix_from_fiber_action(pi, eps, n).mat
+                assert got == oracles.matrix_from_fiber_action_by_classes(
+                    pi, eps, n), (pi, eps)
+                count += 1
+        assert count == 25_180
+
+    @pytest.mark.parametrize("n", range(4, 8))
+    def test_klein_fixtures_under_every_relabel(self, n):
+        """C13's fixtures: each swap relabel and the reversed labelling."""
+        model = ConicBundleModel(n)
+        partitions = list(parity_consistent_partitions(n))
+        reps = [partitions[0], partitions[len(partitions) // 2], partitions[-1]]
+        models = list(_swap_relabels(model, range(1 << (n - 1))))
+        models.append(ConicBundleModel(n, tuple(reversed(model.sphere_classes))))
+        for sets in reps:
+            for g in klein_four_group(n, sets):
+                for m in models:
+                    assert fiber_action(g, m) == \
+                        oracles.fiber_action_by_classes(g, m)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(action_pairs())
+    def test_lift_is_an_inverse_homomorphism(self, data):
+        n, a, b = data
+        model = ConicBundleModel(n)
+        ga = matrix_from_fiber_action(a.pi, a.eps, n)
+        gb = matrix_from_fiber_action(b.pi, b.eps, n)
+        ab = a.compose(b)
+        assert fiber_action(ga, model) == a
+        assert ga @ gb == matrix_from_fiber_action(ab.pi, ab.eps, n)
 
 
 class TestMinimality:

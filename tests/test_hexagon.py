@@ -26,6 +26,7 @@ from gsurf.hexagon import (
 )
 from gsurf.exceptional import enumerate_exceptional
 from gsurf.lattice import pairing
+from gsurf.selftest import valid_gnks_parameters
 
 import oracles
 
@@ -139,6 +140,20 @@ class TestGamma:
         with pytest.raises(LatticeError):
             build_gamma(9, 3, 0)  # 0 + 0 + 1 is not 0 mod 3
 
+    def test_direct_sum_matches_the_closure(self):
+        for n in range(1, 25):
+            for k in range(1, n + 1):
+                if n % k:
+                    continue
+                for b in range(n):
+                    if (b * b + b + 1) % k == 0:
+                        assert build_gamma(n, k, b) == \
+                            oracles.torus_kernel_by_closure(n, k, b), (n, k, b)
+
+    def test_residue_of_b_is_irrelevant(self):
+        assert build_gamma(7, 1, -3) == build_gamma(7, 1, 4)
+        assert build_gamma(9, 3, 7 + 9) == build_gamma(9, 3, 7)
+
 
 class TestG2Action:
     def test_examples(self):
@@ -219,6 +234,16 @@ class TestImprimitive:
         assert make_imprimitive(kind, n, k, s, limit=order).order == order
         with pytest.raises(LimitExceeded, match="--limit"):
             make_imprimitive(kind, n, k, s, limit=order - 1)
+
+    def test_semidirect_product_matches_the_closure(self):
+        params = [(kind, n, None, None) for n in range(1, 13)
+                  for kind in (KIND_GN, KIND_GTN)]
+        params += [(KIND_GTN32, n, None, None) for n in range(3, 13, 3)]
+        params += [(KIND_GNKS, n, k, s)
+                   for n, k, s in valid_gnks_parameters(12)]
+        for kind, n, k, s in params:
+            assert make_imprimitive(kind, n, k, s).elements == \
+                oracles.monomial_group_by_closure(kind, n, k, s), (kind, n, k, s)
 
     def test_default_limit_stops_a_huge_closure(self):
         with pytest.raises(LimitExceeded):

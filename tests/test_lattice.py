@@ -9,6 +9,7 @@ from gsurf.lattice import (
     Isometry,
     PicardLattice,
     SymplecticClass,
+    _norm_rat,
     canonical_class,
     coh_from_json,
     coords_to_json,
@@ -148,6 +149,20 @@ def test_rejects_inexact_coordinates():
         CohClass((1.0, 0, 0))
     with pytest.raises(LatticeError):
         SymplecticClass((1.5, 1, 1))
+
+
+@pytest.mark.parametrize("x, name", [(True, "bool"), (1.0, "float")])
+@pytest.mark.parametrize("normalize", [_norm_rat, rational_to_json])
+def test_bool_and_float_still_rejected(normalize, x, name):
+    with pytest.raises(LatticeError,
+                       match=f"^exact coordinate expected, got {name}$"):
+        normalize(x)
+
+
+def test_norm_rat_values():
+    assert _norm_rat(7) == 7
+    assert type(_norm_rat(Fraction(6, 3))) is int
+    assert _norm_rat(Fraction(1, 2)) == Fraction(1, 2)
 
 
 class TestIsometry:

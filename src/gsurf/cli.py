@@ -222,7 +222,7 @@ def _cmd_cone(args, argv):
               "scan": args.scan}
     if args.scan:
         grid = _parse_scan(args.scan)
-        sl = cone.slice_scan(n, fiber, k0, grid)
+        sl = cone.slice_scan(n, fiber, k0, grid, limit=args.limit)
         results["slice"] = sl.to_json()
     else:
         results["slice"] = None
@@ -321,6 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scan", default=None,
                    help='comma-separated gap values, e.g. "0,1/2,1,2"')
     p.add_argument("--a-min", type=int, default=-10_000)
+    p.add_argument("--limit", type=int, default=exceptional.DEFAULT_LIMIT)
     p.set_defaults(func=_cmd_cone)
 
     p = sub.add_parser("hexagon", help="imprimitive monomial groups")

@@ -34,21 +34,25 @@ OUTSIDE = "outside"
 DEFAULT_PARTIAL_DEGREE = 5
 
 
-def is_in_cone(w: SymplecticClass, max_degree: int = DEFAULT_PARTIAL_DEGREE) -> str:
+def is_in_cone(w: SymplecticClass, max_degree: int = DEFAULT_PARTIAL_DEGREE,
+               limit: int = exceptional.DEFAULT_LIMIT) -> str:
     """Positivity of the square and of every exceptional area.
 
     Returns ``full`` (N <= 8, all checks pass), ``partial-positive``
     (N >= 9, degree-capped checks pass, necessary conditions only), or
-    ``outside``.
+    ``outside``.  ``limit`` caps the exceptional enumeration.
     """
     if w.square() <= 0:
         return OUTSIDE
     n = w.n
     # Positional, as every other caller passes it: lru_cache keys a keyword
-    # call apart from the positional one and would enumerate twice.  Called
-    # through the module so that a wrapper installed there sees the call.
-    exc = exceptional.enumerate_exceptional(n) if n <= 8 \
-        else exceptional.enumerate_exceptional(n, max_degree)
+    # call apart from the positional one and would enumerate twice, and the
+    # default limit is left out for the same reason.  Called through the
+    # module so that a wrapper installed there sees the call.
+    args = (n,) if n <= 8 else (n, max_degree)
+    if limit != exceptional.DEFAULT_LIMIT:
+        args = (n, max_degree if n > 8 else None, limit)
+    exc = exceptional.enumerate_exceptional(*args)
     # Clear denominators once: with L > 0 the lcm of the denominators, the
     # area of e is positive exactly when (L*w).e is, and (L*w).e is an
     # integer dot product with e's raw coordinates.
@@ -243,7 +247,8 @@ def slice_point(k0: CohClass, fiber: CohClass, d) -> SymplecticClass:
 
 def slice_scan(n: int, fiber: CohClass, k0: CohClass,
                delta_grid: Sequence,
-               max_degree: int = DEFAULT_PARTIAL_DEGREE) -> ConeSlice:
+               max_degree: int = DEFAULT_PARTIAL_DEGREE,
+               limit: int = exceptional.DEFAULT_LIMIT) -> ConeSlice:
     """Evaluate cone membership on a delta grid and assert monotonicity.
 
     A monotonicity violation would contradict F.e >= 0 over the exceptional
@@ -254,7 +259,7 @@ def slice_scan(n: int, fiber: CohClass, k0: CohClass,
     grid = sorted(Fraction(d) for d in delta_grid)
     if len(set(grid)) != len(grid):
         raise LatticeError("duplicate grid values")
-    flags = [is_in_cone(slice_point(k0, fiber, d), max_degree=max_degree) != OUTSIDE
+    flags = [is_in_cone(slice_point(k0, fiber, d), max_degree, limit) != OUTSIDE
              for d in grid]
     for (d1, f1), (d2, f2) in zip(zip(grid, flags), zip(grid[1:], flags[1:])):
         if f1 and not f2:

@@ -199,7 +199,7 @@ def enumerate_exceptional(n: int, max_degree: Optional[int] = None,
             if count > limit:
                 raise LimitExceeded(
                     f"exceptional classes for N = {n} up to degree {hi}"
-                    f" exceed the limit of {limit} (gsurf exc --limit)")
+                    f" exceed the limit of {limit} (--limit)")
             multisets.append((a, multiset))
     classes = [CohClass((a,) + perm) for a, multiset in multisets
                for perm in _distinct_permutations([-b for b in multiset])]

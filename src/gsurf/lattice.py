@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence, Union
 
 from .errors import LatticeError
@@ -327,7 +328,9 @@ class Isometry:
         return self.dim - 1
 
     @classmethod
+    @lru_cache(maxsize=None)
     def identity(cls, n: int) -> "Isometry":
+        """Cached: isometries are frozen, so one instance serves every caller."""
         return cls(tuple(tuple(1 if i == j else 0 for j in range(n + 1))
                          for i in range(n + 1)))
 

@@ -3,12 +3,13 @@
 The orthogonal complement of the canonical class K in the degree-2 lattice
 is a root lattice (A2+A1, A4, D5, E6, E7, E8 for N = 3..8); its roots are
 the integer classes with r.r = -2 and K.r = 0.  Finite isometry groups are
-handled two ways: breadth-first closure of the generators (with the full
-element set materialized) and a stabilizer chain over the faithful action
-on the root set (order only, feasible for the largest Weyl group).
-numpy is imported inside the four functions that use it (closure, row
-sort, traces, the chain's point product), so the commands that never
-close a group or build a chain start without it.
+handled with stabilizer chains two ways: ``generate_group`` builds one on
+the orbits of the basis classes and multiplies its transversals out into
+the full, sorted element set, and ``group_order_via_chain`` builds one on
+the root set for the order alone (feasible for the largest Weyl group).
+numpy is imported inside the functions that use it (the element listing
+and its helpers, the row sort, traces, the chain's point product), so the
+commands that never list a group or build a chain start without it.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ def simple_reflections(n: int) -> Tuple[Isometry, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Breadth-first closure
+# Element listing from a stabilizer chain
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -150,14 +151,41 @@ class FiniteIsometryGroup:
         return np.einsum("kii->k", arr)
 
 
-def generate_group(gens: Sequence[Isometry], limit: int = 10_000_000,
-                   chunk_size: int = 32768) -> FiniteIsometryGroup:
-    """Breadth-first closure of the generators with exact deduplication.
+# Entries are stored in int16; every float64 product of two such matrices
+# is exact, since dim * 32767^2 < 2^53.
+_MAX_ENTRY = 32767
+_RANGE_MESSAGE = "matrix entries exceeded supported range"
+# Partial products multiplied per BLAS call.
+_BLOCK = 1 << 16
 
-    Raises LimitExceeded when more than ``limit`` elements are reached.
-    The element set is schedule-independent: it is sorted before storing.
-    Matrix entries are kept in 16-bit range; the finite groups of interest
-    here stay within single digits.
+
+def generate_group(gens: Sequence[Isometry],
+                   limit: int = 10_000_000) -> FiniteIsometryGroup:
+    """Every element of the group generated by ``gens``, sorted row-major.
+
+    Raises LimitExceeded when the group has more than ``limit`` elements,
+    before any element is built, and when an element has an entry above
+    32767 in absolute value.
+
+    *Points.*  The group acts on the union of the orbits of E1..EN, with
+    the orbit of H added when some generator moves K.  E1..EN and K span
+    the rational space and H = (E1 + ... + EN - K)/3, so an isometry is
+    determined by its action on these points: the action is faithful.
+    The orbits are grown breadth-first with the seeds first, so point j-1
+    is E_j.  An orbit longer than ``limit`` proves |G| > limit, which ends
+    the search for an infinite group.
+
+    *Factorization.*  Deterministic Schreier-Sims gives a base b1..bk and
+    transversals U1..Uk, Ui holding one element per point of the orbit of
+    bi under the stabilizer of b1..b(i-1).  Every element is uniquely
+    u1 u2 ... uk with ui in Ui (Sims 1970; Seress, *Permutation Group
+    Algorithms*, 2003, ch. 4), so |G| = |U1| ... |Uk| and multiplying the
+    transversals out lists each element once, with no deduplication.
+
+    *Columns.*  Column j >= 1 of an element is the point its permutation
+    sends E_j to.  Column 0 is the image of H: read from H's orbit when H
+    is a point, otherwise (sum of the other columns - K)/3, K being fixed.
+    Products run in float64, exact under the 16-bit entry guard.
     """
     import numpy as np
     gens = list(gens)
@@ -166,76 +194,168 @@ def generate_group(gens: Sequence[Isometry], limit: int = 10_000_000,
     dim = gens[0].dim
     if any(g.dim != dim for g in gens):
         raise LatticeError("generators act on different lattices")
-    dd = dim * dim
-    row_bytes = dd * 2
-    # float64 products are exact here: |entry| <= dim * 32767^2 < 2^53.
-    gen_mats = [np.array(g.mat, dtype=np.float64) for g in gens]
+    n, dd = dim - 1, dim * dim
+    if max(abs(v) for g in gens for row in g.mat for v in row) > _MAX_ENTRY:
+        raise LimitExceeded(_RANGE_MESSAGE)
+    mats = np.array([g.mat for g in gens], dtype=np.int64)
+    k = np.array((-3,) + (1,) * n, dtype=np.int64)
+    moves_k = bool((mats @ k != k).any())
+    # E1..EN, then H if K moves
+    seeds = np.roll(np.eye(dim, dtype=np.int64), -1, axis=0)[:dim if moves_k else n]
+    pts, perms = _orbits(mats, seeds, limit)
 
-    ident = np.eye(dim, dtype=np.int16).reshape(1, dd)
-    seen = {ident.tobytes()}
-    chunks = [ident]
-    frontier = ident
-    while frontier.shape[0]:
-        new_parts = []
-        for start in range(0, frontier.shape[0], chunk_size):
-            blk = frontier[start:start + chunk_size].astype(np.float64)
-            blk = blk.reshape(-1, dim)
-            for gm in gen_mats:
-                prod = (blk @ gm).reshape(-1, dd)
-                if prod.size and float(np.abs(prod).max()) > 32767:
-                    raise LimitExceeded("matrix entries exceeded supported range")
-                flat = np.ascontiguousarray(prod.astype(np.int16))
-                raw = flat.tobytes()
-                fresh = []
-                pos = 0
-                add = seen.add
-                for r in range(flat.shape[0]):
-                    key = raw[pos:pos + row_bytes]
-                    pos += row_bytes
-                    if key not in seen:
-                        add(key)
-                        fresh.append(r)
-                if fresh:
-                    new_parts.append(flat[fresh])
-            if len(seen) > limit:
-                raise LimitExceeded(f"group closure exceeded limit {limit}")
-        if new_parts:
-            frontier = np.concatenate(new_parts)
-            chunks.append(frontier)
-        else:
-            frontier = np.empty((0, dd), dtype=np.int16)
+    chain = StabilizerChain(len(pts))
+    for p in perms:
+        chain.add(p)
+    order = chain.order()
+    if order > limit:
+        raise LimitExceeded(f"group closure exceeded limit {limit}")
 
-    order = len(seen)
-    seen.clear()
-    elements = np.concatenate(chunks)
-    del chunks, frontier
+    # Inverting g = u1 u2 ... uk lists G as v_k ... v2 v1, vi in Ui^-1,
+    # which puts the largest level last and keeps the partial products small.
+    elements, largest = np.eye(dim, dtype=np.int16)[None], 1.0
+    for inverses in reversed(chain._inverses):
+        level = _transversal_matrices(list(inverses.values()), pts, k, moves_k)
+        elements, largest = _times_each(elements, level)
+    elements = elements.reshape(order, dd)
+    if largest <= 127:
+        elements = elements.astype(np.int8)
     elements = _sort_rows(elements)
     dup = np.any(np.all(elements[1:] == elements[:-1], axis=1)) \
         if elements.shape[0] > 1 else False
-    if elements.shape[0] != order or dup:  # pragma: no cover
+    if dup:  # pragma: no cover
         raise InvariantViolation("closure bookkeeping mismatch")
-    if int(np.abs(elements).max()) <= 127:
-        elements = elements.astype(np.int8)
     return FiniteIsometryGroup(tuple(gens), dim, order,
                                elements.reshape(order, dim, dim))
 
 
-def _sort_rows(arr: np.ndarray) -> np.ndarray:
-    """Rows in row-major value order, via packed multi-column keys."""
+def _orbits(mats: np.ndarray, seeds: np.ndarray, limit: int):
+    """Points of the seeds' orbits and each generator's permutation of them.
+
+    Breadth-first over all orbits at once, one matrix product per
+    generator and layer; the seeds keep indices 0.. in order.  A
+    union-find over the seeds tracks the size of each orbit found so far.
+    """
     import numpy as np
-    if arr.shape[0] < 2:
+    dim = seeds.shape[1]
+    width = 2 * dim
+    # each point is keyed by its int16 bytes
+    points = [s.astype(np.int16).tobytes() for s in seeds]
+    index = {p: i for i, p in enumerate(points)}
+    owner = list(range(len(points)))
+    parent = list(owner)
+    size = [1] * len(points)
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    images: List[List[int]] = [[] for _ in range(len(mats))]
+    lo = 0
+    while lo < len(points):
+        hi = len(points)
+        layer = np.frombuffer(b"".join(points[lo:hi]), dtype=np.int16)
+        layer = layer.reshape(hi - lo, dim).astype(np.int64)
+        for m, img in zip(mats, images):
+            prod = layer @ m.T
+            if np.abs(prod).max() > _MAX_ENTRY:
+                raise LimitExceeded(_RANGE_MESSAGE)
+            raw = prod.astype(np.int16).tobytes()
+            for src in range(lo, hi):
+                q = raw[(src - lo) * width:(src - lo + 1) * width]
+                root = find(owner[src])
+                j = index.get(q)
+                if j is None:
+                    j = index[q] = len(points)
+                    points.append(q)
+                    owner.append(root)
+                    size[root] += 1
+                elif find(owner[j]) != root:
+                    other = find(owner[j])
+                    parent[other] = root
+                    size[root] += size[other]
+                if size[root] > limit:
+                    raise LimitExceeded(f"group closure exceeded limit {limit}")
+                img.append(j)
+        lo = hi
+    pts = np.frombuffer(b"".join(points), dtype=np.int16)
+    return pts.reshape(len(points), dim).astype(np.int64), \
+        [tuple(img) for img in images]
+
+
+def _transversal_matrices(perms: List[tuple], pts: np.ndarray,
+                          k: np.ndarray, moves_k: bool) -> np.ndarray:
+    """float64 matrices of the isometries that permute the points by ``perms``.
+
+    The columns are read off as ``generate_group`` describes.
+    """
+    import numpy as np
+    dim = pts.shape[1]
+    n = dim - 1
+    idx = np.array([p[:n] for p in perms], dtype=np.int64).reshape(len(perms), n)
+    cols = pts[idx]
+    if moves_k:
+        col0 = pts[[p[n] for p in perms]]
+    else:
+        num = cols.sum(axis=1) - k
+        if (num % 3).any():  # pragma: no cover - K is fixed
+            raise InvariantViolation("image of H is not integral")
+        col0 = num // 3
+    out = np.empty((len(perms), dim, dim))
+    out[:, :, 0] = col0
+    out[:, :, 1:] = cols.transpose(0, 2, 1)
+    return out
+
+
+def _times_each(head: np.ndarray, level: np.ndarray):
+    """(All products h @ v, v-major, as int16; their largest |entry|).
+
+    One BLAS product per matrix v and block of ``head``, computed in
+    float64 and checked against the 16-bit range before it is stored.
+    """
+    import numpy as np
+    rows, dim = head.shape[0], head.shape[1]
+    out = np.empty((len(level) * rows, dim, dim), dtype=np.int16)
+    largest = 0.0
+    for a in range(0, rows, _BLOCK):
+        blk = head[a:a + _BLOCK].reshape(-1, dim).astype(np.float64)
+        size = blk.shape[0] // dim
+        for i, v in enumerate(level):
+            prod = blk @ v
+            largest = max(largest, float(prod.max()), -float(prod.min()))
+            if largest > _MAX_ENTRY:
+                raise LimitExceeded(_RANGE_MESSAGE)
+            out[i * rows + a:i * rows + a + size] = prod.reshape(size, dim, dim)
+    return out, largest
+
+
+def _sort_rows(arr: np.ndarray) -> np.ndarray:
+    """Rows in row-major value order, via packed multi-column keys.
+
+    The entries are biased to unsigned, so that value order is byte
+    order, written big-endian and read back eight bytes at a time as
+    uint64 keys: comparing the keys in turn compares the entries in
+    column order.  Eight entries go into a key when all fit in int8,
+    else four.  The sort is stable, so equal rows keep their order.
+    """
+    import numpy as np
+    rows, cols = arr.shape
+    if rows < 2:
         return arr
-    # int16 value order equals uint16 order after flipping the sign bit
-    biased = arr.view(np.uint16) ^ np.uint16(0x8000)
-    keys = []
-    for c0 in range(0, arr.shape[1], 4):
-        packed = np.zeros(arr.shape[0], dtype=np.uint64)
-        for j in range(c0, min(c0 + 4, arr.shape[1])):
-            packed <<= np.uint64(16)
-            packed |= biased[:, j].astype(np.uint64)
-        keys.append(packed)
-    order = np.lexsort(tuple(reversed(keys)))
-    return arr[order]
+    if arr.min() >= -128 and arr.max() <= 127:
+        biased = arr.astype(np.int8, copy=False).view(np.uint8) ^ np.uint8(0x80)
+        per_key = 8
+    else:
+        biased = arr.astype(np.int16, copy=False).view(np.uint16) ^ np.uint16(0x8000)
+        biased, per_key = biased.astype(">u2"), 4
+    if cols % per_key:
+        biased = np.pad(biased, ((0, 0), (0, -cols % per_key)))
+    # one contiguous native row per key, the last column's key first
+    keys = np.ascontiguousarray(biased.view(">u8").T[::-1], dtype=np.uint64)
+    del biased
+    return arr[np.lexsort(keys)]
 
 
 def trivial_group(n: int) -> FiniteIsometryGroup:

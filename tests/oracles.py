@@ -16,6 +16,7 @@ from collections import Counter
 from math import factorial, isqrt
 
 from gsurf.cone import FULL, OUTSIDE, PARTIAL_POSITIVE
+from gsurf.errors import LatticeError, LimitExceeded
 from gsurf.exceptional import (
     _degree_range,
     _multisets_for_degree,
@@ -287,3 +288,70 @@ def matrix_from_fiber_action_by_classes(pi, eps, n):
     e1_img = CohClass(tuple(c // 2 for c in num.coords))
     cols = [(f + e1_img).coords, e1_img.coords] + [img.coords for img in images]
     return tuple(zip(*cols))
+
+
+def sort_rows_by_columns(arr):
+    """Row-major value order, keys packed four int16 columns at a time."""
+    import numpy as np
+    if arr.shape[0] < 2:
+        return arr
+    biased = arr.view(np.uint16) ^ np.uint16(0x8000)
+    keys = []
+    for c0 in range(0, arr.shape[1], 4):
+        packed = np.zeros(arr.shape[0], dtype=np.uint64)
+        for j in range(c0, min(c0 + 4, arr.shape[1])):
+            packed <<= np.uint64(16)
+            packed |= biased[:, j].astype(np.uint64)
+        keys.append(packed)
+    return arr[np.lexsort(tuple(reversed(keys)))]
+
+
+def group_by_bfs(gens, limit=10_000_000, chunk_size=32768):
+    """Sorted element array of the closure, breadth-first over byte keys.
+
+    The closure ``weyl.generate_group`` used before it listed elements
+    from a stabilizer chain, with the same exceptions and messages.
+    """
+    import numpy as np
+    if not gens:
+        raise LatticeError("at least one generator required")
+    dim = gens[0].dim
+    if any(g.dim != dim for g in gens):
+        raise LatticeError("generators act on different lattices")
+    dd = dim * dim
+    row_bytes = dd * 2
+    gen_mats = [np.array(g.mat, dtype=np.float64) for g in gens]
+    ident = np.eye(dim, dtype=np.int16).reshape(1, dd)
+    seen = {ident.tobytes()}
+    chunks = [ident]
+    frontier = ident
+    while frontier.shape[0]:
+        new_parts = []
+        for start in range(0, frontier.shape[0], chunk_size):
+            blk = frontier[start:start + chunk_size].astype(np.float64)
+            blk = blk.reshape(-1, dim)
+            for gm in gen_mats:
+                prod = (blk @ gm).reshape(-1, dd)
+                if prod.size and float(np.abs(prod).max()) > 32767:
+                    raise LimitExceeded("matrix entries exceeded supported range")
+                flat = np.ascontiguousarray(prod.astype(np.int16))
+                raw = flat.tobytes()
+                fresh = []
+                for r in range(flat.shape[0]):
+                    key = raw[r * row_bytes:(r + 1) * row_bytes]
+                    if key not in seen:
+                        seen.add(key)
+                        fresh.append(r)
+                if fresh:
+                    new_parts.append(flat[fresh])
+            if len(seen) > limit:
+                raise LimitExceeded(f"group closure exceeded limit {limit}")
+        if new_parts:
+            frontier = np.concatenate(new_parts)
+            chunks.append(frontier)
+        else:
+            frontier = np.empty((0, dd), dtype=np.int16)
+    elements = sort_rows_by_columns(np.concatenate(chunks))
+    if int(np.abs(elements).max()) <= 127:
+        elements = elements.astype(np.int8)
+    return elements.reshape(len(seen), dim, dim)

@@ -257,6 +257,30 @@ def test_weyl_n8_needs_chain(capsys):
     assert "limit" in capsys.readouterr().err
 
 
+def test_weyl_n8_closure_refused_at_once(capsys):
+    t0 = time.monotonic()
+    code = cli.main(["weyl", "--n", "8", "--order-only"])
+    assert time.monotonic() - t0 < 2
+    assert code == 1
+    assert capsys.readouterr().err == \
+        "error: group closure exceeded limit 10000000\n"
+
+
+def test_cone_limit(capsys):
+    t0 = time.monotonic()
+    assert cli.main(["cone", "--n", "14", "--scan", "5"]) == 1
+    assert time.monotonic() - t0 < 2
+    err = capsys.readouterr().err
+    assert "exceed the limit of 1000000 (--limit)" in err
+    _, plain = run_json(capsys, "cone", "--n", "6", "--scan", "0,1")
+    _, capped = run_json(capsys, "cone", "--n", "6", "--scan", "0,1",
+                         "--limit", "27")
+    assert capped["inputs"] == plain["inputs"]
+    assert capped["results"] == plain["results"]
+    assert cli.main(["cone", "--n", "6", "--scan", "0,1", "--limit", "26"]) == 1
+    assert "limit of 26" in capsys.readouterr().err
+
+
 def test_selftest_quick(capsys):
     code, out = run(capsys, "selftest", "--quick")
     assert code == 0

@@ -21,7 +21,7 @@ from gsurf.cone import (
     slice_scan,
     span2_coefficients,
 )
-from gsurf.errors import LatticeError
+from gsurf.errors import LatticeError, LimitExceeded
 from gsurf.exceptional import enumerate_exceptional
 from gsurf.gconic import fiber_class
 from gsurf.lattice import SymplecticClass, canonical_class, pairing
@@ -76,6 +76,16 @@ class TestMembership:
         assert is_in_cone(w) == PARTIAL_POSITIVE
         assert is_in_cone(w, max_degree=5) == PARTIAL_POSITIVE
         assert enumerate_exceptional.cache_info().misses == misses
+
+    def test_limit_reaches_the_enumeration(self):
+        w = SymplecticClass((4,) + (1,) * 9)
+        with pytest.raises(LimitExceeded, match="limit of 10 "):
+            is_in_cone(w, 5, limit=10)
+        k0, f = canonical_class(9), fiber_class(9)
+        with pytest.raises(LimitExceeded, match="limit of 10 "):
+            slice_scan(9, f, k0, [1], limit=10)
+        with pytest.raises(LimitExceeded, match="limit of 26 "):
+            is_in_cone(SymplecticClass((3, 1, 1, 1, 1, 1, 1)), limit=26)
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(rational_classes())

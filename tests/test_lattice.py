@@ -168,6 +168,7 @@ def test_norm_rat_values():
 class TestIsometry:
     def test_identity_and_apply(self):
         ident = Isometry.identity(3)
+        assert Isometry.identity(3) is ident
         assert ident.is_identity()
         assert ident.apply(E1) == E1
         w = SymplecticClass((3, 1, 1, 1))

@@ -1,13 +1,19 @@
+import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsurf.errors import LatticeError, LimitExceeded
 from gsurf.exceptional import cremona_reflect, h_ijk
 from gsurf.gconic import fiber_class, full_swap, matrix_from_fiber_action
 from gsurf.lattice import CohClass, Isometry, canonical_class, pairing, unit
+from gsurf.selftest import klein_four_group, parity_consistent_partitions
 from gsurf.weyl import (
+    _sort_rows,
     NEITHER,
     RANK1,
     RANK2,
@@ -151,6 +157,134 @@ class TestClosure:
             generate_group([Isometry.identity(3), Isometry.identity(4)])
 
 
+def _listed(gens, limit):
+    return generate_group(gens, limit).element_array()
+
+
+def _outcome(close, gens, limit):
+    try:
+        elements = close(gens, limit)
+    except LatticeError as exc:
+        return type(exc), str(exc)
+    return elements.dtype, elements.shape, elements.tobytes()
+
+
+def _assert_matches_bfs(gens):
+    """Same element bytes and dtype as the BFS; same message at |G| - 1."""
+    want = oracles.group_by_bfs(gens)
+    got = generate_group(gens).element_array()
+    assert (got.dtype, got.shape, got.tobytes()) == \
+        (want.dtype, want.shape, want.tobytes())
+    order = want.shape[0]
+    assert generate_group(gens, limit=order).element_array().tobytes() == \
+        want.tobytes()
+    with pytest.raises(LimitExceeded,
+                       match=f"^group closure exceeded limit {order - 1}$"):
+        generate_group(gens, limit=order - 1)
+    with pytest.raises(LimitExceeded):
+        oracles.group_by_bfs(gens, limit=order - 1)
+
+
+def _random_gens(rng, n, count):
+    refl = simple_reflections(n)
+    gens = []
+    for _ in range(count):
+        word = Isometry.identity(n)
+        for _ in range(rng.randint(1, 8)):
+            word = word @ rng.choice(refl)
+        gens.append(word)
+    return gens
+
+
+def _affine_reflections(n):
+    """Reflections in H - E1 - E2 - E3 and Ei - E(i+1): infinite for N >= 9."""
+    first = CohClass((1, -1, -1, -1) + (0,) * (n - 3))
+    return [reflection(first)] + [reflection(unit(n, i) - unit(n, i + 1))
+                                  for i in range(1, n)]
+
+
+class TestListing:
+    """The chain listing against the breadth-first closure it replaced."""
+
+    @pytest.mark.parametrize("n", (3, 4, 5, 6))
+    def test_weyl_groups_both_orders(self, n):
+        _assert_matches_bfs(list(simple_reflections(n)))
+        _assert_matches_bfs(list(reversed(simple_reflections(n))))
+
+    @pytest.mark.parametrize("rank", (3, 4, 5, 6))
+    def test_parabolics_of_e7(self, rank):
+        refl = simple_reflections(7)
+        for nodes in itertools.combinations(range(7), rank):
+            _assert_matches_bfs([refl[i] for i in nodes])
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_random_subgroups(self, n):
+        rng = random.Random(700 + n)
+        checked = 0
+        while checked < 6:
+            gens = _random_gens(rng, n, rng.randint(1, 3))
+            if _outcome(oracles.group_by_bfs, gens, 3000)[0] is LimitExceeded:
+                continue
+            _assert_matches_bfs(gens)
+            checked += 1
+
+    @pytest.mark.parametrize("n", range(4, 10))
+    def test_klein_groups(self, n):
+        for sets in list(parity_consistent_partitions(n))[:4]:
+            _assert_matches_bfs(klein_four_group(n, sets)[1:])
+
+    def test_generators_moving_k(self):
+        moved = reflection(CohClass((0, -1, -1, 0, 0)))
+        _assert_matches_bfs([moved])
+        _assert_matches_bfs([moved] + list(simple_reflections(4)[1:]))
+
+    @pytest.mark.parametrize("n", (3, 6, 8))
+    def test_minus_identity_and_trivial(self, n):
+        minus = Isometry(tuple(tuple(-1 if i == j else 0 for j in range(n + 1))
+                               for i in range(n + 1)))
+        _assert_matches_bfs([minus])
+        _assert_matches_bfs([Isometry.identity(n)])
+        _assert_matches_bfs([Isometry.identity(n), minus])
+
+    @pytest.mark.parametrize("n", (9, 10))
+    @pytest.mark.parametrize("limit", (10 ** 3, 10 ** 5))
+    def test_infinite_groups_end_in_the_same_message(self, n, limit):
+        gens = _affine_reflections(n)
+        want = _outcome(oracles.group_by_bfs, gens, limit)
+        assert want == (LimitExceeded, f"group closure exceeded limit {limit}")
+        assert _outcome(_listed, gens, limit) == want
+
+    @pytest.mark.parametrize("n", (9, 10))
+    def test_entry_range_message(self, n):
+        # a Coxeter element: its powers' entries grow without bound
+        coxeter = Isometry.identity(n)
+        for s in _affine_reflections(n):
+            coxeter = coxeter @ s
+        want = _outcome(oracles.group_by_bfs, [coxeter], 10 ** 6)
+        assert want == (LimitExceeded, "matrix entries exceeded supported range")
+        assert _outcome(_listed, [coxeter], 10 ** 6) == want
+
+    def test_eight_blowups_refused_before_listing(self):
+        with pytest.raises(LimitExceeded,
+                           match="^group closure exceeded limit 10000000$"):
+            generate_group(simple_reflections(8))
+
+
+@pytest.mark.parametrize("fits_int8", (True, False))
+@pytest.mark.parametrize("cols", (1, 4, 7, 9, 64))
+def test_sort_rows_matches_column_packer(fits_int8, cols):
+    rng = np.random.default_rng(cols)
+    hi = 128 if fits_int8 else 32768
+    arr = rng.integers(-hi, hi, size=(500, cols), dtype=np.int16)
+    arr[:50] = arr[50:100]  # repeated rows keep their relative order
+    arr[100:110] = -32767 if not fits_int8 else -128
+    arr[110:120, 0] = 32767 if not fits_int8 else 127
+    want = oracles.sort_rows_by_columns(arr)
+    assert _sort_rows(arr).tobytes() == want.tobytes()
+    small = arr.astype(np.int8) if fits_int8 else arr
+    assert _sort_rows(small).tobytes() == want.astype(small.dtype).tobytes()
+
+
 class TestChain:
     @pytest.mark.parametrize("n", (3, 4, 5, 6, 7))
     def test_matches_closure(self, n):
@@ -204,6 +338,16 @@ class TestChain:
                 continue
             assert group_order_via_chain(gens) == group.order
             checked += 1
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.integers(3, 7), st.integers(0, 2 ** 32), st.integers(1, 3))
+    def test_closure_order_equals_chain_order(self, n, seed, count):
+        gens = _random_gens(random.Random(seed), n, count)
+        try:
+            group = generate_group(gens, limit=5000)
+        except LimitExceeded:
+            return
+        assert group.order == group_order_via_chain(gens)
 
     def test_e8_chain_shape(self):
         chain = stabilizer_chain(simple_reflections(8))

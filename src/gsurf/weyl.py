@@ -211,8 +211,9 @@ def generate_group(gens: Sequence[Isometry],
     if order > limit:
         raise LimitExceeded(f"group closure exceeded limit {limit}")
 
-    # Inverting g = u1 u2 ... uk lists G as v_k ... v2 v1, vi in Ui^-1,
-    # which puts the largest level last and keeps the partial products small.
+    # Inverting g = u1 u2 ... uk lists G as vk ... v2 v1 with vi in Ui^-1,
+    # so the first level, usually the largest, is multiplied in last and
+    # the |G|/|U1| partial products before it stay small.
     elements, largest = np.eye(dim, dtype=np.int16)[None], 1.0
     for inverses in reversed(chain._inverses):
         level = _transversal_matrices(list(inverses.values()), pts, k, moves_k)

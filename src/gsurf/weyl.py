@@ -204,12 +204,10 @@ def generate_group(gens: Sequence[Isometry],
     seeds = np.roll(np.eye(dim, dtype=np.int64), -1, axis=0)[:dim if moves_k else n]
     pts, perms = _orbits(mats, seeds, limit)
 
-    chain = StabilizerChain(len(pts))
+    chain = StabilizerChain(len(pts), limit)
     for p in perms:
         chain.add(p)
     order = chain.order()
-    if order > limit:
-        raise LimitExceeded(f"group closure exceeded limit {limit}")
 
     # Inverting g = u1 u2 ... uk lists G as vk ... v2 v1 with vi in Ui^-1,
     # so the first level, usually the largest, is multiplied in last and
@@ -394,10 +392,16 @@ class StabilizerChain:
     base[i]; the generating set effective at level i is the union over all
     levels >= i, since deeper generators also stabilize the prefix.  Each
     transversal element is stored with its inverse, which sifting needs.
+
+    With a ``limit``, LimitExceeded is raised once the order is known to
+    exceed it.  The product of the transversal sizes is a lower bound
+    while the chain grows: each orbit is one under a subgroup of the
+    final level's stabilizer, so it only grows, and levels only get added.
     """
 
-    def __init__(self, degree: int):
+    def __init__(self, degree: int, limit: Optional[int] = None):
         self.degree = degree
+        self.limit = limit
         self.base: List[int] = []
         self.assigned: List[List[tuple]] = []
         self.transversals: List[dict] = []
@@ -461,6 +465,8 @@ class StabilizerChain:
                     trans[img] = _pcompose(g, upt)
                     inverses[img] = _pcompose(uinv, ginv)
                     queue.append(img)
+        if self.limit is not None and self.order() > self.limit:
+            raise LimitExceeded(f"group closure exceeded limit {self.limit}")
 
     def _complete(self, i: int) -> None:
         """Process Schreier generators until level i verifies.

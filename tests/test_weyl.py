@@ -17,6 +17,7 @@ from gsurf.weyl import (
     NEITHER,
     RANK1,
     RANK2,
+    StabilizerChain,
     all_roots,
     fiber_class_candidates,
     generate_group,
@@ -348,6 +349,19 @@ class TestChain:
         except LimitExceeded:
             return
         assert group.order == group_order_via_chain(gens)
+
+    def test_limit_stops_the_chain(self):
+        perms = perm_action(simple_reflections(6), all_roots(6))
+        chain = StabilizerChain(72, 51840)
+        for p in perms:
+            chain.add(p)
+        assert chain.order() == 51840
+        chain = StabilizerChain(72, 1000)
+        with pytest.raises(LimitExceeded,
+                           match="^group closure exceeded limit 1000$"):
+            for p in perms:
+                chain.add(p)
+        assert chain.order() <= 51840
 
     def test_e8_chain_shape(self):
         chain = stabilizer_chain(simple_reflections(8))

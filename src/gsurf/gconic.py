@@ -241,11 +241,13 @@ class GroupDecomposition:
 def decompose(group, model: ConicBundleModel, g0_order: int = 1) -> GroupDecomposition:
     """Split a closed isometry group along the bundle and classify it.
 
-    Each element's fiber action is extracted once and the classification
-    runs on those signed permutations; ``fiber_action`` is a faithful
-    homomorphism on isometries fixing F and K, so this is exact.  A
-    ``FiniteIsometryGroup`` is closed by construction and is not re-checked;
-    any other collection of isometries is checked for closure in full.
+    Each element's fiber action is extracted once, as soon as the element
+    is built, so the first element that breaks the bundle ends the run.
+    The classification runs on those signed permutations; ``fiber_action``
+    is a faithful homomorphism on isometries fixing F and K, so this is
+    exact.  A ``FiniteIsometryGroup`` is closed by construction and is not
+    re-checked; any other collection of isometries is checked for closure
+    in full.
 
     Structures incompatible with the classification of minimal bundles are
     reported as InvariantViolation: they cannot arise from a group action
@@ -253,9 +255,11 @@ def decompose(group, model: ConicBundleModel, g0_order: int = 1) -> GroupDecompo
     """
     if g0_order < 1:
         raise LatticeError("the declared core order must be at least 1")
-    elements = list(group)
     n = model.n_blowups
-    actions = [fiber_action(g, model) for g in elements]
+    elements, actions = [], []
+    for g in group:
+        elements.append(g)
+        actions.append(fiber_action(g, model))
     if not isinstance(group, FiniteIsometryGroup):
         present = set(actions)
         if len(present) != len(actions):

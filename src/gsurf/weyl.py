@@ -3,21 +3,19 @@
 The orthogonal complement of the canonical class K in the degree-2 lattice
 is a root lattice (A2+A1, A4, D5, E6, E7, E8 for N = 3..8); its roots are
 the integer classes with r.r = -2 and K.r = 0.  Finite isometry groups are
-handled with stabilizer chains two ways: ``generate_group`` builds one on
-the orbits of the basis classes and multiplies its transversals out into
-the full, sorted element set, and ``group_order_via_chain`` builds one on
-the root set for the order alone (feasible for the largest Weyl group).
-numpy is imported inside the functions that use it (the element listing
-and its helpers, the row sort, traces, the chain's point product), so the
-commands that never list a group or build a chain start without it.
+handled with one stabilizer chain on the orbits of the basis classes:
+``generate_group`` multiplies its transversals out into the sorted element
+set, and ``group_order_via_chain`` reads the order alone off it (feasible
+for the largest Weyl group).  numpy is imported inside the functions that
+use it, so the commands that never list a group or build a chain start
+without it.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, isqrt
+from math import isqrt
 from operator import itemgetter
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
@@ -125,7 +123,7 @@ class FiniteIsometryGroup:
     generators: tuple
     dim: int
     order: int
-    elements: Optional[np.ndarray]
+    elements: np.ndarray
 
     @property
     def n(self) -> int:
@@ -135,8 +133,6 @@ class FiniteIsometryGroup:
         return self.order
 
     def element_array(self) -> np.ndarray:
-        if self.elements is None:
-            raise LatticeError("element set was not stored for this group")
         return self.elements
 
     def __iter__(self):
@@ -189,25 +185,9 @@ def generate_group(gens: Sequence[Isometry],
     """
     import numpy as np
     gens = list(gens)
-    if not gens:
-        raise LatticeError("at least one generator required")
-    dim = gens[0].dim
-    if any(g.dim != dim for g in gens):
-        raise LatticeError("generators act on different lattices")
-    n, dd = dim - 1, dim * dim
-    if max(abs(v) for g in gens for row in g.mat for v in row) > _MAX_ENTRY:
-        raise LimitExceeded(_RANGE_MESSAGE)
-    mats = np.array([g.mat for g in gens], dtype=np.int64)
-    k = np.array((-3,) + (1,) * n, dtype=np.int64)
-    moves_k = bool((mats @ k != k).any())
-    # E1..EN, then H if K moves
-    seeds = np.roll(np.eye(dim, dtype=np.int64), -1, axis=0)[:dim if moves_k else n]
-    pts, perms = _orbits(mats, seeds, limit)
-
-    chain = StabilizerChain(len(pts), limit)
-    for p in perms:
-        chain.add(p)
+    chain, pts, k, moves_k = _basis_chain(gens, limit)
     order = chain.order()
+    dim = pts.shape[1]
 
     # Inverting g = u1 u2 ... uk lists G as vk ... v2 v1 with vi in Ui^-1,
     # so the first level, usually the largest, is multiplied in last and
@@ -216,7 +196,7 @@ def generate_group(gens: Sequence[Isometry],
     for inverses in reversed(chain._inverses):
         level = _transversal_matrices(list(inverses.values()), pts, k, moves_k)
         elements, largest = _times_each(elements, level)
-    elements = elements.reshape(order, dd)
+    elements = elements.reshape(order, dim * dim)
     if largest <= 127:
         elements = elements.astype(np.int8)
     elements = _sort_rows(elements)
@@ -228,7 +208,49 @@ def generate_group(gens: Sequence[Isometry],
                                elements.reshape(order, dim, dim))
 
 
-def _orbits(mats: np.ndarray, seeds: np.ndarray, limit: int):
+def group_order_via_chain(gens: Sequence[Isometry]) -> int:
+    """Order of the group ``gens`` generate, from ``generate_group``'s chain.
+
+    Defined for 3 <= N <= 8 and generators fixing K.  K's orthogonal
+    complement is then negative definite, so the group is finite and the
+    chain runs with no limit: W(E8) has 696,729,600 elements, above
+    ``generate_group``'s default limit.
+    """
+    if gens:
+        root_system_type(gens[0].n)
+        k = canonical_class(gens[0].n)
+        if not all(g.fixes(k) for g in gens):
+            raise LatticeError("generators must fix the canonical class")
+    return _basis_chain(gens, None)[0].order()
+
+
+def _basis_chain(gens: Sequence[Isometry], limit: Optional[int]):
+    """``generate_group``'s chain, its points, K and whether K moves.
+
+    ``limit`` None bounds neither the orbits nor the order.
+    """
+    import numpy as np
+    if not gens:
+        raise LatticeError("at least one generator required")
+    dim = gens[0].dim
+    if any(g.dim != dim for g in gens):
+        raise LatticeError("generators act on different lattices")
+    n = dim - 1
+    if max(abs(v) for g in gens for row in g.mat for v in row) > _MAX_ENTRY:
+        raise LimitExceeded(_RANGE_MESSAGE)
+    mats = np.array([g.mat for g in gens], dtype=np.int64)
+    k = np.array((-3,) + (1,) * n, dtype=np.int64)
+    moves_k = bool((mats @ k != k).any())
+    # E1..EN, then H if K moves
+    seeds = np.roll(np.eye(dim, dtype=np.int64), -1, axis=0)[:dim if moves_k else n]
+    pts, perms = _orbits(mats, seeds, limit)
+    chain = StabilizerChain(len(pts), limit)
+    for p in perms:
+        chain.add(p)
+    return chain, pts, k, moves_k
+
+
+def _orbits(mats: np.ndarray, seeds: np.ndarray, limit: Optional[int]):
     """Points of the seeds' orbits and each generator's permutation of them.
 
     Breadth-first over all orbits at once, one matrix product per
@@ -275,7 +297,7 @@ def _orbits(mats: np.ndarray, seeds: np.ndarray, limit: int):
                     other = find(owner[j])
                     parent[other] = root
                     size[root] += size[other]
-                if size[root] > limit:
+                if limit is not None and size[root] > limit:
                     raise LimitExceeded(f"group closure exceeded limit {limit}")
                 img.append(j)
         lo = hi
@@ -366,7 +388,7 @@ def weyl_group(n: int, limit: int = 10_000_000) -> FiniteIsometryGroup:
 
 
 # ---------------------------------------------------------------------------
-# Stabilizer chain over the root action
+# Schreier-Sims
 # ---------------------------------------------------------------------------
 
 def _pcompose(p: tuple, q: tuple) -> tuple:
@@ -498,119 +520,6 @@ class StabilizerChain:
                     progressed = True
             if not progressed:
                 return
-
-
-def _rank_of_rows(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals, by fraction-free elimination row by row.
-
-    Each row is reduced against the echelon basis built so far and joins
-    it if anything is left; the scan stops once every column has a pivot.
-    """
-    cols = len(rows[0]) if rows else 0
-    basis: List[Tuple[int, List[int]]] = []
-    for row in rows:
-        r = list(row)
-        for c, b in basis:
-            if r[c]:
-                a, f = b[c], r[c]
-                r = [a * x - f * y for x, y in zip(r, b)]
-        piv = next((c for c, x in enumerate(r) if x), None)
-        if piv is None:
-            continue
-        g = 0
-        for x in r:
-            g = gcd(g, x)
-        basis.append((piv, [x // g for x in r]))
-        if len(basis) == cols:
-            break
-    return len(basis)
-
-
-def _images(mat: tuple, rows: List[tuple], pmax: int) -> List[tuple]:
-    """Image coordinates of every row under ``mat``, exactly.
-
-    int64 is exact when dim * max|M| * max|point| < 2**63, which bounds
-    every partial sum of the product; past that, Python ints are used.
-    """
-    import numpy as np
-    dim = len(mat)
-    mmax = max(abs(v) for r in mat for v in r)
-    if dim * max(mmax, 1) * max(pmax, 1) < 2 ** 63:
-        pts = np.array(rows, dtype=np.int64).reshape(len(rows), dim)
-        prod = pts @ np.array(mat, dtype=np.int64).T
-        return list(map(tuple, prod.tolist()))
-    return [tuple(sum(a * b for a, b in zip(mr, p)) for mr in mat) for p in rows]
-
-
-def perm_action(gens: Sequence[Isometry], points: Sequence[CohClass]):
-    """Permutations induced on ``points``; error if a point leaves the set.
-
-    Each generator maps the whole point set with one matrix product.
-    """
-    index = {p.coords: i for i, p in enumerate(points)}
-    if len(index) != len(points):
-        raise LatticeError("duplicate points")
-    rows = list(index)
-    dims = {len(r) for r in rows}
-    pmax = max(map(abs, itertools.chain.from_iterable(rows)), default=0)
-    perms = []
-    for g in gens:
-        if dims - {g.dim}:
-            raise LatticeError("dimension mismatch")
-        images = []
-        for p, q in zip(points, _images(g.mat, rows, pmax)):
-            i = index.get(q)
-            if i is None:
-                raise LatticeError(f"generator moves {p} off the point set")
-            images.append(i)
-        if sorted(images) != list(range(len(points))):
-            raise LatticeError("generator does not permute the point set")
-        perms.append(tuple(images))
-    return perms
-
-
-def _certify_faithful(gens: Sequence[Isometry], points: Sequence[CohClass]):
-    """The action on ``points`` determines the matrix, hence is faithful.
-
-    Sufficient conditions, checked exactly: every generator fixes K and
-    K with the points spans the ambient rational space, or the points
-    alone span it.  The first is tried first: for roots, which span K's
-    orthogonal complement, its rank scan ends after about dim rows.
-    """
-    dim = gens[0].dim
-    rows = [p.coords for p in points]
-    k = canonical_class(dim - 1)
-    if all(g.fixes(k) for g in gens) and _rank_of_rows([k.coords] + rows) == dim:
-        return
-    if _rank_of_rows(rows) == dim:
-        return
-    raise LatticeError("action on the point set cannot be certified faithful")
-
-
-def stabilizer_chain(gens: Sequence[Isometry],
-                     points: Optional[Sequence[CohClass]] = None) -> StabilizerChain:
-    gens = list(gens)
-    if not gens:
-        raise LatticeError("at least one generator required")
-    if points is None:
-        points = all_roots(gens[0].n)
-    points = list(points)
-    _certify_faithful(gens, points)
-    perms = perm_action(gens, points)
-    ident = tuple(range(len(points)))
-    for g, p in zip(gens, perms):
-        if p == ident and not g.is_identity():
-            raise LatticeError("unfaithful action: non-identity generator acts trivially")
-    chain = StabilizerChain(len(points))
-    for p in perms:
-        chain.add(p)
-    return chain
-
-
-def group_order_via_chain(gens: Sequence[Isometry],
-                          points: Optional[Sequence[CohClass]] = None) -> int:
-    """Exact group order from a stabilizer chain over the root action."""
-    return stabilizer_chain(gens, points).order()
 
 
 # ---------------------------------------------------------------------------

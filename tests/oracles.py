@@ -7,8 +7,9 @@ closure versus the vectorized one, and the scans that the package's closed
 forms replaced (the a-scan blowdown obstruction, the expansion of each
 multiset through all of its n! orderings, cone membership by exact
 ``Fraction`` areas, the breadth-first closures of the monomial groups and
-torus kernels, and the bundle isometries pushed through ``CohClass``
-arithmetic).
+torus kernels, the bundle isometries pushed through ``CohClass``
+arithmetic, and a stabilizer chain on the roots beside the library's chain
+on the orbits of the basis classes).
 """
 
 import itertools
@@ -30,6 +31,7 @@ from gsurf.hexagon import (
     gamma_generators,
 )
 from gsurf.lattice import CohClass, canonical_class, unit
+from gsurf.weyl import StabilizerChain, all_roots
 
 
 def raw_pairing(x, y):
@@ -355,3 +357,26 @@ def group_by_bfs(gens, limit=10_000_000, chunk_size=32768):
     if int(np.abs(elements).max()) <= 127:
         elements = elements.astype(np.int8)
     return elements.reshape(len(seen), dim, dim)
+
+
+def apply_route(gens, points):
+    """Each generator's permutation of ``points``, one ``Isometry.apply`` each."""
+    index = {p.coords: i for i, p in enumerate(points)}
+    return [tuple(index[g.apply(p).coords] for p in points) for g in gens]
+
+
+def root_chain(gens):
+    """Stabilizer chain of the action on ``all_roots(n)``, for 3 <= N <= 8.
+
+    The roots span K's orthogonal complement, so the action is faithful
+    on generators fixing K.  Its points and permutation code are not the
+    ones ``weyl.group_order_via_chain`` uses.
+    """
+    n = gens[0].n
+    if not all(g.fixes(canonical_class(n)) for g in gens):
+        raise LatticeError("the root action is faithful only when K is fixed")
+    roots = all_roots(n)
+    chain = StabilizerChain(len(roots))
+    for p in apply_route(gens, roots):
+        chain.add(p)
+    return chain

@@ -13,7 +13,7 @@ from gsurf import cli
 from gsurf.exceptional import h_ijk
 from gsurf.gconic import full_swap
 from gsurf.lattice import coh_from_json
-from gsurf.weyl import reflection
+from gsurf.weyl import reflection, simple_reflections
 
 
 def run(capsys, *args):
@@ -137,6 +137,19 @@ def test_conic_subcommand(tmp_path, capsys):
     assert res["Q_structure"] == "Z2"
     assert res["sigma_sizes"] == [0]
     assert res["parity_ok"] is True
+
+
+def test_conic_stops_at_the_first_element_moving_f(tmp_path, capsys):
+    # W(E6) has 51,840 elements; one that moves F ends the run at once
+    gens = [list(map(list, s.mat)) for s in simple_reflections(6)]
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps(gens))
+    t0 = time.monotonic()
+    code = cli.main(["conic", "--gens", str(path)])
+    assert time.monotonic() - t0 < 2
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        "error: isometry does not fix the fiber class")
 
 
 def test_cone_subcommand(capsys):

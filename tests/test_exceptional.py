@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsurf.errors import LatticeError, LimitExceeded
 from gsurf.exceptional import (
@@ -20,7 +22,14 @@ from gsurf.exceptional import (
     reduce_symplectic,
     structure_test,
 )
-from gsurf.lattice import CohClass, SymplecticClass, canonical_class, pairing
+from gsurf.lattice import (
+    CohClass,
+    Isometry,
+    SymplecticClass,
+    canonical_class,
+    pairing,
+    unit,
+)
 from gsurf.weyl import reflection
 
 import oracles
@@ -195,6 +204,47 @@ class TestReduceExceptional:
             trace = reduce_exceptional(e)
             for _, before, after in trace.steps:
                 assert w.area(after) <= w.area(before)
+
+
+def _word_image(x, seed, length):
+    """x under a random word of Cremona reflections and transpositions."""
+    rng = random.Random(seed)
+    n = x.n
+    for _ in range(length):
+        if rng.random() < 0.5:
+            x = cremona_reflect(x, tuple(sorted(rng.sample(range(1, n + 1), 3))))
+        else:
+            i, j = rng.sample(range(1, n + 1), 2)
+            c = list(x.coords)
+            c[i], c[j] = c[j], c[i]
+            x = CohClass(tuple(c))
+    return x
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.integers(3, 12), st.integers(0, 2 ** 32), st.integers(0, 8))
+def test_reflection_in_a_word_image_is_an_involutive_isometry(n, seed, length):
+    start = h_ijk(n, 1, 2, 3) if seed % 2 else unit(n, 1) - unit(n, 2)
+    alpha = _word_image(start, seed, length)
+    assert alpha.square() == -2
+    s = reflection(alpha)
+    assert isinstance(s, Isometry)
+    assert (s @ s).is_identity()
+    assert s.apply(alpha) == -alpha
+    assert s.fixes(canonical_class(n))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.integers(3, 12), st.integers(1, 12), st.integers(0, 2 ** 32),
+       st.integers(0, 8))
+def test_descent_of_a_word_image_ends_at_a_basis_class(n, l, seed, length):
+    e = _word_image(unit(n, min(l, n)), seed, length)
+    assert is_exceptional(e)
+    trace = reduce_exceptional(e)
+    degrees = trace.degrees()
+    assert all(d2 < d1 for d1, d2 in zip(degrees, degrees[1:]))
+    assert degrees[-1] == 0
+    assert trace.final == unit(n, trace.final_index)
 
 
 class TestReduceSymplectic:

@@ -13,6 +13,8 @@ from gsurf.gconic import fiber_class, full_swap, matrix_from_fiber_action
 from gsurf.lattice import CohClass, Isometry, canonical_class, pairing, unit
 from gsurf.selftest import klein_four_group, parity_consistent_partitions
 from gsurf.weyl import (
+    _basis_chain,
+    _orbits,
     _sort_rows,
     NEITHER,
     RANK1,
@@ -25,12 +27,10 @@ from gsurf.weyl import (
     integer_kernel,
     invariant_lattice,
     minimality_rank_dichotomy,
-    perm_action,
     reflection,
     root_system_type,
     simple_reflections,
     simple_roots,
-    stabilizer_chain,
     trace_sum_condition,
     trivial_group,
     weyl_group,
@@ -287,39 +287,40 @@ def test_sort_rows_matches_column_packer(fits_int8, cols):
 
 
 class TestChain:
-    @pytest.mark.parametrize("n", (3, 4, 5, 6, 7))
+    """The order-only chain against the root-action chain and the BFS."""
+
+    @pytest.mark.parametrize("n", (3, 4, 5, 6, 7, 8))
     def test_matches_closure(self, n):
         order = group_order_via_chain(simple_reflections(n))
-        want = {3: 12, 4: 120, 5: 1920, 6: 51840, 7: 2903040}[n]
+        want = {3: 12, 4: 120, 5: 1920, 6: 51840, 7: 2903040,
+                8: 696729600}[n]
         assert order == want
+        assert oracles.root_chain(simple_reflections(n)).order() == want
 
     def test_subgroup_chain(self):
         gens = simple_reflections(5)[:2]
-        assert group_order_via_chain(gens, all_roots(5)) == \
-            generate_group(gens).order
+        assert group_order_via_chain(gens) == \
+            oracles.group_by_bfs(list(gens)).shape[0]
 
-    def test_chain_membership(self):
-        chain = stabilizer_chain(simple_reflections(4))
-        from gsurf.weyl import perm_action
-        perms = perm_action([reflection(h_ijk(4, 2, 3, 4))], all_roots(4))
-        assert chain.contains(perms[0])
+    @pytest.mark.parametrize("n", (2, 9))
+    def test_needs_a_root_system(self, n):
+        gens = [reflection(unit(n, 1) - unit(n, 2))]
+        with pytest.raises(LatticeError,
+                           match=f"^root system defined for 3 <= N <= 8, got {n}$"):
+            group_order_via_chain(gens)
 
-    def test_unfaithful_point_set_rejected(self):
-        gens = simple_reflections(4)
-        with pytest.raises(LatticeError):
-            stabilizer_chain(gens, [canonical_class(4), -canonical_class(4)])
-
-    def test_points_must_be_permuted(self):
-        gens = simple_reflections(4)
-        with pytest.raises(LatticeError):
-            stabilizer_chain(gens, list(all_roots(4))[:5])
-
-    def test_generator_moving_k_with_roots_rejected(self):
-        # -I moves K and the roots span only K's orthogonal complement.
+    def test_generator_moving_k_rejected(self):
         minus = Isometry(tuple(tuple(-1 if i == j else 0 for j in range(5))
                                for i in range(5)))
-        with pytest.raises(LatticeError, match="certified faithful"):
-            stabilizer_chain([minus], all_roots(4))
+        with pytest.raises(LatticeError,
+                           match="^generators must fix the canonical class$"):
+            group_order_via_chain([minus])
+
+    def test_chain_membership(self):
+        chain = oracles.root_chain(simple_reflections(4))
+        perms = oracles.apply_route([reflection(h_ijk(4, 2, 3, 4))],
+                                    all_roots(4))
+        assert chain.contains(perms[0])
 
     @pytest.mark.parametrize("n", (3, 4, 5, 6, 7))
     def test_matches_closure_random_subgroups(self, n):
@@ -334,24 +335,24 @@ class TestChain:
                     word = word @ rng.choice(refl)
                 gens.append(word)
             try:
-                group = generate_group(gens, limit=1000)
+                order = oracles.group_by_bfs(gens, limit=1000).shape[0]
             except LimitExceeded:
                 continue
-            assert group_order_via_chain(gens) == group.order
+            assert group_order_via_chain(gens) == order
+            assert oracles.root_chain(gens).order() == order
             checked += 1
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(st.integers(3, 7), st.integers(0, 2 ** 32), st.integers(1, 3))
     def test_closure_order_equals_chain_order(self, n, seed, count):
         gens = _random_gens(random.Random(seed), n, count)
-        try:
-            group = generate_group(gens, limit=5000)
-        except LimitExceeded:
-            return
-        assert group.order == group_order_via_chain(gens)
+        order = oracles.root_chain(gens).order()
+        assert group_order_via_chain(gens) == order
+        if order <= 5000:
+            assert generate_group(gens).order == order
 
     def test_limit_stops_the_chain(self):
-        perms = perm_action(simple_reflections(6), all_roots(6))
+        perms = oracles.apply_route(simple_reflections(6), all_roots(6))
         chain = StabilizerChain(72, 51840)
         for p in perms:
             chain.add(p)
@@ -364,38 +365,28 @@ class TestChain:
         assert chain.order() <= 51840
 
     def test_e8_chain_shape(self):
-        chain = stabilizer_chain(simple_reflections(8))
+        sizes = [240, 56, 27, 16, 10, 6, 2]
+        chain = oracles.root_chain(simple_reflections(8))
         assert len(chain.base) == 7
-        assert [len(t) for t in chain.transversals] == [240, 56, 27, 16, 10, 6, 2]
-
-
-def _apply_route(gens, points):
-    index = {p.coords: i for i, p in enumerate(points)}
-    return [tuple(index[g.apply(p).coords] for p in points) for g in gens]
+        assert [len(t) for t in chain.transversals] == sizes
+        chain = _basis_chain(simple_reflections(8), None)[0]
+        assert [len(t) for t in chain.transversals] == sizes
 
 
 class TestPermAction:
+    """The orbit permutations the library chains, against per-point apply."""
+
     @pytest.mark.parametrize("n", range(3, 9))
     def test_matches_apply_route(self, n):
         refl = simple_reflections(n)
         gens = list(refl) + [refl[0] @ refl[-1] @ refl[1]]
-        roots = all_roots(n)
-        assert perm_action(gens, roots) == _apply_route(gens, roots)
-
-    def test_exact_past_int64(self):
-        gens = list(simple_reflections(4)) + [reflection(h_ijk(4, 2, 3, 4))]
-        roots = all_roots(4)
-        big = [CohClass(tuple(c * 2 ** 64 for c in r.coords)) for r in roots]
-        assert perm_action(gens, big) == perm_action(gens, roots)
-
-    def test_error_messages(self):
-        gens = simple_reflections(4)
-        roots = list(all_roots(4))
-        with pytest.raises(LatticeError, match="^duplicate points$"):
-            perm_action(gens, roots + roots[:1])
-        with pytest.raises(LatticeError,
-                           match=r"^generator moves \[.*\] off the point set$"):
-            perm_action(gens, roots[:5])
+        mats = np.array([g.mat for g in gens], dtype=np.int64)
+        seeds = np.roll(np.eye(n + 1, dtype=np.int64), -1, axis=0)[:n]
+        pts, perms = _orbits(mats, seeds, None)
+        points = [CohClass(tuple(int(v) for v in p)) for p in pts]
+        assert points[:n] == [unit(n, j) for j in range(1, n + 1)]
+        assert len(points) == {3: 6, 4: 10, 5: 16, 6: 27, 7: 56, 8: 240}[n]
+        assert perms == oracles.apply_route(gens, points)
 
 
 def test_integer_kernel_primitive():

@@ -92,13 +92,12 @@ def _degree_range(n: int) -> Tuple[int, int]:
     return lo, hi
 
 
-def _multisets_for_degree(n: int, a: int):
-    """Non-increasing integer b-vectors with sum 3a-1 and square sum a^2+1.
+def _multisets(n: int, total: int, squares: int):
+    """Non-increasing integer n-vectors with sum ``total`` and square sum
+    ``squares``.
 
     Cauchy-Schwarz prunes the remaining tail at every position.
     """
-    target_s = 3 * a - 1
-    target_q = a * a + 1
     found = []
 
     def rec(pos, prev, s, q, prefix):
@@ -124,7 +123,7 @@ def _multisets_for_degree(n: int, a: int):
             rec(pos + 1, b, s2, q2, prefix)
             prefix.pop()
 
-    rec(0, isqrt(target_q), target_s, target_q, [])
+    rec(0, isqrt(squares), total, squares, [])
     return found
 
 
@@ -194,7 +193,7 @@ def enumerate_exceptional(n: int, max_degree: Optional[int] = None,
     for a in range(lo, hi + 1):
         if not _degree_feasible(n, a):
             continue
-        for multiset in _multisets_for_degree(n, a):
+        for multiset in _multisets(n, 3 * a - 1, a * a + 1):
             count += _arrangements(multiset)
             if count > limit:
                 raise LimitExceeded(

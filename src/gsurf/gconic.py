@@ -251,7 +251,9 @@ def decompose(group, model: ConicBundleModel, g0_order: int = 1) -> GroupDecompo
 
     Structures incompatible with the classification of minimal bundles are
     reported as InvariantViolation: they cannot arise from a group action
-    on the surface, only from adversarial lattice data.
+    on the surface, only from adversarial lattice data.  A declared core
+    order ``g0_order`` that valid lattice data contradicts is a
+    LatticeError.
     """
     if g0_order < 1:
         raise LatticeError("the declared core order must be at least 1")
@@ -296,10 +298,10 @@ def decompose(group, model: ConicBundleModel, g0_order: int = 1) -> GroupDecompo
             q_abstract = ()
         if minimal:
             if not shape_ok:
-                raise InvariantViolation(
+                raise LatticeError(
                     "nontrivial core with a base-trivial image outside {id, full swap}")
             if not nontrivial and m % 2:
-                raise InvariantViolation(
+                raise LatticeError(
                     "core-only base kernel needs an even core order")
             tag = CASE_CYCLIC_CORE
         else:

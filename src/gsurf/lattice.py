@@ -19,6 +19,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Sequence, Union
 
 from .errors import LatticeError
@@ -105,13 +106,10 @@ class CohClass:
     def square(self) -> int:
         return raw_pairing(self.coords, self.coords)
 
-    def dot(self, other) -> Rational:
-        return pairing(self, other)
-
     def is_primitive(self) -> bool:
         g = 0
         for c in self.coords:
-            g = _gcd(g, c)
+            g = gcd(g, c)
         return g == 1
 
     def __str__(self):
@@ -182,13 +180,6 @@ def _raw(x: LatticeVector) -> Sequence[Rational]:
 def pairing(x: LatticeVector, y: LatticeVector) -> Rational:
     """Intersection pairing; symmetric and bilinear over the rationals."""
     return raw_pairing(_raw(x), _raw(y))
-
-
-def _gcd(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
 
 
 @dataclass(frozen=True)

@@ -52,34 +52,15 @@ def all_roots(n: int) -> Tuple[CohClass, ...]:
     """All integer r with r.r = -2 and K.r = 0, sorted.
 
     In the form a*H - sum bs*Es the equations are sum b = 3a and
-    sum b^2 = a^2 + 2, so 9a^2 <= N(a^2+2) bounds the degree.
+    sum b^2 = a^2 + 2, so 9a^2 <= N(a^2+2) bounds the degree.  The
+    b-vectors come from the exceptional-class enumerator.
     """
+    from .exceptional import _distinct_permutations, _multisets
     root_system_type(n)
     amax = isqrt(2 * n // (9 - n)) + 1
-    found: List[CohClass] = []
-    for a in range(-amax, amax + 1):
-        if 9 * a * a > n * (a * a + 2):
-            continue
-        target_s, target_q = 3 * a, a * a + 2
-
-        def rec(pos, s, q, prefix):
-            rem = n - pos - 1
-            lim = isqrt(q)
-            for b in range(-lim, lim + 1):
-                s2, q2 = s - b, q - b * b
-                if q2 < 0:
-                    continue
-                if rem == 0:
-                    if s2 == 0 and q2 == 0:
-                        found.append(CohClass((a,) + tuple(-x for x in prefix + [b])))
-                    continue
-                if s2 * s2 > rem * q2:
-                    continue
-                prefix.append(b)
-                rec(pos + 1, s2, q2, prefix)
-                prefix.pop()
-
-        rec(0, target_s, target_q, [])
+    found = [CohClass((a,) + perm) for a in range(-amax, amax + 1)
+             for multiset in _multisets(n, 3 * a, a * a + 2)
+             for perm in _distinct_permutations([-b for b in multiset])]
     found.sort(key=lambda r: r.coords)
     return tuple(found)
 
@@ -147,12 +128,9 @@ class FiniteIsometryGroup:
         return np.einsum("kii->k", arr)
 
 
-# Entries are stored in int16; every float64 product of two such matrices
-# is exact, since dim * 32767^2 < 2^53.
+# Entries are stored in int16 at most.
 _MAX_ENTRY = 32767
 _RANGE_MESSAGE = "matrix entries exceeded supported range"
-# Partial products multiplied per BLAS call.
-_BLOCK = 1 << 16
 
 
 def generate_group(gens: Sequence[Isometry],
@@ -178,10 +156,12 @@ def generate_group(gens: Sequence[Isometry],
     Algorithms*, 2003, ch. 4), so |G| = |U1| ... |Uk| and multiplying the
     transversals out lists each element once, with no deduplication.
 
-    *Columns.*  Column j >= 1 of an element is the point its permutation
-    sends E_j to.  Column 0 is the image of H: read from H's orbit when H
-    is a point, otherwise (sum of the other columns - K)/3, K being fixed.
-    Products run in float64, exact under the 16-bit entry guard.
+    *Columns.*  The transversals are multiplied out as permutations,
+    keeping only the images of the seeds.  Column j >= 1 of an element is
+    the point its permutation sends E_j to.  Column 0 is the image of H:
+    read from H's orbit when H is a point, otherwise (sum of the other
+    columns - K)/3, K being fixed.  Each matrix is read once, at the end;
+    every point is in range already, so only column 0 is checked.
     """
     import numpy as np
     gens = list(gens)
@@ -189,17 +169,11 @@ def generate_group(gens: Sequence[Isometry],
     order = chain.order()
     dim = pts.shape[1]
 
-    # Inverting g = u1 u2 ... uk lists G as vk ... v2 v1 with vi in Ui^-1,
-    # so the first level, usually the largest, is multiplied in last and
-    # the |G|/|U1| partial products before it stay small.
-    elements, largest = np.eye(dim, dtype=np.int16)[None], 1.0
-    for inverses in reversed(chain._inverses):
-        level = _transversal_matrices(list(inverses.values()), pts, k, moves_k)
-        elements, largest = _times_each(elements, level)
-    elements = elements.reshape(order, dim * dim)
-    if largest <= 127:
-        elements = elements.astype(np.int8)
-    elements = _sort_rows(elements)
+    images = _seed_images(chain.transversals, len(pts),
+                          dim if moves_k else dim - 1)
+    elements = _transversal_matrices(images, pts, k, moves_k)
+    del images  # before the sort copies the elements
+    elements = _sort_rows(elements.reshape(order, dim * dim))
     dup = np.any(np.all(elements[1:] == elements[:-1], axis=1)) \
         if elements.shape[0] > 1 else False
     if dup:  # pragma: no cover
@@ -306,50 +280,52 @@ def _orbits(mats: np.ndarray, seeds: np.ndarray, limit: Optional[int]):
         [tuple(img) for img in images]
 
 
-def _transversal_matrices(perms: List[tuple], pts: np.ndarray,
+def _seed_images(transversals: List[dict], degree: int,
+                 seeds: int) -> np.ndarray:
+    """Points 0..seeds-1 sent through every u1 u2 ... uk, one row each.
+
+    uk acts first, so the levels are applied last to first, each as a
+    small unsigned index array.
+    """
+    import numpy as np
+    index = np.min_scalar_type(degree - 1)
+    images = np.arange(seeds, dtype=index)[None]
+    for trans in reversed(transversals):
+        level = np.array(list(trans.values()), dtype=index)
+        images = level[:, images].reshape(-1, seeds)
+    return images
+
+
+def _transversal_matrices(images: np.ndarray, pts: np.ndarray,
                           k: np.ndarray, moves_k: bool) -> np.ndarray:
-    """float64 matrices of the isometries that permute the points by ``perms``.
+    """(order, dim, dim) matrices of the elements sending seed s to point
+    ``images[:, s]``, read as ``generate_group`` describes.
 
-    The columns are read off as ``generate_group`` describes.
+    int8 when every entry fits, else int16.
     """
     import numpy as np
-    dim = pts.shape[1]
+    order, dim = images.shape[0], pts.shape[1]
     n = dim - 1
-    idx = np.array([p[:n] for p in perms], dtype=np.int64).reshape(len(perms), n)
-    cols = pts[idx]
+    # exact: N entries below 2^15 in absolute value sum below 2^31
+    pts = pts.astype(np.int32)
     if moves_k:
-        col0 = pts[[p[n] for p in perms]]
+        col0 = np.take(pts, images[:, n], axis=0)
     else:
-        num = cols.sum(axis=1) - k
-        if (num % 3).any():  # pragma: no cover - K is fixed
+        col0 = np.take(pts, images[:, 0], axis=0) - k.astype(np.int32)
+        for j in range(1, n):
+            col0 += np.take(pts, images[:, j], axis=0)
+        if (col0 % 3).any():  # pragma: no cover - K is fixed
             raise InvariantViolation("image of H is not integral")
-        col0 = num // 3
-    out = np.empty((len(perms), dim, dim))
+        col0 //= 3
+    largest = max(-int(col0.min()), int(col0.max()), int(np.abs(pts).max()))
+    if largest > _MAX_ENTRY:
+        raise LimitExceeded(_RANGE_MESSAGE)
+    out = np.empty((order, dim, dim), np.int8 if largest <= 127 else np.int16)
     out[:, :, 0] = col0
-    out[:, :, 1:] = cols.transpose(0, 2, 1)
+    pts = pts.astype(out.dtype)
+    for j in range(1, dim):
+        out[:, :, j] = np.take(pts, images[:, j - 1], axis=0)
     return out
-
-
-def _times_each(head: np.ndarray, level: np.ndarray):
-    """(All products h @ v, v-major, as int16; their largest |entry|).
-
-    One BLAS product per matrix v and block of ``head``, computed in
-    float64 and checked against the 16-bit range before it is stored.
-    """
-    import numpy as np
-    rows, dim = head.shape[0], head.shape[1]
-    out = np.empty((len(level) * rows, dim, dim), dtype=np.int16)
-    largest = 0.0
-    for a in range(0, rows, _BLOCK):
-        blk = head[a:a + _BLOCK].reshape(-1, dim).astype(np.float64)
-        size = blk.shape[0] // dim
-        for i, v in enumerate(level):
-            prod = blk @ v
-            largest = max(largest, float(prod.max()), -float(prod.min()))
-            if largest > _MAX_ENTRY:
-                raise LimitExceeded(_RANGE_MESSAGE)
-            out[i * rows + a:i * rows + a + size] = prod.reshape(size, dim, dim)
-    return out, largest
 
 
 def _sort_rows(arr: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from gsurf.cone import FULL, OUTSIDE, PARTIAL_POSITIVE
 from gsurf.errors import LatticeError, LimitExceeded
 from gsurf.exceptional import (
     _degree_range,
-    _multisets_for_degree,
+    _multisets,
     enumerate_exceptional,
 )
 from gsurf.gconic import FiberAction, fiber_class
@@ -103,7 +103,7 @@ def exc_coords_by_permutation_sets(n, max_degree=None):
     lo, hi = _degree_window(n, max_degree)
     out = []
     for a in range(lo, hi + 1):
-        for multiset in _multisets_for_degree(n, a):
+        for multiset in _multisets(n, 3 * a - 1, a * a + 1):
             for perm in set(itertools.permutations(multiset)):
                 out.append((a,) + tuple(-b for b in perm))
     return tuple(sorted(out))
@@ -114,7 +114,7 @@ def exc_count_by_multinomials(n, max_degree=None):
     lo, hi = _degree_window(n, max_degree)
     total = 0
     for a in range(lo, hi + 1):
-        for multiset in _multisets_for_degree(n, a):
+        for multiset in _multisets(n, 3 * a - 1, a * a + 1):
             count = factorial(n)
             for k in Counter(multiset).values():
                 count //= factorial(k)

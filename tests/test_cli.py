@@ -13,6 +13,7 @@ from gsurf import cli
 from gsurf.exceptional import h_ijk
 from gsurf.gconic import full_swap
 from gsurf.lattice import coh_from_json
+from gsurf.selftest import klein_four_group
 from gsurf.weyl import reflection, simple_reflections
 
 
@@ -150,6 +151,18 @@ def test_conic_stops_at_the_first_element_moving_f(tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err.startswith(
         "error: isometry does not fix the fiber class")
+
+
+def test_conic_g0_contradicting_the_group_exits_1(tmp_path, capsys):
+    gens = [list(map(list, g.mat))
+            for g in klein_four_group(5, ((2, 3), (4, 5), ()))[1:]]
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps(gens))
+    code = cli.main(["conic", "--gens", str(path), "--g0", "3"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: nontrivial core with a base-trivial image outside"
+        " {id, full swap}\n")
 
 
 def test_cone_subcommand(capsys):

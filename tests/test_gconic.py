@@ -270,6 +270,29 @@ class TestDecompose:
         with pytest.raises(LatticeError):
             decompose(group, ConicBundleModel(n), 2)
 
+    def test_core_contradicting_a_klein_image_is_a_lattice_error(self):
+        n = 5
+        group = klein_four_group(n, ((2, 3), (4, 5), ()))
+        assert decompose(group, ConicBundleModel(n), 1).case_tag == CASE_KLEIN
+        for m in (2, 3):
+            with pytest.raises(LatticeError, match=r"^nontrivial core with a "
+                               r"base-trivial image outside \{id, full swap\}$"):
+                decompose(group, ConicBundleModel(n), m)
+
+    def test_odd_core_with_a_trivial_base_kernel_is_a_lattice_error(self):
+        # (2 3) and (4 5) on the base, each swapping the other two fibers
+        # in place: minimal, and only the identity acts trivially on the base
+        n = 5
+        a = matrix_from_fiber_action((3, 2, 4, 5), (1, 1, -1, -1), n)
+        b = matrix_from_fiber_action((2, 3, 5, 4), (-1, -1, 1, 1), n)
+        group = generate_group([a, b])
+        assert group.order == 4
+        dec = decompose(group, ConicBundleModel(n), 2)
+        assert (dec.case_tag, dec.q_abstract) == (CASE_CYCLIC_CORE, ("Z2",))
+        with pytest.raises(LatticeError, match="^core-only base kernel needs "
+                                               "an even core order$"):
+            decompose(group, ConicBundleModel(n), 3)
+
     def test_non_minimal_tag(self):
         n = 4
         dec = decompose([Isometry.identity(n)], ConicBundleModel(n), 1)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -63,7 +64,7 @@ def test_simple_roots_are_roots(n):
 def test_all_roots_counts(n):
     roots = all_roots(n)
     assert len(roots) == ROOT_COUNTS[n]
-    assert {r.coords for r in roots} == set(oracles.root_classes_oracle(n))
+    assert [r.coords for r in roots] == sorted(oracles.root_classes_oracle(n))
 
 
 def test_roots_closed_under_simple_reflections():
@@ -204,6 +205,24 @@ def _affine_reflections(n):
                                   for i in range(1, n)]
 
 
+def _conjugated(n, gens, power):
+    """``gens`` conjugated by a power of the affine Coxeter element.
+
+    The group stays finite while its entries grow with ``power``.
+    """
+    c = c_inv = Isometry.identity(n)
+    for s in _affine_reflections(n):
+        c, c_inv = c @ s, s @ c_inv
+    w = w_inv = Isometry.identity(n)
+    for _ in range(power):
+        w, w_inv = w @ c, c_inv @ w_inv
+    return [w @ g @ w_inv for g in gens]
+
+
+def _transpositions(n, count):
+    return [reflection(unit(n, i) - unit(n, i + 1)) for i in range(1, count + 1)]
+
+
 class TestListing:
     """The chain listing against the breadth-first closure it replaced."""
 
@@ -264,6 +283,34 @@ class TestListing:
         want = _outcome(oracles.group_by_bfs, [coxeter], 10 ** 6)
         assert want == (LimitExceeded, "matrix entries exceeded supported range")
         assert _outcome(_listed, [coxeter], 10 ** 6) == want
+
+    @pytest.mark.parametrize("n,power", ((9, 26), (9, 39), (10, 20)))
+    def test_entries_past_int8(self, n, power):
+        gens = _conjugated(n, _transpositions(n, 3), power)
+        _assert_matches_bfs(gens)
+        assert generate_group(gens).element_array().dtype == np.int16
+
+    def test_entries_past_int8_with_k_moving(self):
+        moved = reflection(CohClass((0, -1, -1) + (0,) * 7))
+        gens = _conjugated(9, [moved, _transpositions(9, 3)[2]], 12)
+        _assert_matches_bfs(gens)
+        assert generate_group(gens).element_array().dtype == np.int16
+
+    def test_column_zero_range_message(self):
+        # every generator entry and every orbit point is in 16-bit range;
+        # only some element's image of H is not
+        gens = _conjugated(10, _transpositions(10, 3), 31)
+        _basis_chain(gens, 10 ** 6)
+        want = _outcome(oracles.group_by_bfs, gens, 10 ** 6)
+        assert want == (LimitExceeded, "matrix entries exceeded supported range")
+        assert _outcome(_listed, gens, 10 ** 6) == want
+
+    def test_e7_listing_pinned(self):
+        # W(E7) is past the BFS oracle's reach, so its listing is pinned
+        elements = weyl_group(7).element_array()
+        assert (elements.dtype, elements.shape) == (np.int8, (2903040, 8, 8))
+        assert hashlib.sha256(elements.tobytes()).hexdigest() == \
+            "91e31f0cc8bafe952824263d5157b2955f653a7feec9c6bd8405894bff714df8"
 
     def test_eight_blowups_refused_before_listing(self):
         with pytest.raises(LimitExceeded,

@@ -173,6 +173,8 @@ def _cmd_conic(args, argv):
     gens = parse_group_file(args.gens)
     n = _resolve_n(args.n, gens[0].n, "the generator matrices")
     model = gconic.ConicBundleModel(n)
+    for g in gens:  # the group preserves the bundle iff every generator does
+        gconic.fiber_action(g, model)
     group = weyl.generate_group(gens, limit=args.limit)
     dec = gconic.decompose(group, model, args.g0)
     results = {

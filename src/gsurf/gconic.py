@@ -28,9 +28,7 @@ CASE_NON_MINIMAL = "non-minimal"
 
 def fiber_class(n: int) -> CohClass:
     """H - E1."""
-    coords = [0] * (n + 1)
-    coords[0], coords[1] = 1, -1
-    return CohClass(tuple(coords))
+    return CohClass((1, -1) + (0,) * (n - 1))
 
 
 @dataclass(frozen=True)
@@ -52,10 +50,8 @@ class ConicBundleModel:
         n = self.n_blowups
         if n < 3:
             raise LatticeError("a conic bundle model needs at least 3 blowups")
-        if self.sphere_classes is None:
-            spheres = tuple(unit(n, j) for j in range(2, n + 1))
-        else:
-            spheres = tuple(self.sphere_classes)
+        spheres = tuple(unit(n, j) for j in range(2, n + 1)) \
+            if self.sphere_classes is None else tuple(self.sphere_classes)
         object.__setattr__(self, "sphere_classes", spheres)
         f = fiber_class(n)
         k = canonical_class(n)
@@ -90,7 +86,7 @@ class ConicBundleModel:
         return range(2, self.n_blowups + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FiberAction:
     """Permutation-with-swap-flags data of a bundle-preserving isometry.
 
@@ -105,8 +101,17 @@ class FiberAction:
     def __post_init__(self):
         if sorted(self.pi) != list(range(2, 2 + len(self.pi))):
             raise LatticeError("pi is not a permutation of the fiber labels")
-        if len(self.eps) != len(self.pi) or any(e not in (1, -1) for e in self.eps):
+        if len(self.eps) != len(self.pi) or \
+                any(type(e) is not int or e not in (1, -1) for e in self.eps):
             raise LatticeError("eps must consist of +1/-1 flags")
+
+    @classmethod
+    def _trusted(cls, pi: tuple, eps: tuple) -> "FiberAction":
+        """Unchecked: for a label permutation and int +1/-1 flags."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "pi", pi)
+        object.__setattr__(obj, "eps", eps)
+        return obj
 
     @classmethod
     def identity(cls, size: int) -> "FiberAction":
@@ -128,34 +133,37 @@ class FiberAction:
                      if self.pi[t] == j and self.eps[t] == 1)
 
     def compose(self, other: "FiberAction") -> "FiberAction":
-        """Action of g @ h given self = action(g), other = action(h)."""
+        """Action of g @ h given self = action(g), other = action(h); trusted,
+        as permutations compose to one and +1/-1 flags multiply to one."""
         if self.size != other.size:
             raise LatticeError("size mismatch")
-        pi = tuple(self.pi[other.pi[t] - 2] for t in range(self.size))
-        eps = tuple(self.eps[other.pi[t] - 2] * other.eps[t]
-                    for t in range(self.size))
-        return FiberAction(pi, eps)
+        pi, eps = self.pi, self.eps
+        return FiberAction._trusted(
+            tuple([pi[p - 2] for p in other.pi]),
+            tuple([eps[p - 2] * e for p, e in zip(other.pi, other.eps)]))
 
 
 def fiber_action(g: Isometry, model: ConicBundleModel) -> FiberAction:
     """Extract (pi, eps) from a matrix, or fail if it breaks the bundle.
 
-    Each sphere's image, a sum of the columns its coordinates select, is
-    looked up in the model's component table.
+    F and K go to col0 - col1 and -3 col0 + col1 + ... + colN.  Each
+    sphere's image, a sum of the columns its coordinates select, is looked
+    up in the model's component table.
     """
     n = model.n_blowups
     if g.n != n:
         raise LatticeError("dimension mismatch")
-    if not g.fixes(model.fiber):
+    if tuple([r[0] - r[1] for r in g.mat]) != (1, -1) + (0,) * (n - 1):
         raise LatticeError("isometry does not fix the fiber class")
-    if not g.fixes(model.canonical):
+    if tuple([sum(r) - 4 * r[0] for r in g.mat]) != (-3,) + (1,) * n:
         raise LatticeError("isometry does not fix the canonical class")
     cols = tuple(zip(*g.mat))
     pi: List[int] = []
     eps: List[int] = []
     for e in model.sphere_classes:
-        terms = [(c, cols[i]) for i, c in enumerate(e.coords) if c]
-        img = tuple(sum(c * col[r] for c, col in terms) for r in range(n + 1))
+        terms = [cols[i] if c == 1 else [c * v for v in cols[i]]
+                 for i, c in enumerate(e.coords) if c]
+        img = tuple(map(sum, zip(*terms)))
         hit = model.components.get(img)
         if hit is None:
             raise LatticeError(f"isometry moves {e} out of the singular fibers")
@@ -175,6 +183,9 @@ def matrix_from_fiber_action(pi: Sequence[int], eps: Sequence[int],
         E1 -> (s/2) H + (1 - s/2) E1 - sum of Ep over p in S,
 
     integral iff s is even, and H = F + E1 goes to F plus E1's image.
+    Trusted after these checks: the sphere images are (-1)-classes in
+    distinct fibers; E1's squares to -1, meets F once and misses them, so
+    H's, F + E1', squares to 1 and the Gram matrix is diag(1, -1, ..., -1).
     """
     action = FiberAction(tuple(pi), tuple(eps))
     if action.size != n - 1:
@@ -190,7 +201,7 @@ def matrix_from_fiber_action(pi: Sequence[int], eps: Sequence[int],
         col = [0] * (n + 1) if e == 1 else [1, -1] + [0] * (n - 1)
         col[p] = e
         cols.append(col)
-    return Isometry.from_columns(cols)
+    return Isometry._trusted(tuple(zip(*cols)))
 
 
 def full_swap(n: int) -> Isometry:
@@ -283,11 +294,11 @@ def decompose(group, model: ConicBundleModel, g0_order: int = 1) -> GroupDecompo
 
     sigma_sets = sigma_sizes = parity = None
     q_abstract: tuple
+    q_image = _q_image_name(len(q))
 
     if m > 1:
         if n % 2 == 0:
             raise LatticeError("a nontrivial core forces an odd number of blowups")
-        q_image = _q_image_name(len(q))
         full = all(e == -1 for a in nontrivial for e in a.eps)
         shape_ok = len(nontrivial) <= 1 and full
         if shape_ok and nontrivial:
@@ -307,7 +318,6 @@ def decompose(group, model: ConicBundleModel, g0_order: int = 1) -> GroupDecompo
         else:
             tag = CASE_NON_MINIMAL
     else:
-        q_image = _q_image_name(len(q))
         if len(q) == 2:
             tag = CASE_INVOLUTION if minimal else CASE_NON_MINIMAL
             q_abstract = ("Z2",)
@@ -392,8 +402,7 @@ def _sigma_partition(actions: Sequence[FiberAction], model: ConicBundleModel):
 def section_class(n: int, c: int, marks: Sequence[int]) -> CohClass:
     """E1 + c*F + sum of Et over t in marks (the section normal form)."""
     coords = [0] * (n + 1)
-    coords[0] = c
-    coords[1] = 1 - c
+    coords[0], coords[1] = c, 1 - c
     for t in marks:
         if not 2 <= t <= n:
             raise LatticeError(f"mark {t} out of range 2..{n}")
@@ -412,17 +421,10 @@ def section_classes(n: int, c_min: int = -2, c_max: int = 2):
 
 def parse_section_class(e: CohClass):
     """Recover (c, marks) from a section normal form, or fail."""
-    c = e.coords[0]
-    if e.coords[1] != 1 - c:
+    c = e.coords
+    if c[1] != 1 - c[0] or not set(c[2:]) <= {0, 1}:
         raise LatticeError(f"{e} is not in section normal form")
-    marks = []
-    for t in range(2, e.n + 1):
-        ct = e.coords[t]
-        if ct not in (0, 1):
-            raise LatticeError(f"{e} is not in section normal form")
-        if ct:
-            marks.append(t)
-    return c, tuple(marks)
+    return c[0], tuple(itertools.compress(range(2, len(c)), c[2:]))
 
 
 @dataclass(frozen=True)
@@ -448,8 +450,7 @@ def section_identity(e: CohClass, e_prime: CohClass,
         raise LatticeError("two distinct sections are required")
     _, marks = parse_section_class(e)
     _, marks_p = parse_section_class(e_prime)
-    set_a, set_b = set(marks), set(marks_p)
-    r = sum(1 for t in model.labels() if (t in set_a) == (t in set_b))
+    r = n - 1 - len(set(marks).symmetric_difference(marks_p))
     m, m_p = -e.square(), -e_prime.square()
     prod = pairing(e, e_prime)
     return SectionIdentity(r, m, m_p, prod,
@@ -520,9 +521,7 @@ def vertical_decompositions(target: CohClass, model: ConicBundleModel) -> tuple:
             u = budget
             combo = []
             for j, q in zip(labels, qs):
-                p = t[j] + q
-                if p < 0:
-                    return
+                p = t[j] + q  # >= 0, as q >= lower
                 if p:
                     combo.append((unit(n, j), p))
                 if q:
@@ -531,13 +530,11 @@ def vertical_decompositions(target: CohClass, model: ConicBundleModel) -> tuple:
                 combo.append((f, u))
             out.append(tuple(sorted(combo, key=lambda cm: cm[0].coords)))
             return
-        j = labels[idx]
         for q in range(lower[idx], budget - sum(lower[idx + 1:]) + 1):
             rec(idx + 1, budget - q, qs + [q])
 
-    rec(0, s_total, [])
-    uniq = {tuple((cls.coords, mult) for cls, mult in dec): dec for dec in out}
-    return tuple(uniq[k] for k in sorted(uniq))
+    rec(0, s_total, [])  # distinct qs give distinct solutions
+    return tuple(sorted(out, key=lambda dec: [(c.coords, m) for c, m in dec]))
 
 
 def invariant_exceptional_n6() -> CohClass:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import add, mul, neg, sub
 from typing import Sequence, Union
 
 from .errors import LatticeError
@@ -39,13 +40,13 @@ def _norm_rat(x: Rational) -> Rational:
 
 
 def raw_pairing(x: Sequence[Rational], y: Sequence[Rational]) -> Rational:
-    """Pairing of raw coordinate vectors: x0*y0 - sum_i xi*yi."""
+    """Pairing of raw coordinate vectors: x0*y0 - sum_i xi*yi (i >= 1)."""
     if len(x) != len(y):
         raise LatticeError(f"dimension mismatch: {len(x)} vs {len(y)}")
-    return _norm_rat(x[0] * y[0] - sum(a * b for a, b in zip(x[1:], y[1:])))
+    return _norm_rat(2 * x[0] * y[0] - sum(map(mul, x, y)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CohClass:
     """Integer degree-2 class, raw coordinates (c0, c1, ..., cN)."""
 
@@ -58,6 +59,13 @@ class CohClass:
         if not all(isinstance(c, int) and not isinstance(c, bool) for c in coords):
             raise LatticeError("CohClass coordinates must be integers")
         object.__setattr__(self, "coords", coords)
+
+    @classmethod
+    def _trusted(cls, coords: tuple) -> "CohClass":
+        """Unchecked: for >= 2 int coordinates; each caller states why."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "coords", coords)
+        return obj
 
     # -- accessors -------------------------------------------------------
 
@@ -83,34 +91,35 @@ class CohClass:
     def raw(self) -> tuple:
         return self.coords
 
-    # -- arithmetic ------------------------------------------------------
+    # -- arithmetic: trusted, as integer classes are closed under it ----
 
     def __add__(self, other: "CohClass") -> "CohClass":
+        if not isinstance(other, CohClass):
+            return NotImplemented
         if self.n != other.n:
             raise LatticeError("dimension mismatch")
-        return CohClass(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return CohClass._trusted(tuple(map(add, self.coords, other.coords)))
 
     def __sub__(self, other: "CohClass") -> "CohClass":
+        if not isinstance(other, CohClass):
+            return NotImplemented
         if self.n != other.n:
             raise LatticeError("dimension mismatch")
-        return CohClass(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return CohClass._trusted(tuple(map(sub, self.coords, other.coords)))
 
     def __neg__(self) -> "CohClass":
-        return CohClass(tuple(-a for a in self.coords))
+        return CohClass._trusted(tuple(map(neg, self.coords)))
 
     def __rmul__(self, k: int) -> "CohClass":
         if not isinstance(k, int):
             raise LatticeError("integer scalar expected")
-        return CohClass(tuple(k * a for a in self.coords))
+        return CohClass._trusted(tuple(k * a for a in self.coords))
 
     def square(self) -> int:
         return raw_pairing(self.coords, self.coords)
 
     def is_primitive(self) -> bool:
-        g = 0
-        for c in self.coords:
-            g = gcd(g, c)
-        return g == 1
+        return gcd(*self.coords) == 1
 
     def __str__(self):
         return "[" + ",".join(str(c) for c in self.coords) + "]"
@@ -123,8 +132,7 @@ class SymplecticClass:
     coords: tuple
 
     def __post_init__(self):
-        coords = tuple(_norm_rat(Fraction(c) if isinstance(c, int) else c)
-                       for c in self.coords)
+        coords = tuple(_norm_rat(c) for c in self.coords)
         if len(coords) < 2:
             raise LatticeError("need at least the H and one E coordinate")
         object.__setattr__(self, "coords", coords)
@@ -216,8 +224,11 @@ class PicardLattice:
 
 
 def unit(n: int, i: int) -> CohClass:
-    """The basis class with raw coordinate i equal to 1: H for i = 0, else Ei."""
-    return CohClass(tuple(1 if t == i else 0 for t in range(n + 1)))
+    """The basis class with raw coordinate i equal to 1: H for i = 0, else Ei;
+    trusted once N >= 1, as its coordinates are N + 1 ints 0 and 1."""
+    if n < 1:
+        raise LatticeError("need at least the H and one E coordinate")
+    return CohClass._trusted(tuple(1 if t == i else 0 for t in range(n + 1)))
 
 
 def canonical_class(n: int) -> CohClass:
@@ -272,7 +283,7 @@ def _gram_diag(dim: int) -> tuple:
     return (1,) + (-1,) * (dim - 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Isometry:
     """Integer matrix acting on raw coordinates and preserving the pairing."""
 
@@ -283,10 +294,9 @@ class Isometry:
         dim = len(mat)
         if dim < 2 or any(len(row) != dim for row in mat):
             raise LatticeError("square matrix of size >= 2 expected")
-        for row in mat:
-            for v in row:
-                if not isinstance(v, int) or isinstance(v, bool):
-                    raise LatticeError("integer matrix expected")
+        if not all(isinstance(v, int) and not isinstance(v, bool)
+                   for row in mat for v in row):
+            raise LatticeError("integer matrix expected")
         object.__setattr__(self, "mat", mat)
         w = self._pairing_witness()
         if w is not None:
@@ -295,17 +305,22 @@ class Isometry:
                 f"matrix does not preserve the pairing:"
                 f" (M e{i}).(M e{j}) = {got}, expected {want}")
 
+    @classmethod
+    def _trusted(cls, mat: tuple) -> "Isometry":
+        """Unchecked: for int-tuple rows proved an isometry by the caller."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "mat", mat)
+        return obj
+
     def _pairing_witness(self):
         """First basis pair whose pairing the matrix breaks, or None."""
-        dim = self.dim
-        q = _gram_diag(dim)
-        cols = tuple(tuple(self.mat[r][c] for r in range(dim)) for c in range(dim))
-        for i in range(dim):
-            for j in range(i, dim):
-                want = q[i] if i == j else 0
-                got = raw_pairing(cols[i], cols[j])
-                if got != want:
-                    return (i, j, got, want)
+        q = _gram_diag(self.dim)
+        cols = tuple(zip(*self.mat))
+        for i, j in itertools.combinations_with_replacement(range(self.dim), 2):
+            want = q[i] if i == j else 0
+            got = raw_pairing(cols[i], cols[j])
+            if got != want:
+                return (i, j, got, want)
         return None
 
     # -- structure -------------------------------------------------------
@@ -321,30 +336,27 @@ class Isometry:
     @classmethod
     @lru_cache(maxsize=None)
     def identity(cls, n: int) -> "Isometry":
-        """Cached: isometries are frozen, so one instance serves every caller."""
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n + 1))
-                         for i in range(n + 1)))
+        """Cached, as isometries are frozen; trusted: its rows are unit classes."""
+        return cls._trusted(tuple(unit(n, i).coords for i in range(n + 1)))
 
     @classmethod
     def from_columns(cls, cols: Sequence[Sequence[int]]) -> "Isometry":
-        dim = len(cols)
-        return cls(tuple(tuple(cols[j][i] for j in range(dim)) for i in range(dim)))
+        return cls(tuple(zip(*cols)))
 
     def is_identity(self) -> bool:
-        return all(self.mat[i][j] == (1 if i == j else 0)
-                   for i in range(self.dim) for j in range(self.dim))
+        return self.mat == Isometry.identity(self.n).mat
 
     # -- action ----------------------------------------------------------
 
     def apply_raw(self, vec: Sequence[Rational]) -> tuple:
         if len(vec) != self.dim:
             raise LatticeError("dimension mismatch")
-        return tuple(_norm_rat(sum(row[j] * vec[j] for j in range(self.dim)))
-                     for row in self.mat)
+        return tuple(_norm_rat(sum(map(mul, row, vec))) for row in self.mat)
 
     def apply(self, x: LatticeVector):
+        """Image of x; that of a CohClass is trusted, M being integral."""
         if isinstance(x, CohClass):
-            return CohClass(self.apply_raw(x.coords))
+            return CohClass._trusted(self.apply_raw(x.coords))
         if isinstance(x, SymplecticClass):
             return SymplecticClass.from_raw(self.apply_raw(x.raw()))
         return self.apply_raw(tuple(x))
@@ -355,18 +367,18 @@ class Isometry:
     # -- group operations --------------------------------------------------
 
     def __matmul__(self, other: "Isometry") -> "Isometry":
-        """Composition: (self @ other) acts by self after other."""
-        a, b, dim = self.mat, other.mat, self.dim
-        if other.dim != dim:
+        """Composition: (self @ other) acts by self after other; trusted, as
+        M^T Q M = Q and N^T Q N = Q give (MN)^T Q (MN) = Q."""
+        if other.dim != self.dim:
             raise LatticeError("dimension mismatch")
-        return Isometry(tuple(
-            tuple(sum(a[i][k] * b[k][j] for k in range(dim)) for j in range(dim))
-            for i in range(dim)))
+        cols = tuple(zip(*other.mat))
+        return Isometry._trusted(tuple(
+            tuple([sum(map(mul, row, col)) for col in cols]) for row in self.mat))
 
     def inverse(self) -> "Isometry":
-        # M^T Q M = Q with Q = Q^-1 diagonal gives M^-1 = Q M^T Q.
+        """Trusted: M^T Q M = Q with Q = Q^-1 gives M^-1 = Q M^T Q."""
         q = _gram_diag(self.dim)
-        return Isometry(tuple(
+        return Isometry._trusted(tuple(
             tuple(q[i] * self.mat[j][i] * q[j] for j in range(self.dim))
             for i in range(self.dim)))
 
@@ -393,11 +405,8 @@ def permutation_isometry(n: int, images: dict) -> Isometry:
     perm = {i: images.get(i, i) for i in range(1, n + 1)}
     if sorted(perm.values()) != list(range(1, n + 1)):
         raise LatticeError("not a permutation of 1..N")
-    cols = [[0] * (n + 1) for _ in range(n + 1)]
-    cols[0][0] = 1
-    for i in range(1, n + 1):
-        cols[i][perm[i]] = 1
-    return Isometry.from_columns(cols)
+    return Isometry.from_columns(
+        [unit(n, 0).coords] + [unit(n, perm[i]).coords for i in range(1, n + 1)])
 
 
 # ---------------------------------------------------------------------------

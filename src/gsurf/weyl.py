@@ -20,7 +20,7 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from .errors import InvariantViolation, LatticeError, LimitExceeded
-from .lattice import CohClass, Isometry, canonical_class, pairing
+from .lattice import CohClass, Isometry, canonical_class, pairing, unit
 
 if TYPE_CHECKING:
     import numpy as np
@@ -37,14 +37,8 @@ def root_system_type(n: int) -> str:
 def simple_roots(n: int) -> Tuple[CohClass, ...]:
     """H - E1 - E2 - E3 followed by Ei - E(i+1) for i < N."""
     root_system_type(n)
-    first = [0] * (n + 1)
-    first[0], first[1], first[2], first[3] = 1, -1, -1, -1
-    out = [CohClass(tuple(first))]
-    for i in range(1, n):
-        r = [0] * (n + 1)
-        r[i], r[i + 1] = 1, -1
-        out.append(CohClass(tuple(r)))
-    return tuple(out)
+    first = CohClass((1, -1, -1, -1) + (0,) * (n - 3))
+    return (first,) + tuple(unit(n, i) - unit(n, i + 1) for i in range(1, n))
 
 
 @lru_cache(maxsize=None)
@@ -70,6 +64,8 @@ def reflection(alpha: CohClass) -> Isometry:
 
     Involutive, negates alpha, and fixes every class orthogonal to alpha;
     in particular it fixes K exactly when K.alpha = 0 (true for roots).
+    Trusted once alpha^2 = -2 is checked: the matrix is integral, and
+    (x + (x.a)a).(y + (y.a)a) = x.y + (x.a)(y.a)(2 + a.a) = x.y.
     """
     if alpha.square() != -2:
         raise LatticeError(f"reflection needs alpha^2 = -2, got {alpha.square()}")
@@ -77,7 +73,7 @@ def reflection(alpha: CohClass) -> Isometry:
     # q = diag(1, -1, ..., -1).
     a = alpha.coords
     qa = (a[0],) + tuple(-x for x in a[1:])
-    return Isometry(tuple(
+    return Isometry._trusted(tuple(
         tuple((1 if i == j else 0) + qa[j] * ai for j in range(len(a)))
         for i, ai in enumerate(a)))
 
@@ -117,9 +113,9 @@ class FiniteIsometryGroup:
         return self.elements
 
     def __iter__(self):
-        arr = self.element_array()
-        for row in arr:
-            yield Isometry(tuple(tuple(int(v) for v in r) for r in row))
+        """Trusted: each element is a product of the generating isometries."""
+        for mat in self.element_array():
+            yield Isometry._trusted(tuple(map(tuple, mat.tolist())))
 
     def trace_vector(self) -> np.ndarray:
         """Trace of every element on the full degree-2 lattice."""
@@ -549,11 +545,8 @@ def invariant_lattice(group_or_gens):
     if not gens:
         raise LatticeError("at least one generator required")
     dim = gens[0].dim
-    rows = []
-    for g in gens:
-        for i in range(dim):
-            row = [g.mat[i][j] - (1 if i == j else 0) for j in range(dim)]
-            rows.append(row)
+    rows = [[v - (i == j) for j, v in enumerate(row)]
+            for g in gens for i, row in enumerate(g.mat)]
     kernel = integer_kernel(rows, dim)
     return len(kernel), tuple(CohClass(v) for v in kernel)
 
@@ -649,10 +642,8 @@ def minimality_rank_dichotomy(group_or_gens) -> Dichotomy:
     K.F = -2 are returned as fiber-class candidates (there are at most two).
     """
     gens = _generators_of(group_or_gens)
-    k = canonical_class(gens[0].n)
-    for g in gens:
-        if not g.fixes(k):
-            raise LatticeError("generators must fix the canonical class")
+    if not all(g.fixes(canonical_class(g.n)) for g in gens):
+        raise LatticeError("generators must fix the canonical class")
     rank, basis = invariant_lattice(gens)
     if rank == 1:
         return Dichotomy(RANK1, rank, basis, ())

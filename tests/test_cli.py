@@ -153,6 +153,19 @@ def test_conic_stops_at_the_first_element_moving_f(tmp_path, capsys):
         "error: isometry does not fix the fiber class")
 
 
+def test_conic_checks_the_generators_before_listing_the_group(tmp_path, capsys):
+    # W(E7) has 2,903,040 elements; its first generator already moves F
+    gens = [list(map(list, s.mat)) for s in simple_reflections(7)]
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps(gens))
+    t0 = time.monotonic()
+    code = cli.main(["conic", "--gens", str(path)])
+    assert time.monotonic() - t0 < 2
+    assert code == 1
+    assert capsys.readouterr().err == \
+        "error: isometry does not fix the fiber class\n"
+
+
 def test_conic_g0_contradicting_the_group_exits_1(tmp_path, capsys):
     gens = [list(map(list, g.mat))
             for g in klein_four_group(5, ((2, 3), (4, 5), ()))[1:]]

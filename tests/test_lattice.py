@@ -159,6 +159,13 @@ def test_bool_and_float_still_rejected(normalize, x, name):
         normalize(x)
 
 
+@pytest.mark.parametrize("x, name", [(True, "bool"), (1.0, "float")])
+def test_symplectic_class_rejects_bool_and_float(x, name):
+    with pytest.raises(LatticeError,
+                       match=f"^exact coordinate expected, got {name}$"):
+        SymplecticClass((x, 1, 1))
+
+
 def test_norm_rat_values():
     assert _norm_rat(7) == 7
     assert type(_norm_rat(Fraction(6, 3))) is int

@@ -137,12 +137,9 @@ def _cmd_weyl(args, argv):
         "type": weyl.root_system_type(n),
         "n_roots": len(roots),
     }
-    if args.chain:
-        results["order"] = weyl.group_order_via_chain(weyl.simple_reflections(n))
-        results["method"] = "chain"
-    else:
-        results["order"] = weyl.weyl_group(n, limit=args.limit).order
-        results["method"] = "closure"
+    results["order"] = weyl.weyl_group(
+        n, limit=None if args.chain else args.limit).order
+    results["method"] = "chain" if args.chain else "closure"
     if not args.order_only:
         results["simple_roots"] = _class_list(weyl.simple_roots(n))
         results["roots"] = _class_list(roots)
@@ -298,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--order-only", action="store_true")
     p.add_argument("--chain", action="store_true",
-                   help="order via stabilizer chain (required for N = 8)")
+                   help="order with no --limit (required for N = 8)")
     p.add_argument("--limit", type=int, default=10_000_000)
     p.set_defaults(func=_cmd_weyl)
 

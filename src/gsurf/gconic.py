@@ -256,9 +256,9 @@ def decompose(group, model: ConicBundleModel, g0_order: int = 1) -> GroupDecompo
     is built, so the first element that breaks the bundle ends the run.
     The classification runs on those signed permutations; ``fiber_action``
     is a faithful homomorphism on isometries fixing F and K, so this is
-    exact.  A ``FiniteIsometryGroup`` is closed by construction and is not
-    re-checked; any other collection of isometries is checked for closure
-    in full.
+    exact.  A ``FiniteIsometryGroup`` is closed by construction, since only
+    ``generate_group`` can build one, and is not re-checked; any other
+    collection of isometries is checked for closure in full.
 
     Structures incompatible with the classification of minimal bundles are
     reported as InvariantViolation: they cannot arise from a group action

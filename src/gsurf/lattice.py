@@ -215,10 +215,6 @@ class PicardLattice:
     def basis(self) -> tuple:
         return (self.H(),) + tuple(self.E(i) for i in range(1, self.n_blowups + 1))
 
-    def gram(self) -> tuple:
-        b = self.basis()
-        return tuple(tuple(pairing(x, y) for y in b) for x in b)
-
     def canonical(self) -> CohClass:
         return canonical_class(self.n_blowups)
 

@@ -90,9 +90,12 @@ def criterion_03_weyl_orders(quick: bool = False) -> CriterionResult:
             problems.append(f"root count off at N={n}")
     top = 6 if quick else 7
     for n in range(3, top + 1):
-        order = weyl.weyl_group(n).order
-        if order != EXPECTED_WEYL_ORDERS[n]:
-            problems.append(f"closure order {order} at N={n}")
+        group = weyl.weyl_group(n)
+        if group.order != EXPECTED_WEYL_ORDERS[n]:
+            problems.append(f"closure order {group.order} at N={n}")
+        listed = len(group.element_array())
+        if listed != group.order:
+            problems.append(f"{listed} elements listed at N={n}")
     t_chain = time.monotonic()
     chain_order = weyl.group_order_via_chain(weyl.simple_reflections(8))
     chain_secs = time.monotonic() - t_chain

@@ -3,18 +3,18 @@
 The orthogonal complement of the canonical class K in the degree-2 lattice
 is a root lattice (A2+A1, A4, D5, E6, E7, E8 for N = 3..8); its roots are
 the integer classes with r.r = -2 and K.r = 0.  Finite isometry groups are
-handled with one stabilizer chain on the orbits of the basis classes:
-``generate_group`` multiplies its transversals out into the sorted element
-set, and ``group_order_via_chain`` reads the order alone off it (feasible
-for the largest Weyl group).  numpy is imported inside the functions that
-use it, so the commands that never list a group or build a chain start
-without it.
+handled with one stabilizer chain on the orbits of the basis classes,
+built by ``generate_group``.  The order is read off the chain; the sorted
+element set is multiplied out of its transversals only when asked for, so
+the order alone is feasible for the largest Weyl group.  numpy is imported
+inside the functions that use it, so the commands that never build a chain
+start without it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import isqrt
 from operator import itemgetter
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
@@ -88,29 +88,43 @@ def simple_reflections(n: int) -> Tuple[Isometry, ...]:
 # Element listing from a stabilizer chain
 # ---------------------------------------------------------------------------
 
-@dataclass
 class FiniteIsometryGroup:
-    """A finite group of lattice isometries with its full element set.
+    """A finite group of lattice isometries, held as its stabilizer chain.
 
-    ``elements`` is an (order, dim, dim) integer array in lexicographic
-    row-major order, so reports are reproducible.  Completed groups are
-    immutable in practice and safe to share.
+    Only ``generate_group`` builds one; calling the class raises, and an
+    instance is immutable and safe to share.  ``order`` is the product of
+    the transversal sizes.  The elements are listed on the first
+    ``element_array()`` or iteration and cached: an (order, dim, dim)
+    integer array in lexicographic row-major order, so reports are
+    reproducible.
     """
 
-    generators: tuple
-    dim: int
-    order: int
-    elements: np.ndarray
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a FiniteIsometryGroup is built only by generate_group")
+
+    @classmethod
+    def _sealed(cls, gens: tuple, order: int, listing: tuple):
+        """``listing`` holds the arguments of ``_list_elements``."""
+        group = object.__new__(cls)
+        group.__dict__.update(generators=gens, order=order, _listing=listing)
+        return group
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a FiniteIsometryGroup is immutable")
 
     @property
     def n(self) -> int:
-        return self.dim - 1
+        return self.generators[0].n
 
     def __len__(self) -> int:
         return self.order
 
+    @cached_property
+    def _elements(self) -> np.ndarray:
+        return _list_elements(*self._listing)
+
     def element_array(self) -> np.ndarray:
-        return self.elements
+        return self._elements
 
     def __iter__(self):
         """Trusted: each element is a product of the generating isometries."""
@@ -130,12 +144,13 @@ _RANGE_MESSAGE = "matrix entries exceeded supported range"
 
 
 def generate_group(gens: Sequence[Isometry],
-                   limit: int = 10_000_000) -> FiniteIsometryGroup:
-    """Every element of the group generated by ``gens``, sorted row-major.
+                   limit: Optional[int] = 10_000_000) -> FiniteIsometryGroup:
+    """The group generated by ``gens``, held as its stabilizer chain.
 
-    Raises LimitExceeded when the group has more than ``limit`` elements,
-    before any element is built, and when an element has an entry above
-    32767 in absolute value.
+    Raises LimitExceeded when the group has more than ``limit`` elements
+    (None sets no limit) and when a point has an entry above 32767 in
+    absolute value.  Listing the elements, sorted row-major, raises it
+    when an element's image of H has such an entry.
 
     *Points.*  The group acts on the union of the orbits of E1..EN, with
     the orbit of H added when some generator moves K.  E1..EN and K span
@@ -159,23 +174,10 @@ def generate_group(gens: Sequence[Isometry],
     columns - K)/3, K being fixed.  Each matrix is read once, at the end;
     every point is in range already, so only column 0 is checked.
     """
-    import numpy as np
-    gens = list(gens)
+    gens = tuple(gens)
     chain, pts, k, moves_k = _basis_chain(gens, limit)
-    order = chain.order()
-    dim = pts.shape[1]
-
-    images = _seed_images(chain.transversals, len(pts),
-                          dim if moves_k else dim - 1)
-    elements = _transversal_matrices(images, pts, k, moves_k)
-    del images  # before the sort copies the elements
-    elements = _sort_rows(elements.reshape(order, dim * dim))
-    dup = np.any(np.all(elements[1:] == elements[:-1], axis=1)) \
-        if elements.shape[0] > 1 else False
-    if dup:  # pragma: no cover
-        raise InvariantViolation("closure bookkeeping mismatch")
-    return FiniteIsometryGroup(tuple(gens), dim, order,
-                               elements.reshape(order, dim, dim))
+    return FiniteIsometryGroup._sealed(gens, chain.order(),
+                                       (chain.transversals, pts, k, moves_k))
 
 
 def group_order_via_chain(gens: Sequence[Isometry]) -> int:
@@ -191,7 +193,7 @@ def group_order_via_chain(gens: Sequence[Isometry]) -> int:
         k = canonical_class(gens[0].n)
         if not all(g.fixes(k) for g in gens):
             raise LatticeError("generators must fix the canonical class")
-    return _basis_chain(gens, None)[0].order()
+    return generate_group(gens, None).order
 
 
 def _basis_chain(gens: Sequence[Isometry], limit: Optional[int]):
@@ -276,32 +278,25 @@ def _orbits(mats: np.ndarray, seeds: np.ndarray, limit: Optional[int]):
         [tuple(img) for img in images]
 
 
-def _seed_images(transversals: List[dict], degree: int,
-                 seeds: int) -> np.ndarray:
-    """Points 0..seeds-1 sent through every u1 u2 ... uk, one row each.
+def _list_elements(transversals: List[dict], pts: np.ndarray,
+                   k: np.ndarray, moves_k: bool) -> np.ndarray:
+    """The elements of ``generate_group``'s chain, read as it describes.
 
-    uk acts first, so the levels are applied last to first, each as a
-    small unsigned index array.
+    Each row of ``images`` is the seeds sent through one u1 u2 ... uk; uk
+    acts first, so the levels are applied last to first, each as a small
+    unsigned index array.  The matrices are int8 when every entry fits,
+    else int16, and are sorted row-major.
     """
     import numpy as np
-    index = np.min_scalar_type(degree - 1)
+    dim = pts.shape[1]
+    n = dim - 1
+    seeds = dim if moves_k else n
+    index = np.min_scalar_type(len(pts) - 1)
     images = np.arange(seeds, dtype=index)[None]
     for trans in reversed(transversals):
         level = np.array(list(trans.values()), dtype=index)
         images = level[:, images].reshape(-1, seeds)
-    return images
-
-
-def _transversal_matrices(images: np.ndarray, pts: np.ndarray,
-                          k: np.ndarray, moves_k: bool) -> np.ndarray:
-    """(order, dim, dim) matrices of the elements sending seed s to point
-    ``images[:, s]``, read as ``generate_group`` describes.
-
-    int8 when every entry fits, else int16.
-    """
-    import numpy as np
-    order, dim = images.shape[0], pts.shape[1]
-    n = dim - 1
+    order = images.shape[0]
     # exact: N entries below 2^15 in absolute value sum below 2^31
     pts = pts.astype(np.int32)
     if moves_k:
@@ -316,12 +311,16 @@ def _transversal_matrices(images: np.ndarray, pts: np.ndarray,
     largest = max(-int(col0.min()), int(col0.max()), int(np.abs(pts).max()))
     if largest > _MAX_ENTRY:
         raise LimitExceeded(_RANGE_MESSAGE)
-    out = np.empty((order, dim, dim), np.int8 if largest <= 127 else np.int16)
-    out[:, :, 0] = col0
-    pts = pts.astype(out.dtype)
+    elements = np.empty((order, dim, dim), np.int8 if largest <= 127 else np.int16)
+    elements[:, :, 0] = col0
+    pts = pts.astype(elements.dtype)
     for j in range(1, dim):
-        out[:, :, j] = np.take(pts, images[:, j - 1], axis=0)
-    return out
+        elements[:, :, j] = np.take(pts, images[:, j - 1], axis=0)
+    del images, col0  # before the sort copies the elements
+    elements = _sort_rows(elements.reshape(order, dim * dim))
+    if np.all(elements[1:] == elements[:-1], axis=1).any():  # pragma: no cover
+        raise InvariantViolation("closure bookkeeping mismatch")
+    return elements.reshape(order, dim, dim)
 
 
 def _sort_rows(arr: np.ndarray) -> np.ndarray:
@@ -351,11 +350,7 @@ def _sort_rows(arr: np.ndarray) -> np.ndarray:
     return arr[np.lexsort(keys)]
 
 
-def trivial_group(n: int) -> FiniteIsometryGroup:
-    return generate_group([Isometry.identity(n)])
-
-
-def weyl_group(n: int, limit: int = 10_000_000) -> FiniteIsometryGroup:
+def weyl_group(n: int, limit: Optional[int] = 10_000_000) -> FiniteIsometryGroup:
     return generate_group(simple_reflections(n), limit=limit)
 
 

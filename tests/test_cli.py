@@ -265,6 +265,15 @@ def test_limit_flags_stay_out_of_inputs(capsys):
     assert cli.main(argv + ["--limit", "299"]) == 1
 
 
+def _child_stdout(script):
+    """Stdout of ``script`` run in a fresh interpreter on this gsurf."""
+    src = os.path.dirname(os.path.dirname(gsurf.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", script], check=True,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}).stdout
+
+
 @pytest.mark.parametrize("argv, loads_numpy", [
     (["exc", "--n", "6"], False),
     (["reduce", "--class", "[6,-3,-2,-2,-2,-2,-2,-2,-2]"], False),
@@ -282,12 +291,25 @@ def test_cold_start_imports_numpy_only_for_groups(argv, loads_numpy):
               "with contextlib.redirect_stdout(io.StringIO()):\n"
               f"    code = cli.main({argv!r})\n"
               "print(code, 'numpy' in sys.modules)\n")
-    src = os.path.dirname(os.path.dirname(gsurf.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", script], check=True,
-                         capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": path}).stdout
-    assert out.split() == ["0", str(loads_numpy)]
+    assert _child_stdout(script).split() == ["0", str(loads_numpy)]
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the peak RSS from /proc")
+def test_weyl_order_only_lists_no_element():
+    # Listing W(E7) peaks near 600 MB; its chain needs a few tens of MB.
+    # The child reads VmHWM, not ru_maxrss: Linux keeps the peak of the
+    # process image an exec replaces, here the whole test session's.
+    script = ("import contextlib, io\n"
+              "from gsurf import cli\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    code = cli.main(['weyl', '--n', '7', '--order-only'])\n"
+              "with open('/proc/self/status') as fh:\n"
+              "    peak = next(l for l in fh if l.startswith('VmHWM:'))\n"
+              "print(code, peak.split()[1])\n")
+    code, peak_kb = map(int, _child_stdout(script).split())
+    assert code == 0
+    assert peak_kb < 150 * 1024
 
 
 def test_weyl_n8_needs_chain(capsys):

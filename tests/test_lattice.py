@@ -38,11 +38,11 @@ def test_pairing_basis_values():
 
 def test_gram_matrix_is_standard():
     for n in (1, 2, 5, 9):
-        gram = PicardLattice(n).gram()
-        for i, row in enumerate(gram):
-            for j, v in enumerate(row):
+        basis = PicardLattice(n).basis()
+        for i, x in enumerate(basis):
+            for j, y in enumerate(basis):
                 want = 0 if i != j else (1 if i == 0 else -1)
-                assert v == want
+                assert pairing(x, y) == want
 
 
 def test_unit_is_the_basis():

@@ -8,6 +8,7 @@ and count the pairing checks that the boundary still makes.
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +25,7 @@ from gsurf.gconic import (
 )
 from gsurf.lattice import CohClass, Isometry, permutation_isometry, unit
 from gsurf.selftest import klein_four_group
-from gsurf.weyl import generate_group, reflection, weyl_group
+from gsurf.weyl import FiniteIsometryGroup, generate_group, reflection, weyl_group
 
 
 def assert_valid_isometry(g):
@@ -112,6 +113,15 @@ class TestTrustedAgreesWithValidated:
     def test_generated_elements(self):
         for g in weyl_group(4):
             assert_valid_isometry(g)
+
+    def test_groups_are_built_only_by_generation(self):
+        # a hand-built group would iterate to a trusted non-isometry
+        with pytest.raises(TypeError, match="built only by generate_group"):
+            FiniteIsometryGroup((), 3, 1, np.array([[[2, 0, 0], [0, 1, 0],
+                                                     [0, 0, 1]]]))
+        group = weyl_group(3)
+        with pytest.raises(AttributeError, match="is immutable"):
+            group.order = 1
 
     def test_unit_and_identity_still_reject_empty_lattices(self):
         with pytest.raises(LatticeError, match="at least the H and one E"):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gsurf.weyl
 from gsurf.errors import LatticeError, LimitExceeded
 from gsurf.exceptional import cremona_reflect, h_ijk
 from gsurf.gconic import fiber_class, full_swap, matrix_from_fiber_action
@@ -33,7 +34,6 @@ from gsurf.weyl import (
     simple_reflections,
     simple_roots,
     trace_sum_condition,
-    trivial_group,
     weyl_group,
 )
 
@@ -143,7 +143,7 @@ class TestClosure:
         assert all(g.fixes(k) for g in elems)
 
     def test_trivial_group(self):
-        assert trivial_group(4).order == 1
+        assert generate_group([Isometry.identity(4)]).order == 1
 
     def test_limit(self):
         with pytest.raises(LimitExceeded):
@@ -312,6 +312,17 @@ class TestListing:
         assert hashlib.sha256(elements.tobytes()).hexdigest() == \
             "91e31f0cc8bafe952824263d5157b2955f653a7feec9c6bd8405894bff714df8"
 
+    def test_order_without_listing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("listed the elements")
+        monkeypatch.setattr(gsurf.weyl, "_list_elements", refuse)
+        group = weyl_group(7)
+        assert group.order == len(group) == 2903040
+        assert invariant_lattice(group)[0] == 1
+        assert minimality_rank_dichotomy(group).kind == RANK1
+        with pytest.raises(AssertionError, match="listed the elements"):
+            group.element_array()
+
     def test_eight_blowups_refused_before_listing(self):
         with pytest.raises(LimitExceeded,
                            match="^group closure exceeded limit 10000000$"):
@@ -450,7 +461,7 @@ def test_integer_kernel_primitive():
 
 class TestInvariantLattice:
     def test_trivial_group_full_rank(self):
-        rank, basis = invariant_lattice(trivial_group(4))
+        rank, basis = invariant_lattice(generate_group([Isometry.identity(4)]))
         assert rank == 5 and len(basis) == 5
 
     def test_weyl_group_rank_one(self):
@@ -503,7 +514,7 @@ class TestTraceCondition:
         assert (s, holds) == (0, True)
 
     def test_trivial_group(self):
-        s, holds = trace_sum_condition(trivial_group(4))
+        s, holds = trace_sum_condition(generate_group([Isometry.identity(4)]))
         assert (s, holds) == (4, False)
 
     def test_two_element_group(self):

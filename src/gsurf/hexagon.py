@@ -14,14 +14,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from typing import Optional, Tuple
 
 from .errors import InvariantViolation, LatticeError, LimitExceeded
 from .lattice import CohClass, pairing
-
-ORIENTATION_CCW = "counter-clockwise"
 
 
 def _coh(*coords) -> CohClass:
@@ -47,7 +44,6 @@ class HexagonModel:
     """
 
     edges: tuple = HEX_EDGES
-    orientation: str = ORIENTATION_CCW
 
     def __post_init__(self):
         edges = tuple(self.edges)
@@ -95,64 +91,58 @@ def reduce_pair(pair, n: int) -> tuple:
 # Torus elements: the subgroup acting trivially on the lattice
 # ---------------------------------------------------------------------------
 
-def _angle(x) -> Fraction:
-    f = Fraction(x)
-    return f - (f.numerator // f.denominator)
-
-
 @dataclass(frozen=True)
 class TorusElement:
-    """Element of the two-torus, recorded by its first-vertex angles.
+    """Element of the two-torus of order dividing ``modulus`` = n.
 
-    Angles live in Q/Z as Fractions in [0, 1); composition adds them.  For
-    an element of order n the rotation numbers (a, b) are the angles times
-    n, reduced mod n.
+    Recorded by its rotation numbers (a, b) at the first vertex, residues
+    mod n: the angles (a/n, b/n) in Q/Z, so composition adds residues.
     """
 
-    angles: tuple
+    a: int
+    b: int
+    modulus: int
 
     def __post_init__(self):
-        t, u = self.angles
-        object.__setattr__(self, "angles", (_angle(t), _angle(u)))
-
-    @classmethod
-    def from_rotation(cls, a: int, b: int, n: int) -> "TorusElement":
-        if n < 1:
+        if self.modulus < 1:
             raise LatticeError("order must be positive")
-        return cls((Fraction(a, n), Fraction(b, n)))
+        object.__setattr__(self, "a", self.a % self.modulus)
+        object.__setattr__(self, "b", self.b % self.modulus)
 
     @classmethod
-    def identity(cls) -> "TorusElement":
-        return cls((Fraction(0), Fraction(0)))
+    def identity(cls, n: int) -> "TorusElement":
+        return cls(0, 0, n)
 
     @property
     def order(self) -> int:
-        t, u = self.angles
-        return t.denominator * u.denominator // gcd(t.denominator, u.denominator)
+        return self.modulus // gcd(self.a, self.b, self.modulus)
 
     def rotation_numbers(self, n: Optional[int] = None) -> tuple:
+        """The rotation numbers mod n, of an element whose order divides n
+        (by default its order)."""
         n = self.order if n is None else n
-        t, u = self.angles
-        a, b = t * n, u * n
-        if a.denominator != 1 or b.denominator != 1:
+        m = self.modulus
+        if (self.a * n) % m or (self.b * n) % m:
             raise LatticeError(f"element order does not divide {n}")
-        return (int(a) % n, int(b) % n)
+        return (self.a * n // m % n, self.b * n // m % n)
 
     def __mul__(self, other: "TorusElement") -> "TorusElement":
-        return TorusElement((self.angles[0] + other.angles[0],
-                             self.angles[1] + other.angles[1]))
+        if self.modulus != other.modulus:
+            raise LatticeError("modulus mismatch")
+        return TorusElement(self.a + other.a, self.b + other.b, self.modulus)
 
     def inverse(self) -> "TorusElement":
-        return TorusElement((-self.angles[0], -self.angles[1]))
+        return TorusElement(-self.a, -self.b, self.modulus)
 
     def __pow__(self, k: int) -> "TorusElement":
-        return TorusElement((k * self.angles[0], k * self.angles[1]))
+        return TorusElement(k * self.a, k * self.b, self.modulus)
 
     def is_identity(self) -> bool:
-        return self.angles == (0, 0)
+        return self.a == 0 and self.b == 0
 
-    def vertex_angles(self) -> list:
-        return [(_angle(x), _angle(y)) for x, y in propagate_rotation(self.angles)]
+    def vertex_weights(self) -> list:
+        return [reduce_pair(p, self.modulus)
+                for p in propagate_rotation((self.a, self.b))]
 
     def conjugate_by_rotation(self, steps: int = 1) -> "TorusElement":
         """Conjugation by the 60-degree hexagon rotation, ``steps`` times.
@@ -160,10 +150,10 @@ class TorusElement:
         Rotating the hexagon shifts the vertex weight list; the conjugate
         is anchored at whatever weights land on the first vertex.
         """
-        return TorusElement(self.vertex_angles()[(-steps) % 6])
+        return TorusElement(*self.vertex_weights()[(-steps) % 6], self.modulus)
 
     def sort_key(self):
-        return self.angles
+        return (self.a, self.b)
 
 
 def g3_conjugation_check(h: TorusElement) -> bool:
@@ -172,9 +162,9 @@ def g3_conjugation_check(h: TorusElement) -> bool:
     Verified as stated: the vertex weight list rotated by three positions
     equals the vertex weight list of the inverse.
     """
-    rotated = h.vertex_angles()
+    rotated = h.vertex_weights()
     rotated = rotated[3:] + rotated[:3]
-    return rotated == h.inverse().vertex_angles()
+    return rotated == h.inverse().vertex_weights()
 
 
 def _solve_congruence(k: int, c: int, n: int) -> Optional[int]:
@@ -190,27 +180,26 @@ def build_gamma(n: int, k: int, b: int) -> tuple:
     """The torus kernel generated by weights (0, 1) of order n/k and (1, b).
 
     Requires k | n and b^2 + b + 1 = 0 (mod k).  The generator ht1 = (1, b)
-    has order n and first angle 1/n, while h1 = (0, k) has order n/k and
-    first angle 0, so the two cyclic groups meet only in the identity and
-    the kernel is their direct sum, of order n^2/k:
+    has order n and first residue 1, while h1 = (0, k) has order n/k and
+    first residue 0, so the two cyclic groups meet only in the identity and
+    the kernel is their direct sum, of order n^2/k, with residues mod n
 
-        {(i/n, (i*b + j*k mod n)/n) : 0 <= i < n, 0 <= j < n/k}.
+        {(i, i*b + j*k mod n) : 0 <= i < n, 0 <= j < n/k}.
 
-    For fixed i the second numerators are r + j*k with r = i*b mod k, so
+    For fixed i the second residues are r + j*k with r = i*b mod k, so
     listing i and then j ascending is already the sorted order.
     """
     if n < 1 or k < 1 or n % k:
         raise LatticeError(f"k = {k} must divide n = {n}")
     if (b * b + b + 1) % k:
         raise LatticeError(f"b^2 + b + 1 = {b*b+b+1} is not 0 mod k = {k}")
-    return tuple(TorusElement((Fraction(i, n), Fraction(i * b % k + j * k, n)))
+    return tuple(TorusElement(i, i * b % k + j * k, n)
                  for i in range(n) for j in range(n // k))
 
 
 def gamma_generators(n: int, k: int, b: int) -> tuple:
-    h1 = TorusElement((Fraction(0), Fraction(k, n)))
-    ht1 = TorusElement((Fraction(1, n), Fraction(b % n, n)))
-    return h1, ht1
+    """The kernel generators h1 = (0, k) and ht1 = (1, b), mod n."""
+    return TorusElement(0, k, n), TorusElement(1, b, n)
 
 
 def g2_action_check(n: int, k: int, b: int) -> bool:
@@ -472,18 +461,6 @@ def _edge_perm(vp: tuple) -> tuple:
     return tuple(out)
 
 
-def _orbit(perms, start) -> set:
-    orb = {start}
-    frontier = [start]
-    while frontier:
-        x = frontier.pop()
-        for p in perms:
-            if p[x] not in orb:
-                orb.add(p[x])
-                frontier.append(p[x])
-    return orb
-
-
 def _compose(p: tuple, q: tuple) -> tuple:
     """The permutation p after q."""
     return tuple(p[i] for i in q)
@@ -508,7 +485,9 @@ def transitive_hexagon_subgroups() -> tuple:
     six vertices: the configuration consists of the spheres and their
     intersection points, and a symmetry permutes both.  Exactly two
     subgroups qualify: the rotation subgroup of order 6 and the full
-    group of order 12.
+    group of order 12.  Each subgroup is held as its full element set, so
+    the orbit of vertex 0 is the set of its images, and the orbit of edge
+    0 likewise under the edge action, a homomorphism.
     """
     elems = _hexagon_symmetries()
     pool = [()] + [(g,) for g in elems] + list(itertools.combinations(elems, 2))
@@ -517,12 +496,10 @@ def transitive_hexagon_subgroups() -> tuple:
     out = []
     for sg in subgroups:
         perms = sorted(sg)
-        if len(_orbit(perms, 0)) != 6:
-            continue
-        eperms = [_edge_perm(p) for p in perms]
-        if len(_orbit(eperms, 0)) != 6:
-            continue
-        out.append(HexagonSubgroup(len(perms), _is_cyclic(perms), tuple(perms)))
+        vertex_orbit = {p[0] for p in perms}
+        edge_orbit = {_edge_perm(p)[0] for p in perms}
+        if len(vertex_orbit) == len(edge_orbit) == 6:
+            out.append(HexagonSubgroup(len(perms), _is_cyclic(perms), tuple(perms)))
     out.sort(key=lambda s: (s.order, s.vertex_perms))
     return tuple(out)
 

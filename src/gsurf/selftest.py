@@ -286,7 +286,7 @@ def criterion_11_hexagon(quick: bool = False) -> CriterionResult:
         for a in range(n):
             for b in range(n):
                 if not hexagon.g3_conjugation_check(
-                        hexagon.TorusElement.from_rotation(a, b, n)):
+                        hexagon.TorusElement(a, b, n)):
                     problems.append(f"half-turn conjugation failed at {(a, b, n)}")
     if not hexagon.involution_nontrivial_conjugation():
         problems.append("involution conjugation check failed")

@@ -7,14 +7,17 @@ closure versus the vectorized one, and the scans that the package's closed
 forms replaced (the a-scan blowdown obstruction, the expansion of each
 multiset through all of its n! orderings, cone membership by exact
 ``Fraction`` areas, the breadth-first closures of the monomial groups and
-torus kernels, the bundle isometries pushed through ``CohClass``
+torus kernels, torus elements as ``Fraction`` angles in Q/Z beside the
+package's integer residues, the bundle isometries pushed through ``CohClass``
 arithmetic, and a stabilizer chain on the roots beside the library's chain
 on the orbits of the basis classes).
 """
 
 import itertools
 from collections import Counter
-from math import factorial, isqrt
+from dataclasses import dataclass
+from fractions import Fraction
+from math import factorial, floor, gcd, isqrt
 
 from gsurf.cone import FULL, OUTSIDE, PARTIAL_POSITIVE
 from gsurf.errors import LatticeError, LimitExceeded
@@ -29,6 +32,7 @@ from gsurf.hexagon import (
     TorusElement,
     _imprimitive_generators,
     gamma_generators,
+    propagate_rotation,
 )
 from gsurf.lattice import CohClass, canonical_class, unit
 from gsurf.weyl import StabilizerChain, all_roots
@@ -253,8 +257,52 @@ def monomial_group_by_closure(kind, n, k=None, s=None):
 
 def torus_kernel_by_closure(n, k, b):
     """Sorted elements of the torus kernel, closed breadth-first."""
-    seen = _bfs(TorusElement.identity(), gamma_generators(n, k, b))
+    seen = _bfs(TorusElement.identity(n), gamma_generators(n, k, b))
     return tuple(sorted(seen, key=TorusElement.sort_key))
+
+
+@dataclass(frozen=True)
+class AngleTorus:
+    """A torus element as its first-vertex angles in Q/Z.
+
+    The angles are ``Fraction``s reduced to [0, 1) and composition adds
+    them; ``TorusElement(a, b, n)`` is the angle pair (a/n, b/n).
+    """
+
+    angles: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "angles",
+                           tuple(x - floor(x) for x in map(Fraction, self.angles)))
+
+    @classmethod
+    def of(cls, h):
+        """The angles of a ``TorusElement``."""
+        return cls((Fraction(h.a, h.modulus), Fraction(h.b, h.modulus)))
+
+    @property
+    def order(self):
+        t, u = self.angles
+        return t.denominator * u.denominator // gcd(t.denominator, u.denominator)
+
+    def rotation_numbers(self, n=None):
+        n = self.order if n is None else n
+        a, b = (x * n for x in self.angles)
+        if a.denominator != 1 or b.denominator != 1:
+            raise LatticeError(f"element order does not divide {n}")
+        return (int(a) % n, int(b) % n)
+
+    def __mul__(self, other):
+        return AngleTorus(tuple(x + y for x, y in zip(self.angles, other.angles)))
+
+    def inverse(self):
+        return AngleTorus(tuple(-x for x in self.angles))
+
+    def __pow__(self, k):
+        return AngleTorus(tuple(k * x for x in self.angles))
+
+    def conjugate_by_rotation(self, steps=1):
+        return AngleTorus(propagate_rotation(self.angles)[(-steps) % 6])
 
 
 def fiber_action_by_classes(g, model):

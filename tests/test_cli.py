@@ -1,9 +1,12 @@
 import argparse
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +29,28 @@ def run(capsys, *args):
 def run_json(capsys, *args):
     code, out = run(capsys, *args)
     return code, json.loads(out)
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_cli_examples():
+    """argv of each ``gsurf`` line in README's CLI block that needs no
+    ``gens.json``."""
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"^## CLI\n.*?^```sh\n(.*?)^```", text,
+                      re.MULTILINE | re.DOTALL).group(1)
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    return [argv[1:] for argv in lines
+            if argv and argv[0] == "gsurf" and "gens.json" not in argv]
+
+
+def test_readme_cli_examples_exit_0(capsys):
+    examples = readme_cli_examples()
+    assert len(examples) >= 7
+    for argv in examples:
+        assert cli.main(argv) == 0, argv
+        capsys.readouterr()
 
 
 def test_exc_plain(capsys):

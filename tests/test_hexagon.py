@@ -100,25 +100,79 @@ class TestOtherFixedPoint:
 
 class TestTorusElement:
     def test_orders(self):
-        assert TorusElement.from_rotation(1, 0, 4).order == 4
-        assert TorusElement.from_rotation(2, 0, 4).order == 2
-        assert TorusElement.identity().order == 1
+        assert TorusElement(1, 0, 4).order == 4
+        assert TorusElement(2, 0, 4).order == 2
+        assert TorusElement.identity(1).order == 1
 
     def test_composition_adds(self):
-        x = TorusElement.from_rotation(1, 2, 5)
-        y = TorusElement.from_rotation(3, 4, 5)
+        x = TorusElement(1, 2, 5)
+        y = TorusElement(3, 4, 5)
         assert (x * y).rotation_numbers(5) == (4, 1)
         assert (x * x.inverse()).is_identity()
 
     def test_g3_examples(self):
-        assert g3_conjugation_check(TorusElement.from_rotation(1, 0, 4))
-        assert g3_conjugation_check(TorusElement.from_rotation(2, 3, 7))
-        assert g3_conjugation_check(TorusElement.identity())
+        assert g3_conjugation_check(TorusElement(1, 0, 4))
+        assert g3_conjugation_check(TorusElement(2, 3, 7))
+        assert g3_conjugation_check(TorusElement.identity(1))
 
     def test_conjugation_shift(self):
-        h = TorusElement.from_rotation(1, 0, 2)
+        h = TorusElement(1, 0, 2)
         conj = h.conjugate_by_rotation(1)
         assert conj.rotation_numbers(2) == (0, 1)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_nonpositive_order_rejected(self, n):
+        with pytest.raises(LatticeError, match="order must be positive"):
+            TorusElement(1, 0, n)
+
+    def test_rotation_numbers_need_a_multiple_of_the_order(self):
+        h = TorusElement(1, 0, 4)
+        assert h.rotation_numbers(8) == (2, 0)
+        with pytest.raises(LatticeError, match="element order does not divide 2"):
+            h.rotation_numbers(2)
+
+    def test_cross_modulus_product_rejected(self):
+        with pytest.raises(LatticeError, match="modulus mismatch"):
+            TorusElement(1, 0, 2) * TorusElement(1, 0, 4)
+
+
+def _small_torus_elements():
+    return [TorusElement(a, b, n) for n in range(1, 13)
+            for a in range(n) for b in range(n)]
+
+
+class TestTorusAgainstAngles:
+    """Integer residues agree with the Fraction angles in Q/Z they replaced."""
+
+    def test_every_small_element(self):
+        for h in _small_torus_elements():
+            q = oracles.AngleTorus.of(h)
+            assert h.order == q.order, h
+            assert h.rotation_numbers() == q.rotation_numbers(), h
+            for m in range(1, 2 * h.modulus + 1):
+                try:
+                    want = q.rotation_numbers(m)
+                except LatticeError:
+                    with pytest.raises(LatticeError):
+                        h.rotation_numbers(m)
+                else:
+                    assert h.rotation_numbers(m) == want, (h, m)
+            assert oracles.AngleTorus.of(h.inverse()) == q.inverse(), h
+            for k in (-7, -2, -1, 0, 1, 3, 13):
+                assert oracles.AngleTorus.of(h ** k) == q ** k, (h, k)
+            for steps in range(6):
+                assert oracles.AngleTorus.of(h.conjugate_by_rotation(steps)) == \
+                    q.conjugate_by_rotation(steps), (h, steps)
+
+    def test_seeded_products(self):
+        rng = random.Random(12)
+        for n in range(1, 13):
+            for _ in range(50):
+                x, y = (TorusElement(rng.randint(-3 * n, 3 * n),
+                                     rng.randint(-3 * n, 3 * n), n)
+                        for _ in range(2))
+                assert oracles.AngleTorus.of(x * y) == \
+                    oracles.AngleTorus.of(x) * oracles.AngleTorus.of(y), (x, y)
 
 
 class TestGamma:
@@ -200,6 +254,10 @@ class TestMonomial:
                                      tuple(rng.randrange(7) for _ in range(3)), 7)
             assert (x * x.inverse()).is_identity()
             assert (x.inverse() * x).is_identity()
+
+    def test_cross_modulus_product_rejected(self):
+        with pytest.raises(LatticeError, match="modulus mismatch"):
+            MonomialGroupElement.identity(2) * MonomialGroupElement.identity(3)
 
 
 class TestImprimitive:

@@ -208,7 +208,7 @@ def _basis_chain(gens: Sequence[Isometry], limit: Optional[int]):
     if any(g.dim != dim for g in gens):
         raise LatticeError("generators act on different lattices")
     n = dim - 1
-    if max(abs(v) for g in gens for row in g.mat for v in row) > _MAX_ENTRY:
+    if max(max(map(abs, row)) for g in gens for row in g.mat) > _MAX_ENTRY:
         raise LimitExceeded(_RANGE_MESSAGE)
     mats = np.array([g.mat for g in gens], dtype=np.int64)
     k = np.array((-3,) + (1,) * n, dtype=np.int64)
@@ -216,7 +216,7 @@ def _basis_chain(gens: Sequence[Isometry], limit: Optional[int]):
     # E1..EN, then H if K moves
     seeds = np.roll(np.eye(dim, dtype=np.int64), -1, axis=0)[:dim if moves_k else n]
     pts, perms = _orbits(mats, seeds, limit)
-    chain = StabilizerChain(len(pts), limit)
+    chain = StabilizerChain(len(pts), limit, seeds=len(seeds))
     for p in perms:
         chain.add(p)
     return chain, pts, k, moves_k
@@ -359,10 +359,11 @@ def weyl_group(n: int, limit: Optional[int] = 10_000_000) -> FiniteIsometryGroup
 # ---------------------------------------------------------------------------
 
 def _pcompose(p: tuple, q: tuple) -> tuple:
-    """Product acting as q first, then p; q must have degree >= 2.
+    """Product acting as q first, then p; q must have length >= 2.
 
-    Every product in the chain has that degree, since a non-identity
-    permutation moves at least two points.
+    q is a permutation or its images of the seeds.  Every permutation the
+    chain composes has degree >= 2, since a non-identity permutation
+    moves at least two points, and the chain sifts at least two images.
     """
     return itemgetter(*q)(p)
 
@@ -380,7 +381,20 @@ class StabilizerChain:
     Level i stores the strong generators whose first moved base point is
     base[i]; the generating set effective at level i is the union over all
     levels >= i, since deeper generators also stabilize the prefix.  Each
-    transversal element is stored with its inverse, which sifting needs.
+    transversal element and each strong generator is stored with its
+    inverse, so sifting never inverts a permutation.
+
+    *Seeds.*  The action must be faithful on the points ``0..seeds-1``
+    (all points by default).  Two facts follow, and the Schreier
+    generators are sifted on their images of the seeds alone:
+
+    - an element that fixes every seed is the identity;
+    - the first point a non-identity element moves is a seed, so every
+      base point is a seed and the sift reads only seed images.
+
+    Only a Schreier generator with a nontrivial residue is formed as a
+    full permutation, and sifted again, before it becomes a strong
+    generator; the chain is the one full sifting builds.
 
     With a ``limit``, LimitExceeded is raised once the order is known to
     exceed it.  The product of the transversal sizes is a lower bound
@@ -388,15 +402,20 @@ class StabilizerChain:
     final level's stabilizer, so it only grows, and levels only get added.
     """
 
-    def __init__(self, degree: int, limit: Optional[int] = None):
+    def __init__(self, degree: int, limit: Optional[int] = None,
+                 seeds: Optional[int] = None):
         self.degree = degree
         self.limit = limit
         self.base: List[int] = []
         self.assigned: List[List[tuple]] = []
         self.transversals: List[dict] = []
+        self._assigned_inv: List[List[tuple]] = []
         self._inverses: List[dict] = []
         self._done: List[set] = []
         self._id = tuple(range(degree))
+        # an element fixing the seeds fixes every point; sifting at least
+        # two keeps each itemgetter result a tuple (see _pcompose)
+        self._sifted = min(max(degree if seeds is None else seeds, 2), degree)
 
     def order(self) -> int:
         o = 1
@@ -419,6 +438,7 @@ class StabilizerChain:
         return residue == self._id
 
     def _strip(self, start: int, p: tuple):
+        """Sift ``p``, a full permutation or its images of the seeds."""
         for i in range(start, len(self.base)):
             uinv = self._inverses[i].get(p[self.base[i]])
             if uinv is None:
@@ -431,11 +451,13 @@ class StabilizerChain:
             beta = next(i for i, v in enumerate(gen) if v != i)
             self.base.append(beta)
             self.assigned.append([])
+            self._assigned_inv.append([])
             self.transversals.append({beta: self._id})
             self._inverses.append({beta: self._id})
             self._done.append(set())
         if gen not in self.assigned[at]:
             self.assigned[at].append(gen)
+            self._assigned_inv[at].append(_pinv(gen))
 
     def _effective(self, i: int):
         for j in range(i, len(self.base)):
@@ -444,7 +466,8 @@ class StabilizerChain:
 
     def _extend_orbit(self, i: int) -> None:
         trans, inverses = self.transversals[i], self._inverses[i]
-        gens = [(g, _pinv(g)) for _, _, g in self._effective(i)]
+        gens = [pair for j in range(i, len(self.base))
+                for pair in zip(self.assigned[j], self._assigned_inv[j])]
         queue = list(trans)
         for pt in queue:
             upt, uinv = trans[pt], inverses[pt]
@@ -463,7 +486,8 @@ class StabilizerChain:
         Assumes deeper levels are complete on entry and re-completes any
         level it adds generators to, so the invariant holds on exit.
         """
-        ident = self._id
+        sifted = self._sifted
+        ident = self._id[:sifted]
         while True:
             self._extend_orbit(i)
             trans, inverses = self.transversals[i], self._inverses[i]
@@ -475,12 +499,13 @@ class StabilizerChain:
                     if mark in done:
                         continue
                     done.add(mark)
-                    s = _pcompose(inverses[g[pt]], _pcompose(g, trans[pt]))
-                    if s == ident:
+                    # u_{g(pt)}^-1 g u_pt on the seeds
+                    back = inverses[g[pt]]
+                    s = _pcompose(back, _pcompose(g, trans[pt][:sifted]))
+                    if s == ident or self._strip(i + 1, s)[0] == ident:
                         continue
-                    residue, at = self._strip(i + 1, s)
-                    if residue == ident:
-                        continue
+                    residue, at = self._strip(
+                        i + 1, _pcompose(back, _pcompose(g, trans[pt])))
                     self._assign(at, residue)
                     for jj in range(at, i, -1):
                         self._complete(jj)

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -296,6 +297,17 @@ class TestListing:
         _assert_matches_bfs(gens)
         assert generate_group(gens).element_array().dtype == np.int16
 
+    @pytest.mark.parametrize("power", (35, 150))
+    def test_generator_range_message(self, power):
+        # entries past int16, and at power 150 past int64, are refused
+        # before any array is made
+        gens = _conjugated(10, _transpositions(10, 3), power)
+        largest = max(abs(v) for g in gens for row in g.mat for v in row)
+        assert largest > 32767 and (power < 150 or largest >= 2 ** 63)
+        with pytest.raises(LimitExceeded,
+                           match="^matrix entries exceeded supported range$"):
+            generate_group(gens)
+
     def test_column_zero_range_message(self):
         # every generator entry and every orbit point is in 16-bit range;
         # only some element's image of H is not
@@ -408,6 +420,7 @@ class TestChain:
         assert group_order_via_chain(gens) == order
         if order <= 5000:
             assert generate_group(gens).order == order
+        _assert_seeded_chain_is_full_chain(gens)
 
     def test_limit_stops_the_chain(self):
         perms = oracles.apply_route(simple_reflections(6), all_roots(6))
@@ -422,6 +435,26 @@ class TestChain:
                 chain.add(p)
         assert chain.order() <= 51840
 
+    def test_limit_stops_the_seeded_chain(self):
+        # the same raise point as full sifting, with H a seed when K moves
+        for gens, order in ((simple_reflections(6), 51840),
+                            ([_minus(6)] + list(simple_reflections(6)), 103680)):
+            _, seeds, pts, perms = _orbit_perms(gens)
+            states = []
+            for s in (seeds, None):
+                chain = StabilizerChain(len(pts), 1000, seeds=s)
+                with pytest.raises(LimitExceeded,
+                                   match="^group closure exceeded limit 1000$"):
+                    for p in perms:
+                        chain.add(p)
+                assert 1000 < chain.order() <= order
+                states.append(_chain_bytes(chain))
+            assert states[0] == states[1]
+            chain = StabilizerChain(len(pts), order, seeds=seeds)
+            for p in perms:
+                chain.add(p)
+            assert chain.order() == order
+
     def test_e8_chain_shape(self):
         sizes = [240, 56, 27, 16, 10, 6, 2]
         chain = oracles.root_chain(simple_reflections(8))
@@ -429,6 +462,85 @@ class TestChain:
         assert [len(t) for t in chain.transversals] == sizes
         chain = _basis_chain(simple_reflections(8), None)[0]
         assert [len(t) for t in chain.transversals] == sizes
+
+
+def _orbit_perms(gens):
+    """``_basis_chain``'s chain, seed count, points and permutations."""
+    chain, pts, _, moves_k = _basis_chain(gens, None)
+    seeds = gens[0].n + moves_k
+    mats = np.array([g.mat for g in gens], dtype=np.int64)
+    again, perms = _orbits(mats, pts[:seeds], None)
+    assert (again == pts).all()
+    return chain, seeds, pts, perms
+
+
+def _minus(n):
+    return Isometry(tuple(tuple(-1 if i == j else 0 for j in range(n + 1))
+                          for i in range(n + 1)))
+
+
+def _chain_bytes(chain):
+    return pickle.dumps((chain.base, chain.assigned, chain.transversals))
+
+
+def _assert_seeded_chain_is_full_chain(gens):
+    chain, seeds, pts, perms = _orbit_perms(gens)
+    full = StabilizerChain(len(pts))
+    seeded = StabilizerChain(len(pts), seeds=seeds)
+    for p in perms:
+        full.add(p)
+        seeded.add(p)
+    assert _chain_bytes(seeded) == _chain_bytes(full)
+    assert _chain_bytes(chain) == _chain_bytes(full)
+    assert set(full.base) <= set(range(seeds))
+
+
+class TestSeededChain:
+    """Sifting on the seed images against sifting full permutations."""
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_weyl_groups(self, n):
+        _assert_seeded_chain_is_full_chain(simple_reflections(n))
+
+    def test_e7_rank4_parabolics(self):
+        refl = simple_reflections(7)
+        subsets = list(itertools.combinations(refl, 4))
+        assert len(subsets) == 35
+        for gens in subsets:
+            _assert_seeded_chain_is_full_chain(list(gens))
+
+    @pytest.mark.parametrize("n", range(4, 10))
+    def test_klein_groups(self, n):
+        for sets in list(parity_consistent_partitions(n))[:4]:
+            _assert_seeded_chain_is_full_chain(klein_four_group(n, sets)[1:])
+
+    def test_k_moving_groups(self):
+        moved = reflection(CohClass((0, -1, -1, 0, 0, 0)))
+        for gens in ([_minus(5)] + list(simple_reflections(5)),
+                     [moved] + list(simple_reflections(5)[1:])):
+            assert _orbit_perms(gens)[1] == 6
+            _assert_seeded_chain_is_full_chain(gens)
+
+    def test_one_blowup(self):
+        # one seed on the identity; E1 and H when -I moves K
+        assert _orbit_perms([Isometry.identity(1)])[1] == 1
+        group = generate_group([Isometry.identity(1)])
+        assert group.order == 1
+        assert group.element_array().tolist() == [[[1, 0], [0, 1]]]
+        assert _orbit_perms([_minus(1)])[1] == 2
+        group = generate_group([_minus(1)])
+        assert group.order == 2
+        assert group.element_array().tolist() == \
+            [[[-1, 0], [0, -1]], [[1, 0], [0, 1]]]
+        _assert_seeded_chain_is_full_chain([_minus(1)])
+
+    def test_one_seed_of_a_larger_action(self):
+        # a 1-tuple of seed images would be an int: at least two are sifted
+        cycle = (1, 2, 3, 0)
+        chain = StabilizerChain(4, seeds=1)
+        chain.add(cycle)
+        assert (chain.order(), chain.base) == (4, [0])
+        assert chain.contains((2, 3, 0, 1))
 
 
 class TestPermAction:

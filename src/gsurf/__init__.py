@@ -2,7 +2,8 @@
 
 Submodules:
 
-* ``lattice``     - classes, pairing, canonical class, reducedness
+* ``lattice``     - classes, pairing, canonical and fiber class (H - E1),
+                    reflections in (-2)-classes, reducedness
 * ``exceptional`` - exceptional classes, Cremona reflections, reduction
 * ``weyl``        - root systems, isometry groups, invariant lattices
 * ``gconic``      - conic-bundle combinatorics and the group classifier

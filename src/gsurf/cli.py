@@ -5,6 +5,12 @@ compact separators, so a fixed invocation produces byte-identical output;
 timing and progress go to standard error only.  Exit codes: 0 success,
 1 domain error (bad input), 2 violated internal invariant (a bug-report
 trigger on input that was supposed to be valid).
+
+A handler imports what it runs: each ``_cmd_*`` imports its own gsurf
+modules, so a fresh process loads only the modules its subcommand needs
+(``schema`` none beyond ``lattice``, ``exc`` only ``exceptional``).  The
+parser's defaults are literals for the same reason; tests pin them to the
+constants they copy.
 """
 
 from __future__ import annotations
@@ -15,9 +21,8 @@ import json
 import sys
 import time
 from fractions import Fraction
-from importlib import resources
 
-from . import __version__, cone, exceptional, gconic, hexagon, weyl
+from . import __version__
 from .errors import InvariantViolation, LatticeError
 from .lattice import (
     CohClass,
@@ -25,6 +30,7 @@ from .lattice import (
     canonical_class,
     coh_from_json,
     coords_to_json,
+    fiber_class,
 )
 
 
@@ -92,6 +98,7 @@ def _class_list(classes) -> list:
 # -- subcommand handlers -----------------------------------------------------
 
 def _cmd_exc(args, argv):
+    from . import exceptional
     exc = exceptional.enumerate_exceptional(args.n, args.max_degree, args.limit)
     results = {
         "count": len(exc),
@@ -110,6 +117,7 @@ def _cmd_exc(args, argv):
 
 
 def _cmd_reduce(args, argv):
+    from . import exceptional
     cls = parse_class_argument(args.cls)
     n = _resolve_n(args.n, cls.n, "the class vector")
     trace = exceptional.reduce_exceptional(cls)
@@ -131,6 +139,7 @@ def _cmd_reduce(args, argv):
 
 
 def _cmd_weyl(args, argv):
+    from . import weyl
     n = args.n
     roots = weyl.all_roots(n)
     results = {
@@ -149,6 +158,7 @@ def _cmd_weyl(args, argv):
 
 
 def _cmd_invariants(args, argv):
+    from . import weyl
     gens = parse_group_file(args.gens)
     n = _resolve_n(args.n, gens[0].n, "the generator matrices")
     group = weyl.generate_group(gens, limit=args.limit)
@@ -167,6 +177,7 @@ def _cmd_invariants(args, argv):
 
 
 def _cmd_conic(args, argv):
+    from . import gconic, weyl
     gens = parse_group_file(args.gens)
     n = _resolve_n(args.n, gens[0].n, "the generator matrices")
     model = gconic.ConicBundleModel(n)
@@ -207,10 +218,11 @@ def _parse_scan(text: str):
 
 
 def _cmd_cone(args, argv):
+    from . import cone
     n = args.n
     k0 = canonical_class(n)
     fiber = parse_class_argument(args.fiber) if args.fiber else \
-        gconic.fiber_class(n)
+        fiber_class(n)
     _resolve_n(args.n, fiber.n, "the fiber class")
     results = {
         "fiber_pairs": list(cone.fiber_pairs(n)),
@@ -230,6 +242,7 @@ def _cmd_cone(args, argv):
 
 
 def _cmd_hexagon(args, argv):
+    from . import hexagon
     group = hexagon.make_imprimitive(args.kind, args.n, args.k, args.s,
                                      args.limit)
     relations_ok = None
@@ -260,6 +273,7 @@ def _cmd_selftest(args, argv):
 
 
 def _cmd_schema(args, argv):
+    from importlib import resources
     text = resources.files("gsurf").joinpath("schema.json").read_text()
     sys.stdout.write(text)
     return 0
@@ -281,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-degree", type=int, default=None)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--limit", type=int, default=exceptional.DEFAULT_LIMIT)
+    p.add_argument("--limit", type=int, default=1_000_000)
     p.set_defaults(func=_cmd_exc)
 
     p = sub.add_parser("reduce", help="Cremona-reduce an exceptional class")
@@ -320,18 +334,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scan", default=None,
                    help='comma-separated gap values, e.g. "0,1/2,1,2"')
     p.add_argument("--a-min", type=int, default=-10_000)
-    p.add_argument("--limit", type=int, default=exceptional.DEFAULT_LIMIT)
+    p.add_argument("--limit", type=int, default=1_000_000)
     p.set_defaults(func=_cmd_cone)
 
     p = sub.add_parser("hexagon", help="imprimitive monomial groups")
     p.add_argument("--kind", required=True,
-                   choices=[hexagon.KIND_GN, hexagon.KIND_GTN,
-                            hexagon.KIND_GNKS, hexagon.KIND_GTN32])
+                   choices=["Gn", "Gtn", "Gnks", "Gtn32"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--s", type=int, default=None)
     p.add_argument("--verify", action="store_true")
-    p.add_argument("--limit", type=int, default=hexagon.DEFAULT_LIMIT)
+    p.add_argument("--limit", type=int, default=100_000)
     p.set_defaults(func=_cmd_hexagon)
 
     p = sub.add_parser("selftest", help="run the acceptance criteria")

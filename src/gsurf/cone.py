@@ -18,11 +18,11 @@ from typing import Optional, Sequence, Tuple
 
 from . import exceptional
 from .errors import InvariantViolation, LatticeError
-from .gconic import fiber_class
 from .lattice import (
     CohClass,
     SymplecticClass,
     canonical_class,
+    fiber_class,
     pairing,
     rational_to_json,
 )

@@ -29,9 +29,9 @@ from .lattice import (
     is_reduced_class,
     pairing,
     permutation_isometry,
+    reflection,
     unit,
 )
-from .weyl import reflection
 
 
 def is_exceptional(e: CohClass) -> bool:

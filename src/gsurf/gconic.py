@@ -17,18 +17,14 @@ from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence
 
 from .errors import InvariantViolation, LatticeError
-from .lattice import CohClass, Isometry, canonical_class, pairing, unit
+from .lattice import (CohClass, Isometry, canonical_class, fiber_class, pairing,
+                      unit)
 from .weyl import FiniteIsometryGroup
 
 CASE_CYCLIC_CORE = "cyclic-core"
 CASE_INVOLUTION = "involution"
 CASE_KLEIN = "klein-four"
 CASE_NON_MINIMAL = "non-minimal"
-
-
-def fiber_class(n: int) -> CohClass:
-    """H - E1."""
-    return CohClass((1, -1) + (0,) * (n - 1))
 
 
 @dataclass(frozen=True)

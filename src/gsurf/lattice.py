@@ -9,6 +9,12 @@ Two storage conventions coexist, both of length N+1:
 * symplectic classes (``SymplecticClass``) are stored as (nu; lam1..lamN),
   meaning nu*H - sum_i lami*Ei, so that the area of Ei is lami.
 
+The classes and maps that several modules share live here too:
+``canonical_class``, ``fiber_class`` (H - E1, the standard conic-bundle
+fiber) and ``reflection`` in a (-2)-class.  ``weyl.reflection`` and
+``gconic.fiber_class`` are the same functions, imported from here, so
+that ``exceptional`` and ``cone`` need neither of those modules.
+
 Everything is exact: integers and ``fractions.Fraction``, never floats.
 All values are immutable and all operations are pure.
 """
@@ -234,6 +240,11 @@ def canonical_class(n: int) -> CohClass:
     return CohClass((-3,) + (1,) * n)
 
 
+def fiber_class(n: int) -> CohClass:
+    """H - E1."""
+    return CohClass((1, -1) + (0,) * (n - 1))
+
+
 def is_characteristic(e: CohClass) -> bool:
     """Whether pairing(e, x) == pairing(x, x) mod 2 for every x.
 
@@ -403,6 +414,25 @@ def permutation_isometry(n: int, images: dict) -> Isometry:
         raise LatticeError("not a permutation of 1..N")
     return Isometry.from_columns(
         [unit(n, 0).coords] + [unit(n, perm[i]).coords for i in range(1, n + 1)])
+
+
+def reflection(alpha: CohClass) -> Isometry:
+    """x -> x + (x.alpha)*alpha for a (-2)-class alpha.
+
+    Involutive, negates alpha, and fixes every class orthogonal to alpha;
+    in particular it fixes K exactly when K.alpha = 0 (true for roots).
+    Trusted once alpha^2 = -2 is checked: the matrix is integral, and
+    (x + (x.a)a).(y + (y.a)a) = x.y + (x.a)(y.a)(2 + a.a) = x.y.
+    """
+    if alpha.square() != -2:
+        raise LatticeError(f"reflection needs alpha^2 = -2, got {alpha.square()}")
+    # Column j is e_j + (e_j.alpha)*alpha, and e_j.alpha = q_j*alpha_j with
+    # q = diag(1, -1, ..., -1).
+    a = alpha.coords
+    qa = (a[0],) + tuple(-x for x in a[1:])
+    return Isometry._trusted(tuple(
+        tuple((1 if i == j else 0) + qa[j] * ai for j in range(len(a)))
+        for i, ai in enumerate(a)))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from .errors import InvariantViolation, LatticeError, LimitExceeded
-from .lattice import CohClass, Isometry, canonical_class, pairing, unit
+from .lattice import (CohClass, Isometry, canonical_class, pairing,
+                      reflection, unit)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -57,25 +58,6 @@ def all_roots(n: int) -> Tuple[CohClass, ...]:
              for perm in _distinct_permutations([-b for b in multiset])]
     found.sort(key=lambda r: r.coords)
     return tuple(found)
-
-
-def reflection(alpha: CohClass) -> Isometry:
-    """x -> x + (x.alpha)*alpha for a (-2)-class alpha.
-
-    Involutive, negates alpha, and fixes every class orthogonal to alpha;
-    in particular it fixes K exactly when K.alpha = 0 (true for roots).
-    Trusted once alpha^2 = -2 is checked: the matrix is integral, and
-    (x + (x.a)a).(y + (y.a)a) = x.y + (x.a)(y.a)(2 + a.a) = x.y.
-    """
-    if alpha.square() != -2:
-        raise LatticeError(f"reflection needs alpha^2 = -2, got {alpha.square()}")
-    # Column j is e_j + (e_j.alpha)*alpha, and e_j.alpha = q_j*alpha_j with
-    # q = diag(1, -1, ..., -1).
-    a = alpha.coords
-    qa = (a[0],) + tuple(-x for x in a[1:])
-    return Isometry._trusted(tuple(
-        tuple((1 if i == j else 0) + qa[j] * ai for j in range(len(a)))
-        for i, ai in enumerate(a)))
 
 
 @lru_cache(maxsize=None)

@@ -299,6 +299,20 @@ def _child_stdout(script):
                           env={**os.environ, "PYTHONPATH": path}).stdout
 
 
+# The gsurf modules each subcommand loads beyond gsurf, cli, errors and
+# lattice; `weyl` lists its roots through the exceptional enumerator.
+COLD_START_MODULES = {
+    "schema": [],
+    "exc": ["exceptional"],
+    "reduce": ["exceptional"],
+    "hexagon": ["hexagon"],
+    "cone": ["cone", "exceptional"],
+    "invariants": ["weyl"],
+    "conic": ["gconic", "weyl"],
+    "weyl": ["exceptional", "weyl"],
+}
+
+
 @pytest.mark.parametrize("argv, loads_numpy", [
     (["exc", "--n", "6"], False),
     (["reduce", "--class", "[6,-3,-2,-2,-2,-2,-2,-2,-2]"], False),
@@ -306,17 +320,56 @@ def _child_stdout(script):
     (["hexagon", "--kind", "Gnks", "--n", "9", "--k", "3", "--s", "2",
       "--verify"], False),
     (["schema"], False),
+    (["invariants", "--gens", "GENS"], True),
+    (["conic", "--gens", "GENS"], True),
     (["weyl", "--n", "4"], True),
 ], ids=lambda v: v[0] if isinstance(v, list) else str(v))
-def test_cold_start_imports_numpy_only_for_groups(argv, loads_numpy):
+def test_cold_start_imports_numpy_only_for_groups(tmp_path, argv, loads_numpy):
     # numpy is about 40% of a small command's start-up; only a group
-    # closure or a stabilizer chain needs it.
+    # closure or a stabilizer chain needs it.  Each handler imports only
+    # the gsurf modules it runs, so a stray top-level import fails here.
+    gens = tmp_path / "gens.json"
+    gens.write_text(json.dumps([list(map(list, full_swap(5).mat))]))
+    argv = [str(gens) if a == "GENS" else a for a in argv]
     script = ("import contextlib, io, sys\n"
               "from gsurf import cli\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
               f"    code = cli.main({argv!r})\n"
-              "print(code, 'numpy' in sys.modules)\n")
-    assert _child_stdout(script).split() == ["0", str(loads_numpy)]
+              "print(code, 'numpy' in sys.modules)\n"
+              "print(*sorted(m for m in sys.modules"
+              " if m.startswith('gsurf')))\n")
+    status, modules = _child_stdout(script).splitlines()
+    assert status.split() == ["0", str(loads_numpy)]
+    expected = ["gsurf", "gsurf.cli", "gsurf.errors", "gsurf.lattice"] + \
+        ["gsurf." + m for m in COLD_START_MODULES[argv[0]]]
+    assert modules.split() == sorted(expected)
+
+
+@pytest.mark.parametrize("module", ["cli", "cone", "errors", "exceptional",
+                                    "gconic", "hexagon", "lattice",
+                                    "selftest", "weyl"])
+def test_each_module_imports_alone(module):
+    # The test session has imported everything already, so an import
+    # cycle shows only in a fresh interpreter that starts at one module.
+    script = f"import gsurf.{module}\nprint('ok')\n"
+    assert _child_stdout(script) == "ok\n"
+
+
+def test_parser_literals_match_the_library():
+    # build_parser holds these as literals so that parsing imports nothing
+    from gsurf import exceptional, hexagon
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)).choices
+
+    def action(command, dest):
+        return next(a for a in sub[command]._actions if a.dest == dest)
+
+    assert action("exc", "limit").default == exceptional.DEFAULT_LIMIT
+    assert action("cone", "limit").default == exceptional.DEFAULT_LIMIT
+    assert action("hexagon", "limit").default == hexagon.DEFAULT_LIMIT
+    assert action("hexagon", "kind").choices == [
+        hexagon.KIND_GN, hexagon.KIND_GTN, hexagon.KIND_GNKS,
+        hexagon.KIND_GTN32]
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"),

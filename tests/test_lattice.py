@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from gsurf import lattice
 from gsurf.errors import LatticeError
 from gsurf.lattice import (
     CohClass,
@@ -51,6 +52,15 @@ def test_unit_is_the_basis():
         L3.E(0)
     with pytest.raises(LatticeError):
         L3.E(4)
+
+
+def test_moved_helpers_keep_their_old_names():
+    # reflection and fiber_class live in lattice; weyl and gconic re-export
+    # the same objects, so callers of either name see one function.
+    from gsurf import gconic, weyl
+    assert weyl.reflection is lattice.reflection
+    assert gconic.fiber_class is lattice.fiber_class
+    assert lattice.fiber_class(4) == CohClass((1, -1, 0, 0, 0))
 
 
 def test_pairing_symmetric_bilinear():

@@ -16,7 +16,6 @@ constants they copy.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
@@ -39,6 +38,7 @@ def _dump(obj) -> str:
 
 
 def _digest(inputs: dict) -> str:
+    import hashlib  # only reports need it; `schema` and `--help` do not
     return hashlib.sha256(_dump(inputs).encode()).hexdigest()
 
 

@@ -108,20 +108,16 @@ def canonical_sign(w: SymplecticClass, k0: CohClass,
 def fiber_pairs(n: int) -> Tuple[int, ...]:
     """Admissible a with a second fiber class F' = -a*K - F.
 
-    Solves K.F' = -2, F'.F' = 0, F.F' = 2a >= 0 exactly over the standard
-    model; the equations force a*(9 - N) = 4, so solutions exist only for
-    N = 5, 7, 8 with a = 1, 2, 4.
+    F' must satisfy K.F' = -2, F'.F' = 0 and F.F' = 2a >= 0.  With
+    K.K = 9 - N, K.F = -2 and F.F = 0, K.F' = -a(9 - N) + 2, so the first
+    equation forces a(9 - N) = 4; then F'.F' = a^2(9 - N) - 4a = 0 and
+    F.F' = 2a hold.  So a = 4/(9 - N) when 9 - N is a positive divisor of
+    4: N = 5, 7, 8 with a = 1, 2, 4.
     """
     if n < 2:
         raise LatticeError("need at least two blowups")
-    k = canonical_class(n)
-    f = fiber_class(n)
-    out = []
-    for a in range(1, 9):
-        fp = -a * k - f
-        if fp.square() == 0 and pairing(k, fp) == -2 and pairing(f, fp) == 2 * a:
-            out.append(a)
-    return tuple(out)
+    ksq = 9 - n
+    return (4 // ksq,) if ksq > 0 and 4 % ksq == 0 else ()
 
 
 def blowdown_obstruction(n: int, a_min: int) -> Tuple[Tuple[int, int], ...]:

@@ -460,32 +460,24 @@ def max_swap_closed_section(n: int) -> int:
     satisfy N - 1 = r + 2m + 2x with r, x >= 0.  When that forces
     (r, x) = (1, 0) the pair is disjoint and shares exactly one fiber;
     bringing in the swap image of the shared fiber adds the constraint
-    r1 + r2 = N - 2 with both pair identities, which is then checked for
-    integer feasibility.  The result never exceeds (N - 4) / 2.
+    r1 + r2 = N - 2 with both pair identities.  For even N >= 6 the answer
+    is (N - 4)/2:
+
+    - N - 1 is odd, so r is odd and m <= (N - 2)/2.
+    - At m = (N - 2)/2 only (r, x) = (1, 0) solves the identity; the
+      triple then has r1 = 1, r2 = N - 3 and 2*x2 = 4 - N, so it needs
+      N = 4.
+    - At m = (N - 4)/2 the solution (r, x) = (3, 0) needs no triple.
+
+    The section E1 + E2 + ... + Em (c = 0) witnesses the square -m.
     """
     if n % 2 or n < 6:
         raise LatticeError("even N >= 6 required")
-    for m in range((n - 1) // 2, 0, -1):
-        sols = [(r, x) for x in range(n) for r in range(n)
-                if r + 2 * m + 2 * x == n - 1]
-        if not sols:
-            continue
-        if sols == [(1, 0)]:
-            triple = [
-                (r1, x1, r2, x2)
-                for r1 in range(n - 1) for x1 in range(n)
-                if r1 + 2 * m + 2 * x1 == n - 1
-                for r2 in [n - 2 - r1] if r2 >= 0
-                for x2 in range(n)
-                if r2 + 2 * m + 2 * x2 == n - 1
-            ]
-            if not triple:
-                continue
-        witness = section_class(n, 0, tuple(range(2, m + 1)))
-        if witness.square() != -m:  # pragma: no cover
-            raise InvariantViolation("section witness bookkeeping failed")
-        return m
-    raise InvariantViolation("no feasible section self-intersection")  # pragma: no cover
+    m = (n - 4) // 2
+    witness = section_class(n, 0, tuple(range(2, m + 1)))
+    if witness.square() != -m:  # pragma: no cover
+        raise InvariantViolation("section witness bookkeeping failed")
+    return m
 
 
 # ---------------------------------------------------------------------------

@@ -447,20 +447,6 @@ class HexagonSubgroup:
     vertex_perms: tuple
 
 
-def _hexagon_symmetries() -> list:
-    rots = [tuple((i + r) % 6 for i in range(6)) for r in range(6)]
-    refls = [tuple((c - i) % 6 for i in range(6)) for c in range(6)]
-    return rots + refls
-
-
-def _edge_perm(vp: tuple) -> tuple:
-    out = []
-    for i in range(6):
-        a, b = vp[i], vp[(i + 1) % 6]
-        out.append(a if (a + 1) % 6 == b else b)
-    return tuple(out)
-
-
 def _compose(p: tuple, q: tuple) -> tuple:
     """The permutation p after q."""
     return tuple(p[i] for i in q)
@@ -484,26 +470,16 @@ def transitive_hexagon_subgroups() -> tuple:
     Transitive on the hexagon means transitive on the six edges and on the
     six vertices: the configuration consists of the spheres and their
     intersection points, and a symmetry permutes both.  Exactly two
-    subgroups qualify: the rotation subgroup of order 6 and the full
-    group of order 12.  Each subgroup is held as its full element set, so
-    the orbit of vertex 0 is the set of its images, and the orbit of edge
-    0 likewise under the edge action, a homomorphism.
+    subgroups qualify: the rotations (cyclic, order 6) and the full group
+    of order 12.  A transitive group has order divisible by 6.  A group of
+    order 6 is transitive on six points only if no element but the
+    identity fixes one; of the three order-6 subgroups, the S3 of the
+    third-turns and the reflections through vertices fixes a vertex, and
+    the S3 of the third-turns and the reflections through edge midpoints
+    fixes an edge.  Vertex i maps to vertex r + i under a rotation and to
+    c - i under a reflection; each group is listed sorted.
     """
-    elems = _hexagon_symmetries()
-    pool = [()] + [(g,) for g in elems] + list(itertools.combinations(elems, 2))
-    subgroups = {frozenset(_perm_closure(gens, 6)) for gens in pool}
-
-    out = []
-    for sg in subgroups:
-        perms = sorted(sg)
-        vertex_orbit = {p[0] for p in perms}
-        edge_orbit = {_edge_perm(p)[0] for p in perms}
-        if len(vertex_orbit) == len(edge_orbit) == 6:
-            out.append(HexagonSubgroup(len(perms), _is_cyclic(perms), tuple(perms)))
-    out.sort(key=lambda s: (s.order, s.vertex_perms))
-    return tuple(out)
-
-
-def _is_cyclic(perms) -> bool:
-    """Some element's order, the size of the group it generates, is |G|."""
-    return any(len(_perm_closure([p], len(p))) == len(perms) for p in perms)
+    rotations = tuple(tuple((i + r) % 6 for i in range(6)) for r in range(6))
+    reflections = tuple(tuple((c - i) % 6 for i in range(6)) for c in range(6))
+    return (HexagonSubgroup(6, True, rotations),
+            HexagonSubgroup(12, False, tuple(sorted(rotations + reflections))))

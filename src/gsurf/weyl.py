@@ -116,8 +116,7 @@ class FiniteIsometryGroup:
     def trace_vector(self) -> np.ndarray:
         """Trace of every element on the full degree-2 lattice."""
         import numpy as np
-        arr = self.element_array().astype(np.int64)
-        return np.einsum("kii->k", arr)
+        return self.element_array().trace(axis1=1, axis2=2, dtype=np.int64)
 
 
 # Entries are stored in int16 at most.
@@ -267,7 +266,8 @@ def _list_elements(transversals: List[dict], pts: np.ndarray,
     Each row of ``images`` is the seeds sent through one u1 u2 ... uk; uk
     acts first, so the levels are applied last to first, each as a small
     unsigned index array.  The matrices are int8 when every entry fits,
-    else int16, and are sorted row-major.
+    else int16, and are sorted row-major as byte strings by ``_sort_rows``.
+    Sorted, a repeated element would sit on adjacent rows of equal bytes.
     """
     import numpy as np
     dim = pts.shape[1]
@@ -300,36 +300,31 @@ def _list_elements(transversals: List[dict], pts: np.ndarray,
         elements[:, :, j] = np.take(pts, images[:, j - 1], axis=0)
     del images, col0  # before the sort copies the elements
     elements = _sort_rows(elements.reshape(order, dim * dim))
-    if np.all(elements[1:] == elements[:-1], axis=1).any():  # pragma: no cover
+    rows = elements.view((np.void, elements.itemsize * dim * dim)).ravel()
+    if (rows[1:] == rows[:-1]).any():  # pragma: no cover
         raise InvariantViolation("closure bookkeeping mismatch")
     return elements.reshape(order, dim, dim)
 
 
 def _sort_rows(arr: np.ndarray) -> np.ndarray:
-    """Rows in row-major value order, via packed multi-column keys.
+    """Rows in row-major value order, sorted as fixed-width byte strings.
 
-    The entries are biased to unsigned, so that value order is byte
-    order, written big-endian and read back eight bytes at a time as
-    uint64 keys: comparing the keys in turn compares the entries in
-    column order.  Eight entries go into a key when all fit in int8,
-    else four.  The sort is stable, so equal rows keep their order.
+    Each entry is biased to unsigned, so that value order is byte order,
+    and written big-endian at its dtype's width; each row is then one
+    ``np.void`` string, and comparing the strings compares the entries in
+    column order.  The sort is stable, so equal rows keep their order.
     """
     import numpy as np
     rows, cols = arr.shape
     if rows < 2:
         return arr
-    if arr.min() >= -128 and arr.max() <= 127:
-        biased = arr.astype(np.int8, copy=False).view(np.uint8) ^ np.uint8(0x80)
-        per_key = 8
-    else:
-        biased = arr.astype(np.int16, copy=False).view(np.uint16) ^ np.uint16(0x8000)
-        biased, per_key = biased.astype(">u2"), 4
-    if cols % per_key:
-        biased = np.pad(biased, ((0, 0), (0, -cols % per_key)))
-    # one contiguous native row per key, the last column's key first
-    keys = np.ascontiguousarray(biased.view(">u8").T[::-1], dtype=np.uint64)
-    del biased
-    return arr[np.lexsort(keys)]
+    unsigned = np.dtype(f"u{arr.itemsize}")
+    keys = arr.view(unsigned) ^ unsigned.type(1 << (8 * arr.itemsize - 1))
+    keys = keys.astype(unsigned.newbyteorder(">"), copy=False)
+    order = np.argsort(keys.view((np.void, arr.itemsize * cols)).ravel(),
+                       kind="stable")
+    del keys
+    return arr[order]
 
 
 def weyl_group(n: int, limit: Optional[int] = 10_000_000) -> FiniteIsometryGroup:

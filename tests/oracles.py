@@ -4,13 +4,15 @@ These recompute expected values by direct search so the main code paths
 are checked against a second route: plain per-coordinate recursion here
 versus the multiset enumerator in the package, a dict-based pure-Python
 closure versus the vectorized one, and the scans that the package's closed
-forms replaced (the a-scan blowdown obstruction, the expansion of each
-multiset through all of its n! orderings, cone membership by exact
-``Fraction`` areas, the breadth-first closures of the monomial groups and
-torus kernels, torus elements as ``Fraction`` angles in Q/Z beside the
-package's integer residues, the bundle isometries pushed through ``CohClass``
-arithmetic, and a stabilizer chain on the roots beside the library's chain
-on the orbits of the basis classes).
+forms replaced (the a-scan blowdown obstruction and fiber pairs, the
+m-scan of the largest swap-closed section, the expansion of each multiset
+through all of its n! orderings, cone membership by exact ``Fraction``
+areas, the breadth-first closures of the hexagon subgroups, the monomial
+groups and torus kernels, torus elements as ``Fraction`` angles in Q/Z
+beside the package's integer residues, the bundle isometries pushed
+through ``CohClass`` arithmetic, a stabilizer chain on the roots beside the library's chain on
+the orbits of the basis classes, and traces read off an int64 copy of a
+group's listing).
 """
 
 import itertools
@@ -28,13 +30,14 @@ from gsurf.exceptional import (
 )
 from gsurf.gconic import FiberAction, fiber_class
 from gsurf.hexagon import (
+    HexagonSubgroup,
     MonomialGroupElement,
     TorusElement,
     _imprimitive_generators,
     gamma_generators,
     propagate_rotation,
 )
-from gsurf.lattice import CohClass, canonical_class, unit
+from gsurf.lattice import CohClass, canonical_class, pairing, unit
 from gsurf.weyl import StabilizerChain, all_roots
 
 
@@ -179,12 +182,50 @@ def tuple_closure(gen_mats, limit=1_000_000):
     return seen
 
 
-def hexagon_edge_transitive_subgroup_orders():
-    """Orders of ALL edge-transitive subgroups of the hexagon symmetries.
+def fiber_pairs_scan(n):
+    """Admissible a in 1..8 with F' = -a*K - F a second fiber class."""
+    k, f = canonical_class(n), fiber_class(n)
+    out = []
+    for a in range(1, 9):
+        fp = -a * k - f
+        if fp.square() == 0 and pairing(k, fp) == -2 and pairing(f, fp) == 2 * a:
+            out.append(a)
+    return tuple(out)
 
-    Includes the subgroup generated by the third-turn rotations and the
-    vertex reflections, which is edge-transitive but not vertex-transitive;
-    the library's transitivity notion excludes it.
+
+def max_swap_closed_section_scan(n):
+    """Largest m, scanned down from (N - 1)/2, that the swap counting allows.
+
+    A lone solution (r, x) = (1, 0) of N - 1 = r + 2m + 2x needs the
+    shared-fiber triple r1 + r2 = N - 2 with both pair identities.
+    """
+    for m in range((n - 1) // 2, 0, -1):
+        sols = [(r, x) for x in range(n) for r in range(n)
+                if r + 2 * m + 2 * x == n - 1]
+        if not sols:
+            continue
+        if sols == [(1, 0)]:
+            triple = [
+                (r1, x1, r2, x2)
+                for r1 in range(n - 1) for x1 in range(n)
+                if r1 + 2 * m + 2 * x1 == n - 1
+                for r2 in [n - 2 - r1] if r2 >= 0
+                for x2 in range(n)
+                if r2 + 2 * m + 2 * x2 == n - 1
+            ]
+            if not triple:
+                continue
+        return m
+    return None
+
+
+def _hexagon_subgroups():
+    """(sorted elements, vertex-transitive, edge-transitive) of every subgroup.
+
+    Every subgroup of the hexagon symmetries is closed breadth-first from
+    one or two of its twelve elements.  Vertex i goes to r + i under a
+    rotation and to c - i under a reflection; edge i joins vertices i and
+    i + 1, and an orbit is grown to a fixed point under the elements.
     """
     elems = [tuple((i + r) % 6 for i in range(6)) for r in range(6)] + \
             [tuple((c - i) % 6 for i in range(6)) for c in range(6)]
@@ -199,6 +240,18 @@ def hexagon_edge_transitive_subgroup_orders():
             a, b = vp[i], vp[(i + 1) % 6]
             out.append(a if (a + 1) % 6 == b else b)
         return tuple(out)
+
+    def transitive(perms):
+        orbit = {0}
+        changed = True
+        while changed:
+            changed = False
+            for p in perms:
+                for x in list(orbit):
+                    if p[x] not in orbit:
+                        orbit.add(p[x])
+                        changed = True
+        return len(orbit) == 6
 
     subgroups = set()
     for gens in [()] + [(g,) for g in elems] + \
@@ -215,22 +268,39 @@ def hexagon_edge_transitive_subgroup_orders():
                         new.append(y)
             frontier = new
         subgroups.add(frozenset(group))
+    return [(tuple(sorted(sg)), transitive(sg),
+             transitive([edge_perm(p) for p in sg])) for sg in subgroups]
 
-    orders = []
-    for sg in subgroups:
-        eperms = [edge_perm(p) for p in sg]
-        orbit = {0}
-        changed = True
-        while changed:
-            changed = False
-            for p in eperms:
-                for x in list(orbit):
-                    if p[x] not in orbit:
-                        orbit.add(p[x])
-                        changed = True
-        if len(orbit) == 6:
-            orders.append(len(sg))
-    return sorted(orders)
+
+def hexagon_edge_transitive_subgroup_orders():
+    """Orders of ALL edge-transitive subgroups of the hexagon symmetries.
+
+    Includes the subgroup generated by the third-turn rotations and the
+    vertex reflections, which is edge-transitive but not vertex-transitive;
+    the library's transitivity notion excludes it.
+    """
+    return sorted(len(perms) for perms, _, edges in _hexagon_subgroups()
+                  if edges)
+
+
+def transitive_hexagon_subgroups_by_closure():
+    """The vertex- and edge-transitive subgroups, as the library returns them.
+
+    A subgroup is cyclic when some element's powers reach all of it.
+    """
+    def element_order(p):
+        q, k = p, 1
+        while q != tuple(range(6)):
+            q, k = tuple(p[i] for i in q), k + 1
+        return k
+
+    out = [HexagonSubgroup(len(perms),
+                           any(element_order(p) == len(perms) for p in perms),
+                           perms)
+           for perms, vertices, edges in _hexagon_subgroups()
+           if vertices and edges]
+    out.sort(key=lambda s: (s.order, s.vertex_perms))
+    return tuple(out)
 
 
 def _bfs(identity, gens):
@@ -354,6 +424,12 @@ def sort_rows_by_columns(arr):
             packed |= biased[:, j].astype(np.uint64)
         keys.append(packed)
     return arr[np.lexsort(tuple(reversed(keys)))]
+
+
+def trace_vector_by_einsum(group):
+    """Each element's trace, from an int64 copy of the whole listing."""
+    import numpy as np
+    return np.einsum("kii->k", group.element_array().astype(np.int64))
 
 
 def group_by_bfs(gens, limit=10_000_000, chunk_size=32768):

@@ -335,11 +335,14 @@ def test_cold_start_imports_numpy_only_for_groups(tmp_path, argv, loads_numpy):
               "from gsurf import cli\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
               f"    code = cli.main({argv!r})\n"
-              "print(code, 'numpy' in sys.modules)\n"
+              "print(code, 'numpy' in sys.modules, 'hashlib' in sys.modules)\n"
               "print(*sorted(m for m in sys.modules"
               " if m.startswith('gsurf')))\n")
     status, modules = _child_stdout(script).splitlines()
-    assert status.split() == ["0", str(loads_numpy)]
+    # only a JSON report needs hashlib, for its digest; `schema` prints
+    # none, and `exc` and `reduce` print plain text without --json
+    reports = argv[0] not in ("exc", "reduce", "schema")
+    assert status.split() == ["0", str(loads_numpy), str(reports)]
     expected = ["gsurf", "gsurf.cli", "gsurf.errors", "gsurf.lattice"] + \
         ["gsurf." + m for m in COLD_START_MODULES[argv[0]]]
     assert modules.split() == sorted(expected)

@@ -154,6 +154,11 @@ def test_fiber_pairs(n, want):
     assert fiber_pairs(n) == want
 
 
+def test_fiber_pairs_matches_scan():
+    for n in range(2, 41):
+        assert fiber_pairs(n) == oracles.fiber_pairs_scan(n), n
+
+
 def test_fiber_pairs_invariants():
     for n in (5, 7, 8):
         (a,) = fiber_pairs(n)

@@ -440,6 +440,11 @@ class TestMaxSwap:
         assert max_swap_closed_section(8) == 2
         assert max_swap_closed_section(10) == 3
 
+    def test_matches_scan(self):
+        for n in range(6, 61, 2):
+            assert max_swap_closed_section(n) == \
+                oracles.max_swap_closed_section_scan(n) == (n - 4) // 2, n
+
     def test_rejects_bad_n(self):
         with pytest.raises(LatticeError):
             max_swap_closed_section(7)

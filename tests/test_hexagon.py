@@ -329,6 +329,11 @@ def test_transitive_subgroups():
     assert not by_order[12].cyclic
 
 
+def test_transitive_subgroups_match_closure():
+    assert transitive_hexagon_subgroups() == \
+        oracles.transitive_hexagon_subgroups_by_closure()
+
+
 def test_edge_only_transitivity_would_admit_a_third_group():
     """The vertex-transitivity refinement is what pins the answer at two."""
     assert oracles.hexagon_edge_transitive_subgroup_orders() == [6, 6, 12]

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -654,6 +655,35 @@ class TestTraceCondition:
             assert group.order * rank == int(group.trace_vector().sum())
             total, holds = trace_sum_condition(group)
             assert holds == (rank == 1)
+
+    @pytest.mark.parametrize("name", ("E3", "E4", "E5", "E6", "K-moving", "int16"))
+    def test_trace_vector_matches_einsum(self, name):
+        if name == "K-moving":
+            # with the transpositions, W(D5) on E1..E5; H is fixed
+            gens = [reflection(CohClass((0, -1, -1, 0, 0, 0))),
+                    *_transpositions(5, 4)]
+        elif name == "int16":
+            gens = _conjugated(9, _transpositions(9, 3), 26)
+        else:
+            gens = simple_reflections(int(name[1]))
+        group = generate_group(gens)
+        assert group.element_array().dtype == \
+            (np.int16 if name == "int16" else np.int8)
+        want = oracles.trace_vector_by_einsum(group)
+        got = group.trace_vector()
+        assert (got.dtype, got.tolist()) == (np.int64, want.tolist())
+
+    def test_trace_vector_makes_no_int64_copy(self):
+        group = weyl_group(6)
+        elements = group.element_array()
+        tracemalloc.start()
+        try:
+            group.trace_vector()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # an int64 copy of the listing would be 20 MB
+        assert peak < elements.size * 8 // 10
 
 
 class TestDichotomy:

@@ -14,12 +14,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence
+from operator import mul, ne
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence
 
 from .errors import InvariantViolation, LatticeError
 from .lattice import (CohClass, Isometry, canonical_class, fiber_class, pairing,
                       unit)
 from .weyl import FiniteIsometryGroup
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CASE_CYCLIC_CORE = "cyclic-core"
 CASE_INVOLUTION = "involution"
@@ -402,7 +406,9 @@ def section_class(n: int, c: int, marks: Sequence[int]) -> CohClass:
     for t in marks:
         if not 2 <= t <= n:
             raise LatticeError(f"mark {t} out of range 2..{n}")
-        coords[t] += 1
+        if coords[t]:
+            raise LatticeError(f"mark {t} repeated")
+        coords[t] = 1
     return CohClass(tuple(coords))
 
 
@@ -415,10 +421,13 @@ def section_classes(n: int, c_min: int = -2, c_max: int = 2):
                 yield section_class(n, c, marks)
 
 
+_MARK_VALUES = frozenset((0, 1))
+
+
 def parse_section_class(e: CohClass):
     """Recover (c, marks) from a section normal form, or fail."""
     c = e.coords
-    if c[1] != 1 - c[0] or not set(c[2:]) <= {0, 1}:
+    if c[1] != 1 - c[0] or not _MARK_VALUES.issuperset(c[2:]):
         raise LatticeError(f"{e} is not in section normal form")
     return c[0], tuple(itertools.compress(range(2, len(c)), c[2:]))
 
@@ -437,20 +446,88 @@ def section_identity(e: CohClass, e_prime: CohClass,
     """Evaluate N - 1 = r + m + m' + 2 e.e' for two distinct sections.
 
     r counts the fibers where the two sections meet the same component,
-    m and m' are the negated self-intersections.
+    m and m' are the negated self-intersections.  Each field is read off
+    the normal forms e = E1 + cF + sum of Et over t in A and
+    e' = E1 + c'F + sum of Et over t in B (so the H coordinate is c and
+    a mark coordinate is 1 exactly on A); with F.F = F.Et = 0, F.E1 = 1:
+
+        e.e   = 2c - 1 - |A|,  so m = 1 + |A| - 2c,
+        e.e'  = c + c' - 1 - |A & B|,
+        r     = N - 1 - |A ^ B|,
+
+    |A ^ B| being the number of mark coordinates where e and e' differ.
+    None of them uses the identity, so ``holds`` still checks it.
     """
     n = model.n_blowups
     if e.n != n or e_prime.n != n:
         raise LatticeError("dimension mismatch")
     if e == e_prime:
         raise LatticeError("two distinct sections are required")
-    _, marks = parse_section_class(e)
-    _, marks_p = parse_section_class(e_prime)
-    r = n - 1 - len(set(marks).symmetric_difference(marks_p))
-    m, m_p = -e.square(), -e_prime.square()
-    prod = pairing(e, e_prime)
-    return SectionIdentity(r, m, m_p, prod,
-                           n - 1 == r + m + m_p + 2 * prod)
+    a, b = e.coords, e_prime.coords
+    marks, marks_p = a[2:], b[2:]
+    for x, c, t in ((e, a, marks), (e_prime, b, marks_p)):
+        if c[1] != 1 - c[0] or not _MARK_VALUES.issuperset(t):
+            raise LatticeError(f"{x} is not in section normal form")
+    r = n - 1 - sum(map(ne, marks, marks_p))
+    m = 1 + sum(marks) - 2 * a[0]
+    m_p = 1 + sum(marks_p) - 2 * b[0]
+    prod = a[0] + b[0] - 1 - sum(map(mul, marks, marks_p))
+    return SectionIdentity(r, m, m_p, prod, n - 1 == r + m + m_p + 2 * prod)
+
+
+@dataclass(frozen=True, eq=False)
+class SectionIdentityTable:
+    """``section_identity`` on every pair of a sweep of section classes.
+
+    ``classes`` holds the coordinates of ``section_classes(n, c_min,
+    c_max)`` as rows, in that order; pair p is (classes[i[p]],
+    classes[j[p]]) with i[p] < j[p], pairs in row-major order, and the
+    other arrays hold that pair's fields.
+    """
+
+    n: int
+    classes: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    r: np.ndarray
+    m: np.ndarray
+    m_prime: np.ndarray
+    product: np.ndarray
+    holds: np.ndarray
+
+
+def section_identity_table(n: int, c_min: int = -2,
+                           c_max: int = 2) -> SectionIdentityTable:
+    """``section_identity`` on every pair i < j of ``section_classes``.
+
+    With S the class coordinates as rows and Q = diag(1, -1, ..., -1),
+    the integer Gram matrix S Q S^T holds every pairing: its diagonal
+    e.e = 2c - 1 - |A| gives m, and its entry (i, j) is the product
+    e.e' = c + c' - 1 - |A & B|.  Bit t - 2 of a class's mask is its mark
+    coordinate at Et, so the XOR of two masks has its bits set on A ^ B
+    and r = N - 1 - popcount(mask ^ mask'), read from a table of the
+    2^(N-1) popcounts.  Every field comes from the coordinates, as in
+    ``section_identity``; ``holds`` still checks the identity.  The int64
+    products c*c' may wrap; int64 arithmetic is exact modulo 2^64, and
+    every field, and the sum the identity checks, is below 8 max(|c|) + 5N
+    in absolute value, so all of them are exact for |c| < 2^59.
+    """
+    import numpy as np
+    if n < 3:
+        raise LatticeError("a conic bundle model needs at least 3 blowups")
+    coords = np.array([e.coords for e in section_classes(n, c_min, c_max)],
+                      dtype=np.int64).reshape(-1, n + 1)
+    signs = np.array((1,) + (-1,) * n, dtype=np.int64)
+    gram = (coords * signs) @ coords.T
+    masks = coords[:, 2:] @ (1 << np.arange(n - 1, dtype=np.int64))
+    popcount = np.array([v.bit_count() for v in range(1 << (n - 1))],
+                        dtype=np.int64)
+    i, j = np.triu_indices(len(coords), 1)
+    r = n - 1 - popcount[masks[i] ^ masks[j]]
+    m = -gram.diagonal()
+    m_i, m_j, product = m[i], m[j], gram[i, j]
+    holds = n - 1 == r + m_i + m_j + 2 * product
+    return SectionIdentityTable(n, coords, i, j, r, m_i, m_j, product, holds)
 
 
 def max_swap_closed_section(n: int) -> int:

@@ -150,14 +150,12 @@ def criterion_05_section_identity(quick: bool = False) -> CriterionResult:
     checked = 0
     problems = []
     for n in range(5, top + 1):
-        model = gconic.ConicBundleModel(n)
-        classes = list(gconic.section_classes(n, -2, 2))
-        for i, e in enumerate(classes):
-            for e2 in classes[i + 1:]:
-                res = gconic.section_identity(e, e2, model)
-                checked += 1
-                if not res.holds:
-                    problems.append(f"identity failed for {e}, {e2} at N={n}")
+        table = gconic.section_identity_table(n, -2, 2)
+        checked += len(table.holds)
+        for p in (~table.holds).nonzero()[0].tolist():
+            e, e2 = (CohClass(tuple(table.classes[k].tolist()))
+                     for k in (table.i[p], table.j[p]))
+            problems.append(f"identity failed for {e}, {e2} at N={n}")
     ok = not problems
     detail = problems[0] if problems else f"{checked} pairs verified"
     return _result("C05-section-identity", t0, ok, detail)

@@ -105,6 +105,14 @@ class FiniteIsometryGroup:
     def _elements(self) -> np.ndarray:
         return _list_elements(*self._listing)
 
+    @cached_property
+    def _invariant_lattice(self) -> tuple:
+        return _fixed_sublattice(self.generators)
+
+    @property
+    def _moves_k(self) -> bool:
+        return self._listing[3]
+
     def element_array(self) -> np.ndarray:
         return self._elements
 
@@ -537,8 +545,16 @@ def _generators_of(group_or_gens) -> List[Isometry]:
 
 
 def invariant_lattice(group_or_gens):
-    """(rank, primitive basis) of the sublattice fixed by every generator."""
-    gens = _generators_of(group_or_gens)
+    """(rank, primitive basis) of the sublattice fixed by every generator.
+
+    Computed once per ``FiniteIsometryGroup`` and cached on it.
+    """
+    if isinstance(group_or_gens, FiniteIsometryGroup):
+        return group_or_gens._invariant_lattice
+    return _fixed_sublattice(list(group_or_gens))
+
+
+def _fixed_sublattice(gens: Sequence[Isometry]):
     if not gens:
         raise LatticeError("at least one generator required")
     dim = gens[0].dim
@@ -553,12 +569,13 @@ def trace_sum_condition(group: FiniteIsometryGroup):
 
     Every generator must fix K, so each element restricts to the root
     lattice and tr(g|R) = tr(g|H2) - 1.  The sum always equals
-    |G| * rank(R^G); a mismatch would be an internal error.
+    |G| * rank(R^G); a mismatch would be an internal error.  Whether some
+    generator moves K is read off the group's chain, which recorded it.
     """
-    k = canonical_class(group.n)
-    for g in group.generators:
-        if not g.fixes(k):
-            raise LatticeError(f"generator moves the canonical class:\n{g}")
+    if group._moves_k:
+        k = canonical_class(group.n)
+        g = next(g for g in group.generators if not g.fixes(k))
+        raise LatticeError(f"generator moves the canonical class:\n{g}")
     total = int(group.trace_vector().sum()) - group.order
     rank, _ = invariant_lattice(group)
     if total != group.order * (rank - 1):  # pragma: no cover

@@ -5,9 +5,10 @@ are checked against a second route: plain per-coordinate recursion here
 versus the multiset enumerator in the package, a dict-based pure-Python
 closure versus the vectorized one, and the scans that the package's closed
 forms replaced (the a-scan blowdown obstruction and fiber pairs, the
-m-scan of the largest swap-closed section, the expansion of each multiset
-through all of its n! orderings, cone membership by exact ``Fraction``
-areas, the breadth-first closures of the hexagon subgroups, the monomial
+m-scan of the largest swap-closed section, the section identity through
+the lattice pairing, the expansion of each multiset through all of its
+n! orderings, cone membership by exact ``Fraction`` areas, the
+breadth-first closures of the hexagon subgroups, the monomial
 groups and torus kernels, torus elements as ``Fraction`` angles in Q/Z
 beside the package's integer residues, the bundle isometries pushed
 through ``CohClass`` arithmetic, a stabilizer chain on the roots beside the library's chain on
@@ -28,7 +29,7 @@ from gsurf.exceptional import (
     _multisets,
     enumerate_exceptional,
 )
-from gsurf.gconic import FiberAction, fiber_class
+from gsurf.gconic import FiberAction, SectionIdentity, fiber_class
 from gsurf.hexagon import (
     HexagonSubgroup,
     MonomialGroupElement,
@@ -217,6 +218,27 @@ def max_swap_closed_section_scan(n):
                 continue
         return m
     return None
+
+
+def section_identity_by_pairing(e, e_prime, model):
+    """``section_identity`` through the lattice pairing, as it was first
+    written: parse both normal forms into mark sets, then take the two
+    squares and the product with ``CohClass.square`` and ``pairing``."""
+    n = model.n_blowups
+    if e.n != n or e_prime.n != n:
+        raise LatticeError("dimension mismatch")
+    if e == e_prime:
+        raise LatticeError("two distinct sections are required")
+    marks = []
+    for x in (e, e_prime):
+        c = x.coords
+        if c[1] != 1 - c[0] or not set(c[2:]) <= {0, 1}:
+            raise LatticeError(f"{x} is not in section normal form")
+        marks.append(set(itertools.compress(range(2, len(c)), c[2:])))
+    r = n - 1 - len(marks[0].symmetric_difference(marks[1]))
+    m, m_p = -e.square(), -e_prime.square()
+    prod = pairing(e, e_prime)
+    return SectionIdentity(r, m, m_p, prod, n - 1 == r + m + m_p + 2 * prod)
 
 
 def _hexagon_subgroups():

@@ -27,6 +27,7 @@ from gsurf.gconic import (
     section_class,
     section_classes,
     section_identity,
+    section_identity_table,
     sigma_partition,
     vertical_decompositions,
 )
@@ -385,6 +386,15 @@ class TestSigmaPartition:
             sigma_partition(taus, ConicBundleModel(n))
 
 
+def _fields(res):
+    return (res.r, res.m, res.m_prime, res.product, res.holds)
+
+
+def _table_rows(table):
+    return list(zip(table.r.tolist(), table.m.tolist(), table.m_prime.tolist(),
+                    table.product.tolist(), table.holds.tolist()))
+
+
 class TestSectionIdentity:
     def test_parse_round_trip(self):
         e = section_class(6, -1, (3, 5))
@@ -398,6 +408,112 @@ class TestSectionIdentity:
         e = section_class(5, 0, ())
         with pytest.raises(LatticeError):
             section_identity(e, e, m)
+
+    def test_section_class_rejects_repeated_mark(self):
+        with pytest.raises(LatticeError, match="^mark 2 repeated$"):
+            section_class(5, 0, (2, 2))
+        with pytest.raises(LatticeError, match="^mark 4 repeated$"):
+            section_class(6, 1, (4, 3, 4))
+        assert section_class(5, 0, (3, 2)) == section_class(5, 0, (2, 3))
+
+    _E = CohClass((0, 1, 1, 0, 0, 0))          # E1 + E2, in normal form
+    _BAD_H = CohClass((1, 1, 0, 0, 0, 0))      # E1-coordinate is not 1 - c
+    _BAD_MARK = CohClass((0, 1, 2, 0, 0, 0))   # mark coordinate 2
+    _NEG_MARK = CohClass((-1, 2, 0, -1, 0, 0))  # mark coordinate -1
+
+    @pytest.mark.parametrize("e, e_prime, message", [
+        (CohClass((0, 1, 0, 0, 0, 0, 0)), _E, "dimension mismatch"),
+        (_E, CohClass((0, 1, 0, 0, 0, 0, 0)), "dimension mismatch"),
+        (CohClass((1, 1, 0, 0, 0, 0, 0)), _BAD_H, "dimension mismatch"),
+        (_BAD_H, _BAD_H, "two distinct sections are required"),
+        (_BAD_H, _E, "[1,1,0,0,0,0] is not in section normal form"),
+        (_E, _BAD_H, "[1,1,0,0,0,0] is not in section normal form"),
+        (_BAD_MARK, _E, "[0,1,2,0,0,0] is not in section normal form"),
+        (_E, _NEG_MARK, "[-1,2,0,-1,0,0] is not in section normal form"),
+        (_BAD_MARK, _NEG_MARK, "[0,1,2,0,0,0] is not in section normal form"),
+        (_NEG_MARK, _BAD_MARK, "[-1,2,0,-1,0,0] is not in section normal form"),
+    ], ids=["first-dim", "second-dim", "both-dim-and-form", "equal-and-bad",
+            "first-h", "second-h", "first-mark", "second-mark",
+            "both-first", "both-second"])
+    def test_error_paths(self, e, e_prime, message):
+        model = ConicBundleModel(5)
+        for route in (section_identity, oracles.section_identity_by_pairing):
+            with pytest.raises(LatticeError) as info:
+                route(e, e_prime, model)
+            assert str(info.value) == message
+
+    @pytest.fixture(scope="class")
+    def by_pairing(self):
+        """The oracle's fields on every pair i < j at N = 5..7."""
+        out = {}
+        for n in (5, 6, 7):
+            model = ConicBundleModel(n)
+            classes = list(section_classes(n, -2, 2))
+            out[n] = [oracles.section_identity_by_pairing(e, e2, model)
+                      for i, e in enumerate(classes) for e2 in classes[i + 1:]]
+        return out
+
+    def test_scalar_route_matches_pairing_on_every_pair(self, by_pairing):
+        count = 0
+        for n, want in by_pairing.items():
+            model = ConicBundleModel(n)
+            classes = list(section_classes(n, -2, 2))
+            got = [section_identity(e, e2, model)
+                   for i, e in enumerate(classes) for e2 in classes[i + 1:]]
+            assert got == want, n
+            count += len(got)
+        assert count == 66920
+
+    def test_table_matches_pairing_on_every_pair(self, by_pairing):
+        count = 0
+        for n, want in by_pairing.items():
+            table = section_identity_table(n, -2, 2)
+            classes = [e.coords for e in section_classes(n, -2, 2)]
+            assert [tuple(row) for row in table.classes.tolist()] == classes
+            pairs = list(itertools.combinations(range(len(classes)), 2))
+            assert list(zip(table.i.tolist(), table.j.tolist())) == pairs
+            got = _table_rows(table)
+            assert got == [_fields(w) for w in want], n
+            count += len(got)
+        assert count == 66920
+
+    def test_table_edges(self):
+        assert len(section_identity_table(3, 0, -1).holds) == 0
+        one = section_identity_table(3, 0, 0)
+        assert one.classes.shape == (4, 4) and len(one.holds) == 6
+        assert one.holds.all()
+        with pytest.raises(LatticeError):
+            section_identity_table(2)
+
+    def test_table_is_exact_where_int64_products_wrap(self):
+        n, c = 5, 2 ** 40                   # c * c' is past 2^63
+        model = ConicBundleModel(n)
+        table = section_identity_table(n, c, c + 1)
+        want = [section_identity(e, e2, model) for e, e2 in
+                itertools.combinations(section_classes(n, c, c + 1), 2)]
+        assert _table_rows(table) == [_fields(w) for w in want]
+
+    def test_c05_names_a_failing_pair(self, monkeypatch):
+        import dataclasses
+
+        from gsurf import gconic, selftest
+        real = gconic.section_identity_table
+
+        def one_failure(n, c_min, c_max):
+            table = real(n, c_min, c_max)
+            if n != 6:
+                return table
+            holds = table.holds.copy()
+            holds[1234] = False
+            return dataclasses.replace(table, holds=holds)
+
+        monkeypatch.setattr(gconic, "section_identity_table", one_failure)
+        res = selftest.criterion_05_section_identity(quick=True)
+        classes = list(section_classes(6, -2, 2))
+        i, j = list(itertools.combinations(range(len(classes)), 2))[1234]
+        assert not res.ok
+        assert res.detail == \
+            f"identity failed for {classes[i]}, {classes[j]} at N=6"
 
     def test_identity_holds_spot_checks(self):
         n = 7

@@ -597,6 +597,24 @@ class TestInvariantLattice:
         rank, _ = invariant_lattice([s])
         assert rank == 5
 
+    def test_computed_once_per_group(self, monkeypatch):
+        calls = []
+        real = gsurf.weyl.integer_kernel
+
+        def counting(rows, dim):
+            calls.append(dim)
+            return real(rows, dim)
+
+        monkeypatch.setattr(gsurf.weyl, "integer_kernel", counting)
+        group = generate_group(simple_reflections(5))
+        first = invariant_lattice(group)
+        assert trace_sum_condition(group) == (0, True)
+        assert invariant_lattice(group) is first
+        assert calls == [6]
+        assert invariant_lattice(list(group.generators)) == first
+        assert invariant_lattice(iter(group.generators)) == first
+        assert calls == [6, 6, 6]
+
 
 def _span2_equal(basis_a, basis_b):
     """Two rank-2 integer lattices coincide iff each basis sits in the other."""
@@ -641,6 +659,23 @@ class TestTraceCondition:
         group = generate_group([moved])
         with pytest.raises(LatticeError):
             trace_sum_condition(group)
+
+    def test_names_the_generator_that_moves_k(self):
+        fixed = reflection(CohClass((0, 1, -1, 0, 0)))
+        moved = reflection(CohClass((0, -1, -1, 0, 0)))
+        group = generate_group([fixed, moved, fixed])
+        with pytest.raises(LatticeError) as info:
+            trace_sum_condition(group)
+        assert str(info.value) == \
+            f"generator moves the canonical class:\n{moved}"
+
+    def test_reads_the_chain_flag_not_the_generators(self, monkeypatch):
+        def fail(self, c):
+            raise AssertionError("Isometry.fixes called")
+
+        group = weyl_group(4)
+        monkeypatch.setattr(Isometry, "fixes", fail)
+        assert trace_sum_condition(group) == (0, True)
 
     def test_character_identity_random(self):
         rng = random.Random(11)

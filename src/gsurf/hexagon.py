@@ -316,6 +316,15 @@ KIND_GTN = "Gtn"
 KIND_GNKS = "Gnks"
 KIND_GTN32 = "Gtn32"
 
+# The complement P each kind's permutation generators generate, sorted.
+# CYCLE alone generates C3 (Gn, Gnks).  A subgroup of S3 holding a 3-cycle
+# and a transposition (Gtn) has order divisible by 6, so it is S3; so is
+# one holding two distinct transpositions (Gtn32), whose product is a
+# 3-cycle.
+_C3 = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+_S3 = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
+_COMPLEMENT = {KIND_GN: _C3, KIND_GTN: _S3, KIND_GNKS: _C3, KIND_GTN32: _S3}
+
 
 @dataclass(frozen=True)
 class MonomialGroup:
@@ -378,13 +387,14 @@ def make_imprimitive(kind: str, n: int, k: Optional[int] = None,
     """The group of the listed generators, built as T x| P, sorted.
 
     The permutation generators carry zero scalars, so they generate a
-    complement P (C3 or S3).  Conjugation by a permutation permutes the
-    scalars, so the diagonal part T is the subgroup of (Z/n)^3/diagonal
-    generated by the P-permuted scalar generators; it is normal, meets P
-    trivially, and every element is uniquely t * p, so the order is
-    |T| * |P| (3n^2, 6n^2, 3n^2/k, 2n^2 by kind).  T grows by coset
-    extension: for each generator v with m least such that m*v is in T,
-    T + {0, ..., m-1}*v is a subgroup m times larger, with no repeats.
+    complement P (C3 or S3, as ``_COMPLEMENT`` proves).  Conjugation by a
+    permutation permutes the scalars, so the diagonal part T is the
+    subgroup of (Z/n)^3/diagonal generated by the P-permuted scalar
+    generators; it is normal, meets P trivially, and every element is
+    uniquely t * p, so the order is |T| * |P| (3n^2, 6n^2, 3n^2/k, 2n^2
+    by kind).  T grows by coset extension: for each generator v with m
+    least such that m*v is in T, T + {0, ..., m-1}*v is a subgroup m
+    times larger, with no repeats.
 
     Raises LimitExceeded, before building anything, when that order
     exceeds ``limit``.
@@ -393,7 +403,7 @@ def make_imprimitive(kind: str, n: int, k: Optional[int] = None,
     if expected > limit:
         raise LimitExceeded(f"{kind} at n = {n} has order {expected}, above"
                             f" the limit of {limit} (gsurf hexagon --limit)")
-    perms = sorted(_perm_closure([g.perm for g in gens if g.perm != (0, 1, 2)], 3))
+    perms = _COMPLEMENT[kind]
     torus = [(0, 0)]
     for c, p in itertools.product((g.scalars for g in gens if g.perm == (0, 1, 2)),
                                   perms):
@@ -445,23 +455,6 @@ class HexagonSubgroup:
     order: int
     cyclic: bool
     vertex_perms: tuple
-
-
-def _compose(p: tuple, q: tuple) -> tuple:
-    """The permutation p after q."""
-    return tuple(p[i] for i in q)
-
-
-def _perm_closure(gens, degree: int) -> set:
-    """The permutation group of the given degree generated by ``gens``."""
-    ident = tuple(range(degree))
-    group = {ident}
-    frontier = [ident]
-    while frontier:
-        frontier = [y for y in {_compose(x, g) for x in frontier for g in gens}
-                    if y not in group]
-        group.update(frontier)
-    return group
 
 
 def transitive_hexagon_subgroups() -> tuple:

@@ -14,7 +14,7 @@ start without it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from math import isqrt
 from operator import itemgetter
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
@@ -126,6 +126,39 @@ class FiniteIsometryGroup:
         import numpy as np
         return self.element_array().trace(axis1=1, axis2=2, dtype=np.int64)
 
+    def group_sum(self) -> Tuple[Tuple[int, ...], ...]:
+        """R, the sum of the matrices of all elements, from the chain alone.
+
+        Every element is uniquely u1 u2 ... uk with ui in Ui (see
+        ``generate_group``) and the matrix of a product is the product of
+        the matrices, so R = (sum of U1)(sum of U2) ... (sum of Uk).  Each
+        level's sum is exact in int64, as |Ui| * 32767 is far below 2^63.
+        The product is taken in Python ints, as numpy object arrays: each
+        partial product is the sum of distinct elements u1 ... uj (the rest
+        of the factors being the identity), and |G| times an entry may pass
+        int64.  With no levels (the trivial group) R is the identity.
+        Raises LimitExceeded when a transversal element's image of H has an
+        entry above 32767 in absolute value.
+
+        R is |G| times the projector onto the invariant subspace V^G:
+        g R = R g = R for every g in G, as left or right multiplication
+        by g permutes the elements.  So R (g - I) = 0, R's image lies in
+        V^G, and R v = |G| v for v in V^G; hence R/|G| is an idempotent
+        onto V^G and tr R = |G| * rank V^G.
+        """
+        import numpy as np
+        transversals, pts, k, moves_k = self._listing
+        dim = pts.shape[1]
+        if not transversals:
+            return tuple(map(tuple, np.eye(dim, dtype=int).tolist()))
+        seeds = dim if moves_k else dim - 1
+        images = np.array([u[:seeds] for trans in transversals
+                           for u in trans.values()])
+        mats = _read_matrices(images, pts, k, moves_k)
+        starts = np.cumsum([0] + [len(t) for t in transversals[:-1]])
+        levels = np.add.reduceat(mats, starts, dtype=np.int64).astype(object)
+        return tuple(map(tuple, reduce(np.matmul, levels).tolist()))
+
 
 # Entries are stored in int16 at most.
 _MAX_ENTRY = 32767
@@ -160,8 +193,9 @@ def generate_group(gens: Sequence[Isometry],
     keeping only the images of the seeds.  Column j >= 1 of an element is
     the point its permutation sends E_j to.  Column 0 is the image of H:
     read from H's orbit when H is a point, otherwise (sum of the other
-    columns - K)/3, K being fixed.  Each matrix is read once, at the end;
-    every point is in range already, so only column 0 is checked.
+    columns - K)/3, K being fixed.  Each matrix is read once, at the end,
+    by ``_read_matrices``, which ``group_sum`` shares; every point is in
+    range already, so only column 0 is checked.
     """
     gens = tuple(gens)
     chain, pts, k, moves_k = _basis_chain(gens, limit)
@@ -273,45 +307,61 @@ def _list_elements(transversals: List[dict], pts: np.ndarray,
 
     Each row of ``images`` is the seeds sent through one u1 u2 ... uk; uk
     acts first, so the levels are applied last to first, each as a small
-    unsigned index array.  The matrices are int8 when every entry fits,
-    else int16, and are sorted row-major as byte strings by ``_sort_rows``.
-    Sorted, a repeated element would sit on adjacent rows of equal bytes.
+    unsigned index array.  The matrices are read by ``_read_matrices`` and
+    sorted row-major as byte strings by ``_sort_rows``.  Sorted, a
+    repeated element would sit on adjacent rows of equal bytes.
     """
     import numpy as np
     dim = pts.shape[1]
-    n = dim - 1
-    seeds = dim if moves_k else n
+    seeds = dim if moves_k else dim - 1
     index = np.min_scalar_type(len(pts) - 1)
     images = np.arange(seeds, dtype=index)[None]
     for trans in reversed(transversals):
         level = np.array(list(trans.values()), dtype=index)
         images = level[:, images].reshape(-1, seeds)
-    order = images.shape[0]
+    elements = _read_matrices(images, pts, k, moves_k)
+    del images  # before the sort copies the elements
+    elements = _sort_rows(elements.reshape(-1, dim * dim))
+    rows = elements.view((np.void, elements.itemsize * dim * dim)).ravel()
+    if (rows[1:] == rows[:-1]).any():  # pragma: no cover
+        raise InvariantViolation("closure bookkeeping mismatch")
+    return elements.reshape(-1, dim, dim)
+
+
+def _read_matrices(images: np.ndarray, pts: np.ndarray, k: np.ndarray,
+                   moves_k: bool) -> np.ndarray:
+    """The matrices of the elements whose seed images are ``images``' rows.
+
+    Row r holds the indices into ``pts`` of the points one element sends
+    the seeds to.  Column j >= 1 of its matrix is the point E_j goes to;
+    column 0 is H's image, read from H's orbit when K moves, otherwise
+    (sum of the other columns - K)/3, K being fixed.  Every point is in
+    16-bit range already, so only column 0 is checked: an entry above
+    32767 in absolute value raises LimitExceeded.  The matrices are int8
+    when every entry fits, else int16.
+    """
+    import numpy as np
+    dim = pts.shape[1]
     # exact: N entries below 2^15 in absolute value sum below 2^31
     pts = pts.astype(np.int32)
-    if moves_k:
-        col0 = np.take(pts, images[:, n], axis=0)
+    if moves_k:  # H is the last seed
+        col0 = pts.take(images[:, -1], axis=0)
     else:
-        col0 = np.take(pts, images[:, 0], axis=0) - k.astype(np.int32)
-        for j in range(1, n):
-            col0 += np.take(pts, images[:, j], axis=0)
+        col0 = pts.take(images[:, 0], axis=0) - k.astype(np.int32)
+        for j in range(1, dim - 1):
+            col0 += pts.take(images[:, j], axis=0)
         if (col0 % 3).any():  # pragma: no cover - K is fixed
             raise InvariantViolation("image of H is not integral")
         col0 //= 3
     largest = max(-int(col0.min()), int(col0.max()), int(np.abs(pts).max()))
     if largest > _MAX_ENTRY:
         raise LimitExceeded(_RANGE_MESSAGE)
-    elements = np.empty((order, dim, dim), np.int8 if largest <= 127 else np.int16)
-    elements[:, :, 0] = col0
-    pts = pts.astype(elements.dtype)
+    mats = np.empty((len(images), dim, dim), np.int8 if largest <= 127 else np.int16)
+    mats[:, :, 0] = col0
+    pts = pts.astype(mats.dtype)
     for j in range(1, dim):
-        elements[:, :, j] = np.take(pts, images[:, j - 1], axis=0)
-    del images, col0  # before the sort copies the elements
-    elements = _sort_rows(elements.reshape(order, dim * dim))
-    rows = elements.view((np.void, elements.itemsize * dim * dim)).ravel()
-    if (rows[1:] == rows[:-1]).any():  # pragma: no cover
-        raise InvariantViolation("closure bookkeeping mismatch")
-    return elements.reshape(order, dim, dim)
+        mats[:, :, j] = pts.take(images[:, j - 1], axis=0)
+    return mats
 
 
 def _sort_rows(arr: np.ndarray) -> np.ndarray:
@@ -444,11 +494,6 @@ class StabilizerChain:
             self.assigned[at].append(gen)
             self._assigned_inv[at].append(_pinv(gen))
 
-    def _effective(self, i: int):
-        for j in range(i, len(self.base)):
-            for idx, g in enumerate(self.assigned[j]):
-                yield j, idx, g
-
     def _extend_orbit(self, i: int) -> None:
         trans, inverses = self.transversals[i], self._inverses[i]
         gens = [pair for j in range(i, len(self.base))
@@ -478,7 +523,8 @@ class StabilizerChain:
             trans, inverses = self.transversals[i], self._inverses[i]
             done = self._done[i]
             progressed = False
-            for j, idx, g in list(self._effective(i)):
+            for j, idx, g in [(j, idx, g) for j in range(i, len(self.base))
+                              for idx, g in enumerate(self.assigned[j])]:
                 for pt in list(trans):
                     mark = (pt, j, idx)
                     if mark in done:
@@ -538,12 +584,6 @@ def integer_kernel(rows: Sequence[Sequence[int]], dim: int) -> List[tuple]:
     return kernel
 
 
-def _generators_of(group_or_gens) -> List[Isometry]:
-    if isinstance(group_or_gens, FiniteIsometryGroup):
-        return list(group_or_gens.generators)
-    return list(group_or_gens)
-
-
 def invariant_lattice(group_or_gens):
     """(rank, primitive basis) of the sublattice fixed by every generator.
 
@@ -565,22 +605,30 @@ def _fixed_sublattice(gens: Sequence[Isometry]):
 
 
 def trace_sum_condition(group: FiniteIsometryGroup):
-    """(sum of traces on the root lattice over all elements, sum == 0).
+    """(sum over G of the traces on K's orthogonal complement, sum == 0).
 
-    Every generator must fix K, so each element restricts to the root
-    lattice and tr(g|R) = tr(g|H2) - 1.  The sum always equals
-    |G| * rank(R^G); a mismatch would be an internal error.  Whether some
-    generator moves K is read off the group's chain, which recorded it.
+    Every generator must fix K.  An isometry g fixing K preserves
+    K^perp = {x : x.K = 0} and acts trivially on the one-dimensional
+    quotient H2/K^perp, since gx.K = gx.gK = x.K; so tr(g|K^perp) =
+    tr(g|H2) - 1.  For N <= 8, K^perp is the root lattice.  At N = 9,
+    where K.K = 0 puts K in K^perp, the quotient argument holds as it is.
+
+    Summing over G, the total is tr R - |G| with R = ``group_sum()``, and
+    tr R = |G| * rank(H2^G) (see ``group_sum``), so the total vanishes
+    exactly when the invariant rank is 1.  R comes from the chain and the
+    rank from the kernel of the generators, so tr R != |G| * rank would
+    be an internal error, checked on every call.  Whether some generator
+    moves K is read off the group's chain, which recorded it.
     """
     if group._moves_k:
         k = canonical_class(group.n)
         g = next(g for g in group.generators if not g.fixes(k))
         raise LatticeError(f"generator moves the canonical class:\n{g}")
-    total = int(group.trace_vector().sum()) - group.order
+    trace = sum(row[i] for i, row in enumerate(group.group_sum()))
     rank, _ = invariant_lattice(group)
-    if total != group.order * (rank - 1):  # pragma: no cover
+    if trace != group.order * rank:
         raise InvariantViolation("trace sum disagrees with fixed-lattice rank")
-    return total, total == 0
+    return trace - group.order, trace == group.order
 
 
 # ---------------------------------------------------------------------------
@@ -607,13 +655,6 @@ def _ext_gcd(a: int, b: int):
     return (g, y, x - (a // b) * y)
 
 
-def _isqrt_exact(m: int):
-    if m < 0:
-        return None
-    r = isqrt(m)
-    return r if r * r == m else None
-
-
 def fiber_class_candidates(basis: Sequence[CohClass]) -> Tuple[CohClass, ...]:
     """Primitive F = x*u + y*v with F.F = 0 and K.F = -2 in a rank-2 lattice."""
     u, v = basis
@@ -629,8 +670,8 @@ def fiber_class_candidates(basis: Sequence[CohClass]) -> Tuple[CohClass, ...]:
     ts = []
     if a2 != 0:
         disc = a1 * a1 - a2 * a0
-        root = _isqrt_exact(disc)
-        if root is not None:
+        root = isqrt(max(disc, 0))
+        if root * root == disc:
             for num in (-a1 + root, -a1 - root):
                 if num % a2 == 0:
                     ts.append(num // a2)
@@ -655,10 +696,13 @@ def minimality_rank_dichotomy(group_or_gens) -> Dichotomy:
     In the rank-2 case the primitive invariant classes with F.F = 0 and
     K.F = -2 are returned as fiber-class candidates (there are at most two).
     """
-    gens = _generators_of(group_or_gens)
+    if isinstance(group_or_gens, FiniteIsometryGroup):
+        gens = group_or_gens.generators
+    else:
+        gens = group_or_gens = list(group_or_gens)
     if not all(g.fixes(canonical_class(g.n)) for g in gens):
         raise LatticeError("generators must fix the canonical class")
-    rank, basis = invariant_lattice(gens)
+    rank, basis = invariant_lattice(group_or_gens)
     if rank == 1:
         return Dichotomy(RANK1, rank, basis, ())
     if rank == 2:

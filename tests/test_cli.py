@@ -379,20 +379,42 @@ def test_parser_literals_match_the_library():
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                     reason="reads the peak RSS from /proc")
-def test_weyl_order_only_lists_no_element():
-    # Listing W(E7) peaks near 600 MB; its chain needs a few tens of MB.
-    # The child reads VmHWM, not ru_maxrss: Linux keeps the peak of the
-    # process image an exec replaces, here the whole test session's.
-    script = ("import contextlib, io\n"
-              "from gsurf import cli\n"
-              "with contextlib.redirect_stdout(io.StringIO()):\n"
-              "    code = cli.main(['weyl', '--n', '7', '--order-only'])\n"
-              "with open('/proc/self/status') as fh:\n"
-              "    peak = next(l for l in fh if l.startswith('VmHWM:'))\n"
-              "print(code, peak.split()[1])\n")
-    code, peak_kb = map(int, _child_stdout(script).split())
+def test_weyl_order_only_lists_no_element(tmp_path):
+    # Listing W(E7) peaks near 400 MB; its chain needs a few tens of MB.
+    # `invariants` sums the traces from the chain as well.  The child
+    # reads VmHWM, not ru_maxrss: Linux keeps the peak of the process
+    # image an exec replaces, here the whole test session's.
+    gens = tmp_path / "gens.json"
+    gens.write_text(json.dumps([list(map(list, g.mat))
+                                for g in simple_reflections(7)]))
+    for argv in (["weyl", "--n", "7", "--order-only"],
+                 ["invariants", "--gens", str(gens)]):
+        script = ("import contextlib, io\n"
+                  "from gsurf import cli\n"
+                  "with contextlib.redirect_stdout(io.StringIO()):\n"
+                  f"    code = cli.main({argv!r})\n"
+                  "with open('/proc/self/status') as fh:\n"
+                  "    peak = next(l for l in fh if l.startswith('VmHWM:'))\n"
+                  "print(code, peak.split()[1])\n")
+        code, peak_kb = map(int, _child_stdout(script).split())
+        assert code == 0, argv
+        assert peak_kb < 150 * 1024, argv
+
+
+def test_invariants_e8_sums_traces_from_the_chain(tmp_path, capsys):
+    # W(E8) cannot be listed; its trace sum comes from the chain
+    gens = tmp_path / "gens.json"
+    gens.write_text(json.dumps([list(map(list, g.mat))
+                                for g in simple_reflections(8)]))
+    code, report = run_json(capsys, "invariants", "--gens", str(gens),
+                            "--limit", "700000000")
     assert code == 0
-    assert peak_kb < 150 * 1024
+    res = report["results"]
+    assert (res["order"], res["rank"], res["trace_sum"], res["holds"]) == \
+        (696729600, 1, 0, True)
+    assert cli.main(["invariants", "--gens", str(gens)]) == 1
+    assert capsys.readouterr().err == \
+        "error: group closure exceeded limit 10000000\n"
 
 
 def test_weyl_n8_needs_chain(capsys):

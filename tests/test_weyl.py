@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gsurf.weyl
-from gsurf.errors import LatticeError, LimitExceeded
+from gsurf.errors import InvariantViolation, LatticeError, LimitExceeded
 from gsurf.exceptional import cremona_reflect, h_ijk
 from gsurf.gconic import fiber_class, full_swap, matrix_from_fiber_action
 from gsurf.lattice import CohClass, Isometry, canonical_class, pairing, unit
@@ -176,9 +176,11 @@ def _outcome(close, gens, limit):
 def _assert_matches_bfs(gens):
     """Same element bytes and dtype as the BFS; same message at |G| - 1."""
     want = oracles.group_by_bfs(gens)
-    got = generate_group(gens).element_array()
+    group = generate_group(gens)
+    got = group.element_array()
     assert (got.dtype, got.shape, got.tobytes()) == \
         (want.dtype, want.shape, want.tobytes())
+    _assert_group_sum(group, want)
     order = want.shape[0]
     assert generate_group(gens, limit=order).element_array().tobytes() == \
         want.tobytes()
@@ -187,6 +189,24 @@ def _assert_matches_bfs(gens):
         generate_group(gens, limit=order - 1)
     with pytest.raises(LimitExceeded):
         oracles.group_by_bfs(gens, limit=order - 1)
+
+
+def _times(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
+def _assert_group_sum(group, listing):
+    """R equals the listing's sum and is |G| times the invariant projector."""
+    r = group.group_sum()
+    assert r == tuple(map(tuple, listing.sum(axis=0, dtype=np.int64).tolist()))
+    for g in group.generators:
+        minus_one = [[v - (i == j) for j, v in enumerate(row)]
+                     for i, row in enumerate(g.mat)]
+        assert not any(map(any, _times(r, minus_one)))
+    for v in invariant_lattice(group)[1]:
+        assert _times(r, [[c] for c in v.coords]) == \
+            [[group.order * c] for c in v.coords]
 
 
 def _random_gens(rng, n, count):
@@ -320,10 +340,12 @@ class TestListing:
 
     def test_e7_listing_pinned(self):
         # W(E7) is past the BFS oracle's reach, so its listing is pinned
-        elements = weyl_group(7).element_array()
+        group = weyl_group(7)
+        elements = group.element_array()
         assert (elements.dtype, elements.shape) == (np.int8, (2903040, 8, 8))
         assert hashlib.sha256(elements.tobytes()).hexdigest() == \
             "91e31f0cc8bafe952824263d5157b2955f653a7feec9c6bd8405894bff714df8"
+        _assert_group_sum(group, elements)
 
     def test_order_without_listing(self, monkeypatch):
         def refuse(*args):
@@ -333,6 +355,7 @@ class TestListing:
         assert group.order == len(group) == 2903040
         assert invariant_lattice(group)[0] == 1
         assert minimality_rank_dichotomy(group).kind == RANK1
+        assert trace_sum_condition(group) == (0, True)
         with pytest.raises(AssertionError, match="listed the elements"):
             group.element_array()
 
@@ -610,6 +633,7 @@ class TestInvariantLattice:
         first = invariant_lattice(group)
         assert trace_sum_condition(group) == (0, True)
         assert invariant_lattice(group) is first
+        assert minimality_rank_dichotomy(group).kind == RANK1
         assert calls == [6]
         assert invariant_lattice(list(group.generators)) == first
         assert invariant_lattice(iter(group.generators)) == first
@@ -645,8 +669,19 @@ class TestTraceCondition:
         assert (s, holds) == (0, True)
 
     def test_trivial_group(self):
-        s, holds = trace_sum_condition(generate_group([Isometry.identity(4)]))
+        group = generate_group([Isometry.identity(4)])
+        assert group.group_sum() == Isometry.identity(4).mat
+        s, holds = trace_sum_condition(group)
         assert (s, holds) == (4, False)
+
+    def test_rank_mismatch_is_an_internal_error(self, monkeypatch):
+        group = weyl_group(4)
+        rank, basis = invariant_lattice(group)
+        monkeypatch.setattr(gsurf.weyl, "invariant_lattice",
+                            lambda g: (rank + 1, basis))
+        with pytest.raises(InvariantViolation, match="^trace sum disagrees"
+                           " with fixed-lattice rank$"):
+            trace_sum_condition(group)
 
     def test_two_element_group(self):
         s = reflection(CohClass((0, 1, -1, 0, 0)))
@@ -707,6 +742,7 @@ class TestTraceCondition:
         want = oracles.trace_vector_by_einsum(group)
         got = group.trace_vector()
         assert (got.dtype, got.tolist()) == (np.int64, want.tolist())
+        _assert_group_sum(group, group.element_array())
 
     def test_trace_vector_makes_no_int64_copy(self):
         group = weyl_group(6)

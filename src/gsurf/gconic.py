@@ -230,11 +230,15 @@ class GroupDecomposition:
     """The (base-trivial subgroup, declared core, base action) data.
 
     ``q_elements`` is the image of Q in the isometry group: the elements
-    acting trivially on the base.  The subgroup acting trivially on the
-    whole lattice is invisible here, so its order m is declared by the
-    caller.  ``case_tag`` follows the classification of minimal bundles:
-    ``cyclic-core`` (m > 1), ``involution`` / ``klein-four`` (m = 1), or
-    ``non-minimal``.
+    acting trivially on the base, sorted by ``Isometry.key`` for a
+    generated group (the order of its listing) and in input order for a
+    list.  ``p_structure`` is P, the sorted set of the base permutations
+    pi, so |P| <= (N - 1)!.  ``minimal`` says whether every fiber is
+    switched by some element fixing it.  The subgroup acting trivially on
+    the whole lattice is invisible here, so its order m is declared by
+    the caller.  ``case_tag`` follows the classification of minimal
+    bundles: ``cyclic-core`` (m > 1), ``involution`` / ``klein-four``
+    (m = 1), or ``non-minimal``.
     """
 
     q_elements: tuple
@@ -252,13 +256,39 @@ class GroupDecomposition:
 def decompose(group, model: ConicBundleModel, g0_order: int = 1) -> GroupDecomposition:
     """Split a closed isometry group along the bundle and classify it.
 
-    Each element's fiber action is extracted once, as soon as the element
-    is built, so the first element that breaks the bundle ends the run.
-    The classification runs on those signed permutations; ``fiber_action``
-    is a faithful homomorphism on isometries fixing F and K, so this is
-    exact.  A ``FiniteIsometryGroup`` is closed by construction, since only
-    ``generate_group`` can build one, and is not re-checked; any other
-    collection of isometries is checked for closure in full.
+    The classification runs on signed permutations: ``fiber_action`` is a
+    faithful homomorphism on isometries fixing F and K, so this is exact.
+    Any collection of isometries other than a ``FiniteIsometryGroup`` has
+    each element's fiber action extracted once and is checked for closure
+    in full.  A ``FiniteIsometryGroup`` is closed by construction, since
+    only ``generate_group`` can build one, and is read off its generators'
+    fiber actions, never listed; a generator that breaks the bundle raises
+    ``fiber_action``'s LatticeError.
+
+    *P.*  Breadth-first from the identity: for a queued lift l and a
+    generator s, g = s l becomes the lift of g.pi if that permutation is
+    new.  As G is finite, this reaches every base permutation.
+
+    *Q.*  The lifts are a transversal of the cosets gQ, which G permutes
+    by left multiplication, so by Schreier's lemma (Seress, *Permutation
+    Group Algorithms*, 2003, 4.2) Q is generated by the residues
+    l(g.pi)^-1 g.  Such a residue fixes every fiber, with flag
+    l(g.pi).eps[t] * g.eps[t] at fiber t, as both elements send fiber t
+    to g.pi(t): its swap mask is the XOR of the two masks, with no
+    inverse or product formed.  Q is an elementary abelian 2-group, the
+    F2 span of these masks.  An integral lift swaps an even number of
+    fibers, so rank N - 2 is the whole even-weight space and ends the
+    reduction.  Each mask's isometry is rebuilt by
+    ``matrix_from_fiber_action`` after moving its flags to the standard
+    fibers, as a base-trivial element swaps the same fibers in any model.
+    As the action is faithful, |P| |Q| must equal the order from the
+    chain, an independent route; otherwise InvariantViolation.
+
+    *Minimality.*  Every element is l_p q with q in Q.  It fixes fiber j
+    exactly when p(j) = j, and then its flag there is l_p.eps_j q.eps_j,
+    so some element switches fiber j exactly when some lift fixing j or
+    some element of Q switches it: ``_is_minimal`` over the lifts and
+    Q's actions is exact.
 
     Structures incompatible with the classification of minimal bundles are
     reported as InvariantViolation: they cannot arise from a group action
@@ -269,11 +299,15 @@ def decompose(group, model: ConicBundleModel, g0_order: int = 1) -> GroupDecompo
     if g0_order < 1:
         raise LatticeError("the declared core order must be at least 1")
     n = model.n_blowups
-    elements, actions = [], []
-    for g in group:
-        elements.append(g)
-        actions.append(fiber_action(g, model))
-    if not isinstance(group, FiniteIsometryGroup):
+    if isinstance(group, FiniteIsometryGroup):
+        lifts, q_pairs = _bundle_structure(group, model)
+        if len(lifts) * len(q_pairs) != group.order:
+            raise InvariantViolation(f"|P| |Q| = {len(lifts)} * {len(q_pairs)}"
+                                     f" for a group of order {group.order}")
+        actions = [*lifts.values(), *(a for _, a in q_pairs)]
+    else:
+        pairs = [(g, fiber_action(g, model)) for g in group]
+        actions = [a for _, a in pairs]
         present = set(actions)
         if len(present) != len(actions):
             raise LatticeError("input group lists an element more than once")
@@ -281,13 +315,15 @@ def decompose(group, model: ConicBundleModel, g0_order: int = 1) -> GroupDecompo
             for b in actions:
                 if a.compose(b) not in present:
                     raise LatticeError("input group is not closed under products")
-    q = tuple(g for g, a in zip(elements, actions) if a.is_base_trivial())
-    p_structure = tuple(sorted({a.pi for a in actions}))
+        q_pairs = [(g, a) for g, a in pairs if a.is_base_trivial()]
+        lifts = {a.pi: a for a in actions}
+    q = tuple(g for g, _ in q_pairs)
+    p_structure = tuple(sorted(lifts))
     minimal = _is_minimal(actions, model)
     m = g0_order
 
     identity = FiberAction.identity(n - 1)
-    nontrivial = [a for a in actions if a.is_base_trivial() and a != identity]
+    nontrivial = [a for _, a in q_pairs if a != identity]
     for a in nontrivial:
         if a.compose(a) != identity:  # pragma: no cover - forced by the model
             raise InvariantViolation("base-trivial element is not an involution")
@@ -352,6 +388,37 @@ def decompose(group, model: ConicBundleModel, g0_order: int = 1) -> GroupDecompo
     )
 
 
+def _bundle_structure(group: FiniteIsometryGroup, model: ConicBundleModel):
+    """The lifts, keyed by base permutation, and Q's (isometry, action)
+    pairs sorted by ``Isometry.key``, as proved in ``decompose``."""
+    n = model.n_blowups
+    gens = [fiber_action(g, model) for g in group.generators]
+    identity = FiberAction.identity(n - 1)
+    lifts, queue, basis = {identity.pi: identity}, [identity], []
+    for lift in queue:
+        for s in gens:
+            g = s.compose(lift)
+            have = lifts.setdefault(g.pi, g)
+            if have is g:
+                queue.append(g)
+            elif have.eps != g.eps and len(basis) < n - 2:
+                v = sum(x << t for t, x in enumerate(map(ne, have.eps, g.eps)))
+                for b in basis:  # leading bits distinct, highest first
+                    v = min(v, v ^ b)
+                if v:
+                    basis = sorted(basis + [v], reverse=True)
+    span = [0]
+    for b in basis:
+        span += [v ^ b for v in span]
+    fibers = [model.components[unit(n, k).coords][0] - 2 for k in model.labels()]
+    q_pairs = []
+    for v in span:
+        eps = tuple([-1 if v >> t & 1 else 1 for t in range(n - 1)])
+        g = matrix_from_fiber_action(identity.pi, [eps[t] for t in fibers], n)
+        q_pairs.append((g, FiberAction._trusted(identity.pi, eps)))
+    return lifts, sorted(q_pairs, key=lambda pair: pair[0].key())
+
+
 def _q_image_name(size: int) -> str:
     return {1: "trivial", 2: "Z2", 4: "Z2xZ2"}.get(size, f"elementary-2 of order {size}")
 
@@ -401,6 +468,8 @@ def _sigma_partition(actions: Sequence[FiberAction], model: ConicBundleModel):
 
 def section_class(n: int, c: int, marks: Sequence[int]) -> CohClass:
     """E1 + c*F + sum of Et over t in marks (the section normal form)."""
+    if n < 1:
+        raise LatticeError("need at least one blowup")
     coords = [0] * (n + 1)
     coords[0], coords[1] = c, 1 - c
     for t in marks:

@@ -230,6 +230,8 @@ def unit(n: int, i: int) -> CohClass:
     trusted once N >= 1, as its coordinates are N + 1 ints 0 and 1."""
     if n < 1:
         raise LatticeError("need at least the H and one E coordinate")
+    if not 0 <= i <= n:
+        raise LatticeError(f"coordinate {i} out of range 0..{n}")
     return CohClass._trusted(tuple(1 if t == i else 0 for t in range(n + 1)))
 
 
@@ -242,6 +244,8 @@ def canonical_class(n: int) -> CohClass:
 
 def fiber_class(n: int) -> CohClass:
     """H - E1."""
+    if n < 1:
+        raise LatticeError("need at least one blowup")
     return CohClass((1, -1) + (0,) * (n - 1))
 
 

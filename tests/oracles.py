@@ -12,8 +12,9 @@ breadth-first closures of the hexagon subgroups, the monomial
 groups and torus kernels, torus elements as ``Fraction`` angles in Q/Z
 beside the package's integer residues, the bundle isometries pushed
 through ``CohClass`` arithmetic, a stabilizer chain on the roots beside the library's chain on
-the orbits of the basis classes, and traces read off an int64 copy of a
-group's listing).
+the orbits of the basis classes, traces read off an int64 copy of a
+group's listing, and a bundle group's P, Q and minimality read off the
+columns of its listing).
 """
 
 import itertools
@@ -38,7 +39,7 @@ from gsurf.hexagon import (
     gamma_generators,
     propagate_rotation,
 )
-from gsurf.lattice import CohClass, canonical_class, pairing, unit
+from gsurf.lattice import CohClass, Isometry, canonical_class, pairing, unit
 from gsurf.weyl import StabilizerChain, all_roots
 
 
@@ -413,6 +414,27 @@ def fiber_action_by_classes(g, model):
             pi.append(minus[img])
             eps.append(-1)
     return FiberAction(tuple(pi), tuple(eps))
+
+
+def bundle_data_by_listing(group):
+    """``decompose``'s (q_elements, p_structure, minimal) on the standard
+    model, read off the columns of every listed element.
+
+    Column j >= 2 of a bundle isometry is E_k, or F - E_k = H - E1 - E_k
+    when fiber j is swapped, k being fiber j's image: k is the row of the
+    column's nonzero entry below row 1, and the H row holds 1 exactly on
+    the swapped fibers.
+    """
+    import numpy as np
+    arr = group.element_array().astype(np.int64)
+    n = arr.shape[1] - 1
+    pi = 2 + np.abs(arr[:, 2:, 2:]).argmax(axis=1)
+    fixed = pi == np.arange(2, n + 1)
+    q = tuple(Isometry(tuple(map(tuple, m)))
+              for m in arr[fixed.all(axis=1)].tolist())
+    p_structure = tuple(sorted(set(map(tuple, pi.tolist()))))
+    switched = fixed & (arr[:, 0, 2:] == 1)
+    return q, p_structure, bool(switched.any(axis=0).all())
 
 
 def matrix_from_fiber_action_by_classes(pi, eps, n):

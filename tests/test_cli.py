@@ -18,6 +18,7 @@ from gsurf.gconic import full_swap
 from gsurf.lattice import coh_from_json
 from gsurf.selftest import klein_four_group
 from gsurf.weyl import reflection, simple_reflections
+from test_gconic import _weyl_d_generators
 
 
 def run(capsys, *args):
@@ -377,28 +378,56 @@ def test_parser_literals_match_the_library():
         hexagon.KIND_GTN32]
 
 
+def _fresh_cli(argv):
+    """Exit code, stderr and peak RSS in kB of ``cli.main(argv)`` in a
+    fresh interpreter.  The child reads VmHWM, not ru_maxrss: Linux keeps
+    the peak of the process image an exec replaces, here the whole test
+    session's."""
+    script = ("import contextlib, io, json\n"
+              "from gsurf import cli\n"
+              "err = io.StringIO()\n"
+              "with contextlib.redirect_stdout(io.StringIO()), \\\n"
+              "        contextlib.redirect_stderr(err):\n"
+              f"    code = cli.main({argv!r})\n"
+              "with open('/proc/self/status') as fh:\n"
+              "    peak = next(l for l in fh if l.startswith('VmHWM:'))\n"
+              "print(json.dumps([code, err.getvalue(), int(peak.split()[1])]))\n")
+    return tuple(json.loads(_child_stdout(script)))
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                     reason="reads the peak RSS from /proc")
 def test_weyl_order_only_lists_no_element(tmp_path):
     # Listing W(E7) peaks near 400 MB; its chain needs a few tens of MB.
-    # `invariants` sums the traces from the chain as well.  The child
-    # reads VmHWM, not ru_maxrss: Linux keeps the peak of the process
-    # image an exec replaces, here the whole test session's.
+    # `invariants` sums the traces from the chain as well.
     gens = tmp_path / "gens.json"
     gens.write_text(json.dumps([list(map(list, g.mat))
                                 for g in simple_reflections(7)]))
     for argv in (["weyl", "--n", "7", "--order-only"],
                  ["invariants", "--gens", str(gens)]):
-        script = ("import contextlib, io\n"
-                  "from gsurf import cli\n"
-                  "with contextlib.redirect_stdout(io.StringIO()):\n"
-                  f"    code = cli.main({argv!r})\n"
-                  "with open('/proc/self/status') as fh:\n"
-                  "    peak = next(l for l in fh if l.startswith('VmHWM:'))\n"
-                  "print(code, peak.split()[1])\n")
-        code, peak_kb = map(int, _child_stdout(script).split())
+        code, _, peak_kb = _fresh_cli(argv)
         assert code == 0, argv
         assert peak_kb < 150 * 1024, argv
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the peak RSS from /proc")
+def test_conic_reads_the_even_swap_group_off_its_generators(tmp_path):
+    # W(D7) at N = 8 has 322,560 elements and W(D8) at N = 9 5,160,960;
+    # listing them took 12 s and 547 MB, and did not end.  Both are
+    # minimal bundles whose base-trivial part is all 2^(N-2) even swaps.
+    for n in (8, 9):
+        gens = tmp_path / f"gens{n}.json"
+        gens.write_text(json.dumps([list(map(list, g.mat))
+                                    for g in _weyl_d_generators(n)]))
+        code, err, peak_kb = _fresh_cli(["conic", "--gens", str(gens)])
+        assert (code, err) == (2, "invariant violation (bug report trigger):"
+                               " minimal bundle with base-trivial image of"
+                               f" order {2 ** (n - 2)}\n"), n
+        assert peak_kb < 150 * 1024, n
+    code, err, _ = _fresh_cli(["conic", "--gens", str(gens),
+                               "--limit", "1000000"])
+    assert (code, err) == (1, "error: group closure exceeded limit 1000000\n")
 
 
 def test_invariants_e8_sums_traces_from_the_chain(tmp_path, capsys):

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsurf.errors import InvariantViolation, LatticeError
+import gsurf.gconic
+import gsurf.weyl
+from gsurf.errors import InvariantViolation, LatticeError, LimitExceeded
 from gsurf.gconic import (
     CASE_CYCLIC_CORE,
     CASE_INVOLUTION,
@@ -13,6 +15,7 @@ from gsurf.gconic import (
     CASE_NON_MINIMAL,
     ConicBundleModel,
     FiberAction,
+    GroupDecomposition,
     decompose,
     fiber_action,
     fiber_class,
@@ -37,7 +40,7 @@ from gsurf.selftest import (
     klein_four_group,
     parity_consistent_partitions,
 )
-from gsurf.weyl import generate_group, reflection
+from gsurf.weyl import FiniteIsometryGroup, generate_group, reflection
 
 import oracles
 
@@ -45,6 +48,92 @@ import oracles
 def units(n):
     return [CohClass(tuple(1 if t == i else 0 for t in range(n + 1)))
             for i in range(n + 1)]
+
+
+def _decompose_outcome(group, model, m):
+    try:
+        return decompose(group, model, m)
+    except (InvariantViolation, LatticeError) as exc:
+        return type(exc), str(exc)
+
+
+def _fiber_transpositions(n):
+    labels = list(range(2, n + 1))
+    for t in range(n - 2):
+        pi = labels[:]
+        pi[t], pi[t + 1] = pi[t + 1], pi[t]
+        yield pi
+
+
+def _weyl_d_generators(n):
+    """W(D_(N-1)): the adjacent fiber transpositions, and (2 3) swapping
+    both fibers."""
+    gens = [matrix_from_fiber_action(pi, (1,) * (n - 1), n)
+            for pi in _fiber_transpositions(n)]
+    pi = next(_fiber_transpositions(n))
+    return gens + [matrix_from_fiber_action(pi, (-1, -1) + (1,) * (n - 3), n)]
+
+
+def _models(n):
+    """The standard model, its fibers relabeled in reverse, and the other
+    component of the first fiber chosen."""
+    model = ConicBundleModel(n)
+    return [model, ConicBundleModel(n, tuple(reversed(model.sphere_classes))),
+            *_swap_relabels(model, [1])]
+
+
+def _random_bundle_groups(count, max_order):
+    rng = random.Random(18)
+    while count:
+        n = rng.randint(4, 9)
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            pi = list(range(2, n + 1))
+            if rng.random() < 0.7:
+                rng.shuffle(pi)
+            eps = [rng.choice((1, -1)) for _ in pi]
+            eps[0] *= (-1) ** eps.count(-1)
+            gens.append(matrix_from_fiber_action(pi, eps, n))
+        try:
+            group = generate_group(gens, limit=max_order)
+        except LimitExceeded:
+            continue
+        count -= 1
+        yield group
+
+
+def _bundle_fixtures(family):
+    """(group, model, declared core order) triples of one fixture family:
+    C13's Klein groups at N = family, its full swaps with their declared cores,
+    or the bundle groups beyond C13, each on every model of ``_models`` up
+    to 200 elements and on the standard model above."""
+    if isinstance(family, int):
+        model = ConicBundleModel(family)
+        for sets in parity_consistent_partitions(family):
+            yield generate_group(klein_four_group(family, sets)[1:]), model, 1
+        return
+    if family == "full-swap-and-cores":
+        groups = [(generate_group([full_swap(n)]), (1, 2, 3, 5))
+                  for n in (5, 7, 9)]
+    elif family == "weyl-d":
+        groups = [(generate_group(_weyl_d_generators(n)), (1, 3) if n == 5
+                   else (1,)) for n in (5, 6, 7)]
+    elif family == "fiber-permutations":
+        groups = [(generate_group([matrix_from_fiber_action(
+            pi, (1,) * (n - 1), n) for pi in _fiber_transpositions(n)]), (1,))
+            for n in range(4, 8)]
+    elif family == "double-swaps":
+        groups = [(generate_group([matrix_from_fiber_action(
+            range(2, n + 1), [-1 if j in (t, t + 1) else 1
+                              for j in range(2, n + 1)], n)
+            for t in range(2, n)]), (1,)) for n in range(4, 10)]
+    else:
+        groups = [(g, (1,)) for g in _random_bundle_groups(40, 50_000)]
+    for group, cores in groups:
+        n = group.n
+        for model in _models(n) if len(group) <= 200 else [ConicBundleModel(n)]:
+            for m in cores:
+                yield group, model, m
 
 
 class TestModel:
@@ -325,12 +414,57 @@ class TestDecompose:
         with pytest.raises(LatticeError, match="more than once"):
             decompose(group, ConicBundleModel(n), 1)
 
-    @pytest.mark.parametrize("n", range(4, 8))
-    def test_group_and_list_agree(self, n):
+    @pytest.mark.parametrize("family", [*range(4, 10), "full-swap-and-cores",
+                                        "weyl-d", "fiber-permutations",
+                                        "double-swaps", "random"])
+    def test_group_and_list_agree(self, family):
+        # The generator route against the list route, whose closure check
+        # is quadratic, up to 200 elements; above, against the listing.
+        for group, model, m in _bundle_fixtures(family):
+            got = _decompose_outcome(group, model, m)
+            if len(group) <= 200:
+                assert got == _decompose_outcome(list(group), model, m)
+                continue
+            q, p_structure, minimal = oracles.bundle_data_by_listing(group)
+            if isinstance(got, GroupDecomposition):
+                assert (got.q_elements, got.p_structure, got.minimal) == \
+                    (q, p_structure, minimal)
+            else:
+                assert (m, minimal) == (1, True)
+                assert got == (InvariantViolation, "minimal bundle with"
+                               f" base-trivial image of order {len(q)}")
+
+    def test_order_from_the_chain_checks_p_and_q(self, monkeypatch):
+        group = generate_group(klein_four_group(5, ((2, 3), (4, 5), ()))[1:])
+        structure = gsurf.gconic._bundle_structure
+
+        def drop_one(group, model):
+            lifts, q_pairs = structure(group, model)
+            return lifts, q_pairs[:-1]
+        monkeypatch.setattr(gsurf.gconic, "_bundle_structure", drop_one)
+        with pytest.raises(InvariantViolation,
+                           match=r"^\|P\| \|Q\| = 1 \* 3 for a group of order 4$"):
+            decompose(group, ConicBundleModel(5), 1)
+
+    def test_generated_group_is_never_listed(self, monkeypatch):
+        n = 5
+        gens = [_weyl_d_generators(n),
+                klein_four_group(n, ((2, 3), (4, 5), ()))[1:]]
         model = ConicBundleModel(n)
-        for sets in parity_consistent_partitions(n):
-            group = generate_group(klein_four_group(n, sets)[1:])
-            assert decompose(group, model, 1) == decompose(list(group), model, 1)
+        want = [_decompose_outcome(list(generate_group(g)), model, 1)
+                for g in gens]
+        groups = [generate_group(g) for g in gens]
+
+        def refuse(*args):
+            raise AssertionError("listed the elements")
+        monkeypatch.setattr(gsurf.weyl, "_list_elements", refuse)
+        monkeypatch.setattr(FiniteIsometryGroup, "__iter__", refuse)
+        assert [_decompose_outcome(g, model, 1) for g in groups] == want
+        assert want[0] == (InvariantViolation, "minimal bundle with"
+                           " base-trivial image of order 8")
+        assert want[1].case_tag == CASE_KLEIN
+        with pytest.raises(AssertionError, match="listed the elements"):
+            groups[1].element_array()
 
     def test_minimal_with_oversized_base_kernel_is_a_violation(self):
         n = 9
@@ -408,6 +542,11 @@ class TestSectionIdentity:
         e = section_class(5, 0, ())
         with pytest.raises(LatticeError):
             section_identity(e, e, m)
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_section_class_needs_a_blowup(self, n):
+        with pytest.raises(LatticeError, match="^need at least one blowup$"):
+            section_class(n, 0, ())
 
     def test_section_class_rejects_repeated_mark(self):
         with pytest.raises(LatticeError, match="^mark 2 repeated$"):

@@ -54,6 +54,20 @@ def test_unit_is_the_basis():
         L3.E(4)
 
 
+@pytest.mark.parametrize("i", [7, 4, -1])
+def test_unit_rejects_a_coordinate_out_of_range(i):
+    with pytest.raises(LatticeError, match=rf"^coordinate {i} out of range 0\.\.3$"):
+        unit(3, i)
+
+
+@pytest.mark.parametrize("n", [0, -4])
+def test_fiber_class_needs_a_blowup(n):
+    with pytest.raises(LatticeError, match="^need at least one blowup$"):
+        lattice.fiber_class(n)
+    with pytest.raises(LatticeError, match="^need at least one blowup$"):
+        canonical_class(n)
+
+
 def test_moved_helpers_keep_their_old_names():
     # reflection and fiber_class live in lattice; weyl and gconic re-export
     # the same objects, so callers of either name see one function.

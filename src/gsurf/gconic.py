@@ -230,15 +230,18 @@ class GroupDecomposition:
     """The (base-trivial subgroup, declared core, base action) data.
 
     ``q_elements`` is the image of Q in the isometry group: the elements
-    acting trivially on the base, sorted by ``Isometry.key`` for a
-    generated group (the order of its listing) and in input order for a
-    list.  ``p_structure`` is P, the sorted set of the base permutations
-    pi, so |P| <= (N - 1)!.  ``minimal`` says whether every fiber is
-    switched by some element fixing it.  The subgroup acting trivially on
-    the whole lattice is invisible here, so its order m is declared by
-    the caller.  ``case_tag`` follows the classification of minimal
-    bundles: ``cyclic-core`` (m > 1), ``involution`` / ``klein-four``
-    (m = 1), or ``non-minimal``.
+    acting trivially on the base, in input order for a list, and rebuilt
+    from Q's swap masks and sorted by ``Isometry.key`` for a generated
+    group (the order of its listing).  ``p_structure`` is P, the sorted
+    set of the base permutations pi, so |P| <= (N - 1)!.  Both come from
+    one breadth-first search over the fiber actions of the generators or
+    of the listed elements, and |P| |Q| is the order of the group.
+    ``minimal`` says whether every fiber is switched by some element
+    fixing it.  The subgroup acting trivially on the whole lattice is
+    invisible here, so its order m is declared by the caller.
+    ``case_tag`` follows the classification of minimal bundles:
+    ``cyclic-core`` (m > 1), ``involution`` / ``klein-four`` (m = 1), or
+    ``non-minimal``.
     """
 
     q_elements: tuple
@@ -258,16 +261,22 @@ def decompose(group, model: ConicBundleModel, g0_order: int = 1) -> GroupDecompo
 
     The classification runs on signed permutations: ``fiber_action`` is a
     faithful homomorphism on isometries fixing F and K, so this is exact.
-    Any collection of isometries other than a ``FiniteIsometryGroup`` has
-    each element's fiber action extracted once and is checked for closure
-    in full.  A ``FiniteIsometryGroup`` is closed by construction, since
-    only ``generate_group`` can build one, and is read off its generators'
-    fiber actions, never listed; a generator that breaks the bundle raises
-    ``fiber_action``'s LatticeError.
+    A ``FiniteIsometryGroup`` is read off its generators and never
+    listed.  Any other collection of isometries must be nonempty and
+    without repeats, and is read as a generating set of itself.  Either
+    way each element's fiber action is taken once, and one that breaks
+    the bundle raises ``fiber_action``'s LatticeError.
 
     *P.*  Breadth-first from the identity: for a queued lift l and a
     generator s, g = s l becomes the lift of g.pi if that permutation is
-    new.  As G is finite, this reaches every base permutation.
+    new.  As G is finite, this reaches every base permutation.  The
+    generators are taken in turn.  One already in the group built so far
+    is skipped: s lies in it exactly when s.pi has a lift l and the swap
+    mask of l^-1 s (see Q) lies in that group's Q.  Any other extends the
+    search in place: it is applied to the lifts found so far, and every
+    generator to the lifts found after it, so each (lift, generator) pair
+    is used exactly once.  Lifts are never replaced, so the residues
+    found before are still those of the final lifts.
 
     *Q.*  The lifts are a transversal of the cosets gQ, which G permutes
     by left multiplication, so by Schreier's lemma (Seress, *Permutation
@@ -278,11 +287,21 @@ def decompose(group, model: ConicBundleModel, g0_order: int = 1) -> GroupDecompo
     inverse or product formed.  Q is an elementary abelian 2-group, the
     F2 span of these masks.  An integral lift swaps an even number of
     fibers, so rank N - 2 is the whole even-weight space and ends the
-    reduction.  Each mask's isometry is rebuilt by
+    reduction.
+
+    *Closure.*  As the action is faithful, |P| |Q| is the order of the
+    group generated.  For a ``FiniteIsometryGroup`` it must equal the
+    order from the chain, an independent route; otherwise
+    InvariantViolation.  A list lies in the group it generates, so a list
+    without repeats is closed exactly when |P| |Q| equals its length;
+    otherwise LatticeError.  The search stops once |P| |Q| passes that
+    order, so a short list generating a large group is refused early.
+
+    Q's isometries are, for a list, its base-trivial elements in input
+    order.  For a generated group each mask's isometry is rebuilt by
     ``matrix_from_fiber_action`` after moving its flags to the standard
-    fibers, as a base-trivial element swaps the same fibers in any model.
-    As the action is faithful, |P| |Q| must equal the order from the
-    chain, an independent route; otherwise InvariantViolation.
+    fibers, as a base-trivial element swaps the same fibers in any model,
+    and they are sorted by ``Isometry.key``, the order of the listing.
 
     *Minimality.*  Every element is l_p q with q in Q.  It fixes fiber j
     exactly when p(j) = j, and then its flag there is l_p.eps_j q.eps_j,
@@ -293,33 +312,35 @@ def decompose(group, model: ConicBundleModel, g0_order: int = 1) -> GroupDecompo
     Structures incompatible with the classification of minimal bundles are
     reported as InvariantViolation: they cannot arise from a group action
     on the surface, only from adversarial lattice data.  A declared core
-    order ``g0_order`` that valid lattice data contradicts is a
-    LatticeError.
+    order ``g0_order``, an ``int``, that valid lattice data contradicts is
+    a LatticeError.
     """
+    generated = isinstance(group, FiniteIsometryGroup)
+    elements = group.generators if generated else list(group)
+    if not elements:  # generate_group needs a generator
+        raise LatticeError("input group is empty")
+    if type(g0_order) is not int:
+        raise LatticeError("the declared core order must be an int")
     if g0_order < 1:
         raise LatticeError("the declared core order must be at least 1")
     n = model.n_blowups
-    if isinstance(group, FiniteIsometryGroup):
-        lifts, q_pairs = _bundle_structure(group, model)
-        if len(lifts) * len(q_pairs) != group.order:
-            raise InvariantViolation(f"|P| |Q| = {len(lifts)} * {len(q_pairs)}"
-                                     f" for a group of order {group.order}")
-        actions = [*lifts.values(), *(a for _, a in q_pairs)]
+    actions = [fiber_action(g, model) for g in elements]
+    if not generated and len(set(actions)) != len(actions):
+        raise LatticeError("input group lists an element more than once")
+    order = group.order if generated else len(actions)
+    lifts, span = _bundle_structure(actions, model, order)
+    if len(lifts) * len(span) != order:
+        if not generated:
+            raise LatticeError("input group is not closed under products")
+        raise InvariantViolation(f"|P| |Q| = {len(lifts)} * {len(span)}"
+                                 f" for a group of order {order}")
+    if generated:
+        q_pairs = _q_pairs(span, model)
     else:
-        pairs = [(g, fiber_action(g, model)) for g in group]
-        actions = [a for _, a in pairs]
-        present = set(actions)
-        if len(present) != len(actions):
-            raise LatticeError("input group lists an element more than once")
-        for a in actions:
-            for b in actions:
-                if a.compose(b) not in present:
-                    raise LatticeError("input group is not closed under products")
-        q_pairs = [(g, a) for g, a in pairs if a.is_base_trivial()]
-        lifts = {a.pi: a for a in actions}
+        q_pairs = [(g, a) for g, a in zip(elements, actions) if a.is_base_trivial()]
     q = tuple(g for g, _ in q_pairs)
     p_structure = tuple(sorted(lifts))
-    minimal = _is_minimal(actions, model)
+    minimal = _is_minimal([*lifts.values(), *(a for _, a in q_pairs)], model)
     m = g0_order
 
     identity = FiberAction.identity(n - 1)
@@ -388,35 +409,58 @@ def decompose(group, model: ConicBundleModel, g0_order: int = 1) -> GroupDecompo
     )
 
 
-def _bundle_structure(group: FiniteIsometryGroup, model: ConicBundleModel):
-    """The lifts, keyed by base permutation, and Q's (isometry, action)
-    pairs sorted by ``Isometry.key``, as proved in ``decompose``."""
+def _bundle_structure(actions: Sequence[FiberAction], model: ConicBundleModel,
+                      bound: int):
+    """The lifts of the group the actions generate, keyed by base
+    permutation, and the masks of its Q, as proved in ``decompose``.
+    The search stops once |P| |Q| passes ``bound``."""
     n = model.n_blowups
-    gens = [fiber_action(g, model) for g in group.generators]
     identity = FiberAction.identity(n - 1)
-    lifts, queue, basis = {identity.pi: identity}, [identity], []
-    for lift in queue:
-        for s in gens:
-            g = s.compose(lift)
-            have = lifts.setdefault(g.pi, g)
-            if have is g:
-                queue.append(g)
-            elif have.eps != g.eps and len(basis) < n - 2:
-                v = sum(x << t for t, x in enumerate(map(ne, have.eps, g.eps)))
-                for b in basis:  # leading bits distinct, highest first
-                    v = min(v, v ^ b)
-                if v:
-                    basis = sorted(basis + [v], reverse=True)
+    lifts, queue, basis, gens = {identity.pi: identity}, [identity], [], []
+    bits = [1 << t for t in range(n - 1)]
+
+    def residue(lift, g):  # mask of lift^-1 g, reduced against the basis
+        v = sum(itertools.compress(bits, map(ne, lift.eps, g.eps)))
+        for b in basis:  # leading bits distinct, highest first
+            v = min(v, v ^ b)
+        return v
+
+    for s in actions:
+        have = lifts.get(s.pi)
+        if have is not None and not residue(have, s):
+            continue
+        gens.append(s)
+        old = len(queue)
+        for i, lift in enumerate(queue):
+            if len(queue) << len(basis) > bound:
+                break
+            for t in gens if i >= old else gens[-1:]:
+                g = t.compose(lift)
+                have = lifts.setdefault(g.pi, g)
+                if have is g:
+                    queue.append(g)
+                elif have.eps != g.eps and len(basis) < n - 2:
+                    v = residue(have, g)
+                    if v:
+                        basis = sorted(basis + [v], reverse=True)
     span = [0]
     for b in basis:
         span += [v ^ b for v in span]
+    return lifts, span
+
+
+def _q_pairs(span: Sequence[int], model: ConicBundleModel) -> list:
+    """Q's (isometry, action) pairs from its masks, sorted by
+    ``Isometry.key``."""
+    n = model.n_blowups
+    pi = tuple(model.labels())
     fibers = [model.components[unit(n, k).coords][0] - 2 for k in model.labels()]
     q_pairs = []
     for v in span:
         eps = tuple([-1 if v >> t & 1 else 1 for t in range(n - 1)])
-        g = matrix_from_fiber_action(identity.pi, [eps[t] for t in fibers], n)
-        q_pairs.append((g, FiberAction._trusted(identity.pi, eps)))
-    return lifts, sorted(q_pairs, key=lambda pair: pair[0].key())
+        g = matrix_from_fiber_action(pi, [eps[t] for t in fibers], n)
+        q_pairs.append((g, FiberAction._trusted(pi, eps)))
+    return sorted(q_pairs, key=lambda pair: pair[0].key())
 
 
 def _q_image_name(size: int) -> str:

@@ -14,7 +14,8 @@ beside the package's integer residues, the bundle isometries pushed
 through ``CohClass`` arithmetic, a stabilizer chain on the roots beside the library's chain on
 the orbits of the basis classes, traces read off an int64 copy of a
 group's listing, and a bundle group's P, Q and minimality read off the
-columns of its listing).
+columns of its listing, or off a plain list checked for closure product
+by product).
 """
 
 import itertools
@@ -30,7 +31,13 @@ from gsurf.exceptional import (
     _multisets,
     enumerate_exceptional,
 )
-from gsurf.gconic import FiberAction, SectionIdentity, fiber_class
+from gsurf.gconic import (
+    FiberAction,
+    SectionIdentity,
+    _is_minimal,
+    fiber_action,
+    fiber_class,
+)
 from gsurf.hexagon import (
     HexagonSubgroup,
     MonomialGroupElement,
@@ -435,6 +442,29 @@ def bundle_data_by_listing(group):
     p_structure = tuple(sorted(set(map(tuple, pi.tolist()))))
     switched = fixed & (arr[:, 0, 2:] == 1)
     return q, p_structure, bool(switched.any(axis=0).all())
+
+
+def bundle_data_by_products(elements, model):
+    """``decompose``'s (q_elements, p_structure, minimal) on a list.
+
+    Each element's fiber action is taken once, a repeated element is
+    refused, and every product of two actions is looked up among them, so
+    closure is checked with |S|^2 products.  Q is the base-trivial elements
+    in input order, P the base permutations, and minimality is read over
+    every action.
+    """
+    pairs = [(g, fiber_action(g, model)) for g in elements]
+    actions = [a for _, a in pairs]
+    present = set(actions)
+    if len(present) != len(actions):
+        raise LatticeError("input group lists an element more than once")
+    for a in actions:
+        for b in actions:
+            if a.compose(b) not in present:
+                raise LatticeError("input group is not closed under products")
+    q = tuple(g for g, a in pairs if a.is_base_trivial())
+    lifts = {a.pi: a for a in actions}
+    return q, tuple(sorted(lifts)), _is_minimal(actions, model)
 
 
 def matrix_from_fiber_action_by_classes(pi, eps, n):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -134,6 +135,37 @@ def _bundle_fixtures(family):
         for model in _models(n) if len(group) <= 200 else [ConicBundleModel(n)]:
             for m in cores:
                 yield group, model, m
+
+
+@functools.cache
+def _partitions(n):
+    return tuple(parity_consistent_partitions(n))
+
+
+def _broken_list(listed, rng):
+    """A group's listing with one non-identity element dropped, or with
+    one non-identity element of a C13 Klein group at the same N appended,
+    at random.  Either is not closed once the group has more than two
+    elements."""
+    n = listed[0].n
+    if rng.random() < 0.5:
+        identity = Isometry.identity(n).key()
+        i = rng.choice([i for i, g in enumerate(listed) if g.key() != identity])
+        return listed[:i] + listed[i + 1:]
+    return listed + [rng.choice(klein_four_group(n, rng.choice(_partitions(n)))[1:])]
+
+
+@pytest.fixture
+def compose_calls(monkeypatch):
+    """One entry per ``FiberAction.compose`` call made in the test."""
+    calls = []
+    compose = FiberAction.compose
+
+    def counted(self, other):
+        calls.append(None)
+        return compose(self, other)
+    monkeypatch.setattr(FiberAction, "compose", counted)
+    return calls
 
 
 class TestModel:
@@ -418,29 +450,81 @@ class TestDecompose:
                                         "weyl-d", "fiber-permutations",
                                         "double-swaps", "random"])
     def test_group_and_list_agree(self, family):
-        # The generator route against the list route, whose closure check
-        # is quadratic, up to 200 elements; above, against the listing.
+        # Up to 200 elements, both forms against the pairwise product
+        # check, and a broken copy of the list refused by both; above,
+        # the group against the listing.
+        rng = random.Random(f"broken-{family}")
         for group, model, m in _bundle_fixtures(family):
             got = _decompose_outcome(group, model, m)
-            if len(group) <= 200:
-                assert got == _decompose_outcome(list(group), model, m)
-                continue
-            q, p_structure, minimal = oracles.bundle_data_by_listing(group)
+            if len(group) > 200:
+                q, p_structure, minimal = oracles.bundle_data_by_listing(group)
+            else:
+                listed = list(group)
+                assert _decompose_outcome(listed, model, m) == got
+                q, p_structure, minimal = oracles.bundle_data_by_products(
+                    listed, model)
+            if 2 < len(group) <= 200:
+                broken = _broken_list(listed, rng)
+                with pytest.raises(LatticeError) as want:
+                    oracles.bundle_data_by_products(broken, model)
+                assert _decompose_outcome(broken, model, m) == \
+                    (LatticeError, str(want.value))
             if isinstance(got, GroupDecomposition):
                 assert (got.q_elements, got.p_structure, got.minimal) == \
                     (q, p_structure, minimal)
+            elif m > 1:  # a declared core the data contradicts
+                assert got[0] is LatticeError
+            elif len(q) == 4:
+                with pytest.raises(InvariantViolation) as want:
+                    sigma_partition(q, model)
+                assert got == (InvariantViolation, str(want.value))
             else:
-                assert (m, minimal) == (1, True)
+                assert minimal
                 assert got == (InvariantViolation, "minimal bundle with"
                                f" base-trivial image of order {len(q)}")
+
+    def test_listed_group_is_read_off_its_actions(self, compose_calls):
+        # W(D5) at N = 6 as a list of 1,920 elements, where a pairwise
+        # closure check takes 1,920^2 products
+        group = list(generate_group(_weyl_d_generators(6)))
+        with pytest.raises(InvariantViolation, match="^minimal bundle with"
+                           " base-trivial image of order 16$"):
+            decompose(group, ConicBundleModel(6), 1)
+        assert len(compose_calls) <= 2000
+
+    def test_short_list_of_a_large_group_refused_early(self, compose_calls):
+        # (2 3) and an 11-cycle generate S11 on the base, 39,916,800 lifts
+        n = 12
+        labels = tuple(range(2, n + 1))
+        group = [Isometry.identity(n),
+                 matrix_from_fiber_action((3, 2) + labels[2:], (1,) * (n - 1), n),
+                 matrix_from_fiber_action(labels[1:] + labels[:1], (1,) * (n - 1), n)]
+        with pytest.raises(LatticeError, match="^input group is not closed"
+                                               " under products$"):
+            decompose(group, ConicBundleModel(n), 1)
+        assert len(compose_calls) <= 10
+
+    def test_empty_list_rejected(self):
+        for m in (1, 0, 2.5):
+            with pytest.raises(LatticeError, match="^input group is empty$"):
+                decompose([], ConicBundleModel(5), m)
+
+    @pytest.mark.parametrize("g0", [2.5, 1.0, True, False, "3", None])
+    def test_core_order_must_be_an_int(self, g0):
+        n = 5
+        listed = [Isometry.identity(n), full_swap(n)]
+        for group in (listed, generate_group(listed[1:])):
+            with pytest.raises(LatticeError, match="^the declared core order"
+                                                   " must be an int$"):
+                decompose(group, ConicBundleModel(n), g0)
 
     def test_order_from_the_chain_checks_p_and_q(self, monkeypatch):
         group = generate_group(klein_four_group(5, ((2, 3), (4, 5), ()))[1:])
         structure = gsurf.gconic._bundle_structure
 
-        def drop_one(group, model):
-            lifts, q_pairs = structure(group, model)
-            return lifts, q_pairs[:-1]
+        def drop_one(actions, model, bound):
+            lifts, span = structure(actions, model, bound)
+            return lifts, span[:-1]
         monkeypatch.setattr(gsurf.gconic, "_bundle_structure", drop_one)
         with pytest.raises(InvariantViolation,
                            match=r"^\|P\| \|Q\| = 1 \* 3 for a group of order 4$"):

@@ -100,17 +100,17 @@ def _class_list(classes) -> list:
 def _cmd_exc(args, argv):
     from . import exceptional
     exc = exceptional.enumerate_exceptional(args.n, args.max_degree, args.limit)
+    if not args.json:
+        print(f"count {len(exc)}" + ("" if exc.complete else " (partial)"))
+        for c in exc:
+            print(str(c))
+        return 0
     results = {
         "count": len(exc),
         "complete": exc.complete,
         "max_degree": exc.max_degree,
         "classes": _class_list(exc),
     }
-    if not args.json:
-        print(f"count {len(exc)}" + ("" if exc.complete else " (partial)"))
-        for c in exc:
-            print(str(c))
-        return 0
     inputs = {"n": args.n, "max_degree": args.max_degree}
     print(_report(argv, inputs, results, args.elapsed()))
     return 0

@@ -34,13 +34,14 @@ OUTSIDE = "outside"
 DEFAULT_PARTIAL_DEGREE = 5
 
 
-def is_in_cone(w: SymplecticClass, max_degree: int = DEFAULT_PARTIAL_DEGREE,
+def is_in_cone(w: SymplecticClass,
                limit: int = exceptional.DEFAULT_LIMIT) -> str:
     """Positivity of the square and of every exceptional area.
 
     Returns ``full`` (N <= 8, all checks pass), ``partial-positive``
-    (N >= 9, degree-capped checks pass, necessary conditions only), or
-    ``outside``.  ``limit`` caps the exceptional enumeration.
+    (N >= 9, checks up to degree ``DEFAULT_PARTIAL_DEGREE`` pass, necessary
+    conditions only), or ``outside``.  ``limit`` caps the exceptional
+    enumeration.
     """
     if w.square() <= 0:
         return OUTSIDE
@@ -49,9 +50,9 @@ def is_in_cone(w: SymplecticClass, max_degree: int = DEFAULT_PARTIAL_DEGREE,
     # call apart from the positional one and would enumerate twice, and the
     # default limit is left out for the same reason.  Called through the
     # module so that a wrapper installed there sees the call.
-    args = (n,) if n <= 8 else (n, max_degree)
+    args = (n,) if n <= 8 else (n, DEFAULT_PARTIAL_DEGREE)
     if limit != exceptional.DEFAULT_LIMIT:
-        args = (n, max_degree if n > 8 else None, limit)
+        args = (n, DEFAULT_PARTIAL_DEGREE if n > 8 else None, limit)
     exc = exceptional.enumerate_exceptional(*args)
     # Clear denominators once: with L > 0 the lcm of the denominators, the
     # area of e is positive exactly when (L*w).e is, and (L*w).e is an
@@ -188,6 +189,8 @@ def fiber_report(group_or_gens, g0_order: int = 1,
     """Apply the core-uniqueness rule to the dichotomy's fiber candidates."""
     from .weyl import minimality_rank_dichotomy
 
+    if type(g0_order) is not int:
+        raise LatticeError("the declared core order must be an int")
     if g0_order < 1:
         raise LatticeError("core order must be at least 1")
     dich = minimality_rank_dichotomy(group_or_gens)
@@ -241,9 +244,7 @@ def slice_point(k0: CohClass, fiber: CohClass, d) -> SymplecticClass:
     return SymplecticClass.from_raw(raw)
 
 
-def slice_scan(n: int, fiber: CohClass, k0: CohClass,
-               delta_grid: Sequence,
-               max_degree: int = DEFAULT_PARTIAL_DEGREE,
+def slice_scan(n: int, fiber: CohClass, k0: CohClass, delta_grid: Sequence,
                limit: int = exceptional.DEFAULT_LIMIT) -> ConeSlice:
     """Evaluate cone membership on a delta grid and assert monotonicity.
 
@@ -255,7 +256,7 @@ def slice_scan(n: int, fiber: CohClass, k0: CohClass,
     grid = sorted(Fraction(d) for d in delta_grid)
     if len(set(grid)) != len(grid):
         raise LatticeError("duplicate grid values")
-    flags = [is_in_cone(slice_point(k0, fiber, d), max_degree, limit) != OUTSIDE
+    flags = [is_in_cone(slice_point(k0, fiber, d), limit) != OUTSIDE
              for d in grid]
     for (d1, f1), (d2, f2) in zip(zip(grid, flags), zip(grid[1:], flags[1:])):
         if f1 and not f2:

@@ -9,6 +9,8 @@ e = a*H - sum_s bs*Es the two equations read
 Cauchy-Schwarz gives (3a-1)^2 <= N*(a^2+1) for any integer solution, which
 bounds the degree a whenever N <= 8; the solution set is then finite.  For
 N >= 9 the caller must supply a degree cap and the result is flagged partial.
+``lattice_classes`` enumerates any such family, the roots (x.x = -2,
+K.x = 0) included, from the same closed-form degree window.
 """
 
 from __future__ import annotations
@@ -73,44 +75,48 @@ class ExceptionalSet:
     def __len__(self):
         return len(self.classes)
 
-    def __contains__(self, e):
-        return e in self.classes
 
+def _degree_bounds(n: int, square: int, k_degree: int) -> Tuple[int, int]:
+    """Closed interval of degrees a class of this square and K-degree can
+    have, for 1 <= N <= 8; empty (lo > hi) when there is none.
 
-def _degree_feasible(n: int, a: int) -> bool:
-    return (3 * a - 1) ** 2 <= n * (a * a + 1)
+    A class x = a*H - sum_s bs*Es with x.x = square and K.x = k_degree has
+    sum bs = 3a + k_degree and sum bs^2 = a^2 - square.  Cauchy-Schwarz,
+    (sum bs)^2 <= N * sum bs^2, then reads
 
+        (9 - N)*a^2 + 6*k*a + k^2 + N*s <= 0      (k = k_degree, s = square).
 
-def _degree_range(n: int) -> Tuple[int, int]:
-    """Closed interval of degrees allowed by Cauchy-Schwarz, N <= 8 only."""
-    lo = 0
-    while _degree_feasible(n, lo - 1):
-        lo -= 1
-    hi = 0
-    while _degree_feasible(n, hi + 1):
-        hi += 1
-    return lo, hi
+    With q = 9 - N > 0 the integer solutions are the a between the roots
+    (-3k -+ sqrt(D))/q, D = 9k^2 - q*(k^2 + N*s), and none when D < 0.
+    For an integer p and q > 0, floor((p + sqrt(D))/q) equals
+    (p + isqrt(D)) // q, so with r = isqrt(D) both ends are exact:
+    lo = ceil((-3k - sqrt(D))/q) = -((3k + r) // q) and
+    hi = (r - 3k) // q.  No degree is assumed feasible: for F.F = 0,
+    K.F = -2 the lower root is 2/(3 + sqrt(N)), in (0, 1), so the window
+    starts at 1, not 0.
+    """
+    q = 9 - n
+    disc = 9 * k_degree * k_degree - q * (k_degree * k_degree + n * square)
+    if disc < 0:
+        return 1, 0
+    r = isqrt(disc)
+    return -((3 * k_degree + r) // q), (r - 3 * k_degree) // q
 
 
 def _multisets(n: int, total: int, squares: int):
     """Non-increasing integer n-vectors with sum ``total`` and square sum
     ``squares``.
 
-    Cauchy-Schwarz prunes the remaining tail at every position.
+    Cauchy-Schwarz prunes the remaining tail at every position, and every
+    entry has |b| <= isqrt(squares left), so no square sum goes negative.
     """
     found = []
 
     def rec(pos, prev, s, q, prefix):
-        if pos == n:
-            if s == 0 and q == 0:
-                found.append(tuple(prefix))
-            return
         rem = n - pos - 1
         hi = min(prev, isqrt(q))
         for b in range(hi, -isqrt(q) - 1, -1):
             s2, q2 = s - b, q - b * b
-            if q2 < 0:
-                continue
             if rem == 0:
                 if s2 == 0 and q2 == 0:
                     found.append(tuple(prefix + [b]))
@@ -125,6 +131,14 @@ def _multisets(n: int, total: int, squares: int):
 
     rec(0, isqrt(squares), total, squares, [])
     return found
+
+
+def _plan(n: int, square: int, k_degree: int, lo: int, hi: int):
+    """(degree, b-multiset) for each class family with x.x = ``square``,
+    K.x = ``k_degree`` and lo <= degree <= hi, lazily, degree by degree."""
+    for a in range(lo, hi + 1):
+        for multiset in _multisets(n, 3 * a + k_degree, a * a - square):
+            yield a, multiset
 
 
 def _distinct_permutations(items):
@@ -161,6 +175,25 @@ def _arrangements(multiset) -> int:
     return count
 
 
+def _expand(plan) -> tuple:
+    """Every class of a plan, each distinct ordering of a multiset once,
+    sorted by coordinates."""
+    classes = [CohClass((a,) + perm) for a, multiset in plan
+               for perm in _distinct_permutations([-b for b in multiset])]
+    classes.sort(key=lambda e: e.coords)
+    return tuple(classes)
+
+
+def lattice_classes(n: int, square: int, k_degree: int) -> tuple:
+    """All integer classes x with x.x = ``square`` and K.x = ``k_degree``,
+    sorted by coordinates, for 1 <= N <= 8, where ``_degree_bounds``
+    makes the set finite."""
+    if not 1 <= n <= 8:
+        raise LatticeError(f"lattice classes need 1 <= N <= 8, got {n}")
+    lo, hi = _degree_bounds(n, square, k_degree)
+    return _expand(_plan(n, square, k_degree, lo, hi))
+
+
 DEFAULT_LIMIT = 1_000_000
 
 
@@ -173,37 +206,34 @@ def enumerate_exceptional(n: int, max_degree: Optional[int] = None,
     result is flagged partial.  Results are cached and immutable.  Raises
     LimitExceeded, before any class is built, when there are more than
     ``limit`` classes.
+
+    Every degree in the window is feasible: for N <= 8 it is the
+    Cauchy-Schwarz interval, and for N >= 9, (3a - 1)^2 <= N(a^2 + 1)
+    holds for all a >= -1 (N = 9 needs a >= -4/3; for N >= 10 the
+    quadratic's discriminant 4N(10 - N) is <= 0).
     """
     if n < 1:
         raise LatticeError("need at least one blowup")
     if n <= 8:
-        lo, hi = _degree_range(n)
-        if max_degree is not None:
-            hi = min(hi, max_degree)
-        complete = max_degree is None or max_degree >= _degree_range(n)[1]
+        lo, hi = _degree_bounds(n, -1, -1)
+        complete = max_degree is None or max_degree >= hi
+        hi = hi if complete else max_degree
+    elif max_degree is None:
+        raise LatticeError(f"max_degree is required for N = {n} >= 9")
     else:
-        if max_degree is None:
-            raise LatticeError(f"max_degree is required for N = {n} >= 9")
-        lo, hi = -1, max_degree
-        complete = False
+        lo, hi, complete = -1, max_degree, False
     # Each multiset stands for as many classes as it has distinct
     # orderings, so the count is known before anything is expanded.
-    multisets = []
+    plan = []
     count = 0
-    for a in range(lo, hi + 1):
-        if not _degree_feasible(n, a):
-            continue
-        for multiset in _multisets(n, 3 * a - 1, a * a + 1):
-            count += _arrangements(multiset)
-            if count > limit:
-                raise LimitExceeded(
-                    f"exceptional classes for N = {n} up to degree {hi}"
-                    f" exceed the limit of {limit} (--limit)")
-            multisets.append((a, multiset))
-    classes = [CohClass((a,) + perm) for a, multiset in multisets
-               for perm in _distinct_permutations([-b for b in multiset])]
-    classes.sort(key=lambda e: e.coords)
-    return ExceptionalSet(n, tuple(classes), complete, hi)
+    for a, multiset in _plan(n, -1, -1, lo, hi):
+        count += _arrangements(multiset)
+        if count > limit:
+            raise LimitExceeded(
+                f"exceptional classes for N = {n} up to degree {hi}"
+                f" exceed the limit of {limit} (--limit)")
+        plan.append((a, multiset))
+    return ExceptionalSet(n, _expand(plan), complete, hi)
 
 
 def cremona_reflect(x, indices):

@@ -349,6 +349,9 @@ class MonomialGroup:
 def _imprimitive_generators(kind: str, n: int, k: Optional[int], s: Optional[int]):
     if n < 1:
         raise LatticeError("n must be positive")
+    if kind in (KIND_GN, KIND_GTN, KIND_GTN32) and (k, s) != (None, None):
+        raise LatticeError(
+            f"k and s are Gnks parameters; kind {kind} fixes them")
     if kind == KIND_GN:
         return (MonomialGroupElement.scalar(n, 1, 0, 0),
                 MonomialGroupElement.scalar(n, 0, 1, 0),

@@ -44,20 +44,10 @@ def simple_roots(n: int) -> Tuple[CohClass, ...]:
 
 @lru_cache(maxsize=None)
 def all_roots(n: int) -> Tuple[CohClass, ...]:
-    """All integer r with r.r = -2 and K.r = 0, sorted.
-
-    In the form a*H - sum bs*Es the equations are sum b = 3a and
-    sum b^2 = a^2 + 2, so 9a^2 <= N(a^2+2) bounds the degree.  The
-    b-vectors come from the exceptional-class enumerator.
-    """
-    from .exceptional import _distinct_permutations, _multisets
+    """All integer r with r.r = -2 and K.r = 0, sorted."""
+    from .exceptional import lattice_classes
     root_system_type(n)
-    amax = isqrt(2 * n // (9 - n)) + 1
-    found = [CohClass((a,) + perm) for a in range(-amax, amax + 1)
-             for multiset in _multisets(n, 3 * a, a * a + 2)
-             for perm in _distinct_permutations([-b for b in multiset])]
-    found.sort(key=lambda r: r.coords)
-    return tuple(found)
+    return lattice_classes(n, -2, 0)
 
 
 @lru_cache(maxsize=None)

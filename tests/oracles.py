@@ -27,7 +27,6 @@ from math import factorial, floor, gcd, isqrt
 from gsurf.cone import FULL, OUTSIDE, PARTIAL_POSITIVE
 from gsurf.errors import LatticeError, LimitExceeded
 from gsurf.exceptional import (
-    _degree_range,
     _multisets,
     enumerate_exceptional,
 )
@@ -101,11 +100,22 @@ def root_classes_oracle(n):
     return out
 
 
+def feasible_degrees(n, square, k_degree, reach=50):
+    """The degrees a in [-reach, reach] that pass Cauchy-Schwarz for classes
+    with x.x = square and K.x = k_degree: (3a + k)^2 <= N (a^2 - s).
+
+    A scan, the route the closed form ``_degree_bounds`` replaced.
+    """
+    return [a for a in range(-reach, reach + 1)
+            if (3 * a + k_degree) ** 2 <= n * (a * a - square)]
+
+
 def _degree_window(n, max_degree):
     """The degrees ``enumerate_exceptional(n, max_degree)`` covers."""
     if n <= 8:
-        lo, hi = _degree_range(n)
-        return lo, hi if max_degree is None else min(hi, max_degree)
+        degrees = feasible_degrees(n, -1, -1)
+        hi = degrees[-1]
+        return degrees[0], hi if max_degree is None else min(hi, max_degree)
     return -1, max_degree
 
 

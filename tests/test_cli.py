@@ -240,6 +240,41 @@ def test_hexagon_bad_parameters(capsys):
     assert code == 1
 
 
+def test_hexagon_k_and_s_refused_for_a_fixed_kind(capsys):
+    code = cli.main(["hexagon", "--kind", "Gtn32", "--n", "6", "--k", "5",
+                     "--s", "7", "--verify"])
+    assert code == 1
+    assert capsys.readouterr() == (
+        "", "error: k and s are Gnks parameters; kind Gtn32 fixes them\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["reduce", "--class", "[1,"], "error: bad class literal '[1,': "),
+    (["cone", "--n", "5", "--scan", "0,x"], "error: bad grid value 'x'\n"),
+    (["cone", "--n", "5", "--scan", ","], "error: empty scan grid\n"),
+])
+def test_bad_argument_exits_1(capsys, argv, message):
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(message)
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read"),
+    ("{", "is not valid JSON"),
+    ("[]", "expected a nonempty array of matrices"),
+])
+def test_bad_generator_file_exits_1(tmp_path, capsys, content, message):
+    path = tmp_path / "gens.json"
+    if content is not None:
+        path.write_text(content)
+    assert cli.main(["invariants", "--gens", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
 def test_schema_is_json(capsys):
     code, out = run(capsys, "schema")
     assert code == 0

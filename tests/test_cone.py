@@ -66,7 +66,7 @@ class TestMembership:
 
     def test_partial_positive_for_many_blowups(self):
         w = SymplecticClass((4,) + (1,) * 9)
-        assert is_in_cone(w, max_degree=5) == PARTIAL_POSITIVE
+        assert is_in_cone(w) == PARTIAL_POSITIVE
 
     def test_shares_the_enumeration_cache(self):
         enumerate_exceptional.cache_clear()
@@ -74,13 +74,13 @@ class TestMembership:
         misses = enumerate_exceptional.cache_info().misses
         w = SymplecticClass((4,) + (1,) * 9)
         assert is_in_cone(w) == PARTIAL_POSITIVE
-        assert is_in_cone(w, max_degree=5) == PARTIAL_POSITIVE
+        assert is_in_cone(w) == PARTIAL_POSITIVE
         assert enumerate_exceptional.cache_info().misses == misses
 
     def test_limit_reaches_the_enumeration(self):
         w = SymplecticClass((4,) + (1,) * 9)
         with pytest.raises(LimitExceeded, match="limit of 10 "):
-            is_in_cone(w, 5, limit=10)
+            is_in_cone(w, limit=10)
         k0, f = canonical_class(9), fiber_class(9)
         with pytest.raises(LimitExceeded, match="limit of 10 "):
             slice_scan(9, f, k0, [1], limit=10)
@@ -256,6 +256,18 @@ class TestFiberReport:
         assert rep.effective == (fiber_class(5),)
         assert len(rep.excluded_by_core) == 1
         assert rep.consistent
+
+    @pytest.mark.parametrize("g0", [2.5, 1.0, True, "3"])
+    def test_core_order_must_be_an_int(self, g0):
+        from gsurf.cone import fiber_report
+        from gsurf.selftest import klein_four_group
+        group = klein_four_group(5, [(2, 3), (4, 5), ()])
+        with pytest.raises(LatticeError,
+                           match="^the declared core order must be an int$"):
+            fiber_report(group, g0)
+        with pytest.raises(LatticeError,
+                           match="^core order must be at least 1$"):
+            fiber_report(group, 0)
 
     def test_many_blowups_unique_numeric(self):
         from gsurf.cone import fiber_report

@@ -11,12 +11,14 @@ from gsurf.exceptional import (
     OTHER,
     SMALL_FIBER,
     _arrangements,
+    _degree_bounds,
     _distinct_permutations,
     cremona_reflect,
     enumerate_exceptional,
     h_ij,
     h_ijk,
     is_exceptional,
+    lattice_classes,
     positive_area_classes,
     reduce_exceptional,
     reduce_symplectic,
@@ -73,6 +75,38 @@ def test_eleven_blowups_degree_four():
     assert len(classes) == 13178
     assert len(classes) == oracles.exc_count_by_multinomials(11, 4)
     assert len(set(classes)) == len(classes)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_degree_bounds_match_the_scan(n):
+    """The grid holds the exceptional (-1, -1), root (-2, 0) and fiber
+    (0, -2) families, and families with no class (an empty window)."""
+    for square in range(-4, 5):
+        for k_degree in range(-4, 5):
+            lo, hi = _degree_bounds(n, square, k_degree)
+            want = oracles.feasible_degrees(n, square, k_degree)
+            assert list(range(lo, hi + 1)) == want, (square, k_degree)
+
+
+def test_fiber_classes_start_at_degree_one():
+    """F.F = 0, K.F = -2 has no class of degree 0: no window may assume one."""
+    for n in range(1, 9):
+        assert _degree_bounds(n, 0, -2)[0] == 1
+        got = {c.coords for c in lattice_classes(n, 0, -2)}
+        want = {v for a in range(-3, 13)    # contains every window, [1, 11]
+                for v in oracles._solve(n, 3 * a - 2, a * a, a)}
+        assert got == want
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_lattice_classes_are_the_exceptional_enumeration(n):
+    assert lattice_classes(n, -1, -1) == enumerate_exceptional(n).classes
+
+
+@pytest.mark.parametrize("n", [0, 9, 12])
+def test_lattice_classes_need_a_finite_window(n):
+    with pytest.raises(LatticeError, match="1 <= N <= 8"):
+        lattice_classes(n, -1, -1)
 
 
 @pytest.mark.parametrize("items", [(), (0,), (1, 1, 1), (2, 1, 1, 0),

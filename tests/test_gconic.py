@@ -232,6 +232,13 @@ class TestFiberAction:
         with pytest.raises(LatticeError):
             fiber_action(reflection(CohClass((0, 1, -1, 0, 0))), m)
 
+    def test_rejects_canonical_class_movers(self):
+        # E2 + E3 is orthogonal to F = H - E1, but K.(E2 + E3) = 2
+        with pytest.raises(LatticeError, match="^isometry does not fix the"
+                                               " canonical class$"):
+            fiber_action(reflection(CohClass((0, 0, 1, 1, 0, 0))),
+                         ConicBundleModel(5))
+
     def test_round_trip(self):
         rng = random.Random(5)
         n = 6
@@ -421,6 +428,12 @@ class TestDecompose:
         assert dec.case_tag == CASE_NON_MINIMAL
         assert not dec.minimal
 
+    def test_non_minimal_with_a_declared_odd_core(self):
+        n = 5
+        dec = decompose([Isometry.identity(n)], ConicBundleModel(n), 3)
+        assert (dec.case_tag, dec.minimal) == (CASE_NON_MINIMAL, False)
+        assert dec.q_abstract == ()
+
     def test_closure_required(self):
         n = 5
         g = matrix_from_fiber_action((3, 2, 5, 4), (1, 1, 1, 1), n)
@@ -601,6 +614,21 @@ class TestSigmaPartition:
         n = 5
         taus = self._klein(n, ((2, 3), (2, 3), (2, 3)))
         with pytest.raises(LatticeError):
+            sigma_partition(taus, ConicBundleModel(n))
+
+    def test_rejects_a_base_moving_involution(self):
+        n = 5
+        taus = [matrix_from_fiber_action((3, 2, 4, 5), (1, 1, 1, 1), n)]
+        taus += self._klein(n, ((2, 3), (4, 5)))
+        with pytest.raises(LatticeError, match="^involutions must act"
+                                               " trivially on the base$"):
+            sigma_partition(taus, ConicBundleModel(n))
+
+    def test_rejects_involutions_that_do_not_close(self):
+        n = 5
+        taus = self._klein(n, ((2, 3), (4, 5), (2, 4)))
+        with pytest.raises(LatticeError, match="^the involutions do not form"
+                                               " a Klein four group$"):
             sigma_partition(taus, ConicBundleModel(n))
 
 

@@ -285,6 +285,14 @@ class TestImprimitive:
         with pytest.raises(LatticeError):
             make_imprimitive("nope", 3)
 
+    @pytest.mark.parametrize("kind, n", [(KIND_GN, 6), (KIND_GTN, 6),
+                                         (KIND_GTN32, 6)])
+    @pytest.mark.parametrize("k, s", [(5, 7), (3, None), (None, 2)])
+    def test_k_and_s_refused_for_the_kinds_that_fix_them(self, kind, n, k, s):
+        with pytest.raises(LatticeError, match="^k and s are Gnks parameters;"
+                                               f" kind {kind} fixes them$"):
+            make_imprimitive(kind, n, k, s)
+
     @pytest.mark.parametrize("kind, n, k, s, order", [
         (KIND_GN, 10, None, None, 300), (KIND_GTN, 10, None, None, 600),
         (KIND_GNKS, 9, 3, 2, 81), (KIND_GTN32, 12, None, None, 288)])

@@ -4,12 +4,17 @@ Submodules:
 
 * ``lattice``     - classes, pairing, canonical and fiber class (H - E1),
                     reflections in (-2)-classes, reducedness
-* ``exceptional`` - exceptional classes, Cremona reflections, reduction
-* ``weyl``        - root systems, isometry groups, invariant lattices
+* ``exceptional`` - lattice-class and exceptional enumeration, Cremona
+                    reflections, reduction
+* ``weyl``        - root systems, isometry groups, stabilizer chains,
+                    invariant lattices, the rank dichotomy
 * ``gconic``      - conic-bundle combinatorics and the group classifier
-* ``cone``        - equivariant cone membership and the gap coordinate
-* ``hexagon``     - the three-blowup rotation calculus and monomial groups
+* ``cone``        - cone membership, fiber pairs, blowdown obstructions,
+                    gap-coordinate slices
+* ``hexagon``     - the three-blowup rotation calculus, torus kernels and
+                    monomial groups
 * ``cli``         - command-line front end with JSON reports
+* ``selftest``    - the acceptance criteria as callable checks
 """
 
 from .errors import InvariantViolation, LatticeError, LimitExceeded

@@ -3,8 +3,9 @@
 Reports are emitted on standard output as JSON with sorted keys and
 compact separators, so a fixed invocation produces byte-identical output;
 timing and progress go to standard error only.  Exit codes: 0 success,
-1 domain error (bad input), 2 violated internal invariant (a bug-report
-trigger on input that was supposed to be valid).
+1 domain error (bad input) or a reader that closed standard output early,
+2 violated internal invariant (a bug-report trigger on input that was
+supposed to be valid).
 
 A handler imports what it runs: each ``_cmd_*`` imports its own gsurf
 modules, so a fresh process loads only the modules its subcommand needs
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -224,6 +226,7 @@ def _cmd_cone(args, argv):
     fiber = parse_class_argument(args.fiber) if args.fiber else \
         fiber_class(n)
     _resolve_n(args.n, fiber.n, "the fiber class")
+    cone.check_fiber(k0, fiber)
     results = {
         "fiber_pairs": list(cone.fiber_pairs(n)),
         "obstructions": [list(p) for p in
@@ -366,6 +369,13 @@ def main(argv=None) -> int:
         else (lambda: None)
     try:
         code = args.func(args, argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (`gsurf exc ... | head -1`).  Point
+        # stdout at devnull so that the flush at interpreter exit cannot
+        # raise again, and end without a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except LatticeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -21,7 +21,6 @@ from .errors import InvariantViolation, LatticeError
 from .lattice import (
     CohClass,
     SymplecticClass,
-    canonical_class,
     fiber_class,
     pairing,
     rational_to_json,
@@ -79,31 +78,6 @@ def span2_coefficients(w: SymplecticClass, u: CohClass, v: CohClass):
            for c, a, b in zip(raw, u.coords, v.coords)):
         return x, y
     return None
-
-
-def canonical_sign(w: SymplecticClass, k0: CohClass,
-                   fiber: Optional[CohClass] = None) -> int:
-    """The sign s making s*w a positive multiple of -K0 + b*F with b > -1.
-
-    The class must lie in the rational span of K0 and F and have positive
-    square; the square condition pins the sign and already forces
-    4b > N - 9, hence b >= -1 in the bundle range N >= 5.
-    """
-    if fiber is None:
-        fiber = fiber_class(k0.n)
-    if w.square() <= 0:
-        raise LatticeError("positive square required")
-    xy = span2_coefficients(w, k0, fiber)
-    if xy is None:
-        raise LatticeError("class is outside the rank-2 span")
-    x, y = xy
-    if x == 0:
-        raise LatticeError("class is a fiber multiple, square is not positive")
-    sign = -1 if x > 0 else 1
-    b = (sign * y) / (-(sign * x))
-    if 4 * b <= w.n - 9:  # pragma: no cover - equivalent to square > 0
-        raise InvariantViolation("sign normalization lost positivity")
-    return sign
 
 
 def fiber_pairs(n: int) -> Tuple[int, ...]:
@@ -208,6 +182,12 @@ def fiber_report(group_or_gens, g0_order: int = 1,
     return FiberReport(dich.rank, cands, unique, (preferred,), rest)
 
 
+def check_fiber(k0: CohClass, fiber: CohClass) -> None:
+    """Refuse a fiber class unless F.F = 0 and K0.F = -2."""
+    if pairing(k0, fiber) != -2 or fiber.square() != 0:
+        raise LatticeError("fiber class must satisfy F.F = 0, K.F = -2")
+
+
 @dataclass(frozen=True)
 class ConeSlice:
     """Membership samples of -K0 + delta*F along a grid of gap values.
@@ -224,8 +204,7 @@ class ConeSlice:
     first_member: Optional[Fraction]
 
     def __post_init__(self):
-        if pairing(self.k0, self.fiber) != -2 or self.fiber.square() != 0:
-            raise LatticeError("fiber class must satisfy F.F = 0, K.F = -2")
+        check_fiber(self.k0, self.fiber)
 
     def to_json(self):
         return {
@@ -253,6 +232,7 @@ def slice_scan(n: int, fiber: CohClass, k0: CohClass, delta_grid: Sequence,
     """
     if fiber.n != n or k0.n != n:
         raise LatticeError("dimension mismatch")
+    check_fiber(k0, fiber)
     grid = sorted(Fraction(d) for d in delta_grid)
     if len(set(grid)) != len(grid):
         raise LatticeError("duplicate grid values")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
 from math import comb, isqrt
-from typing import Iterable, Optional, Tuple
+from typing import Optional, Tuple
 
 from .errors import LatticeError, LimitExceeded
 from .lattice import (
@@ -27,12 +27,9 @@ from .lattice import (
     Isometry,
     SymplecticClass,
     canonical_class,
-    is_monotone,
-    is_reduced_class,
     pairing,
     permutation_isometry,
     reflection,
-    unit,
 )
 
 
@@ -47,16 +44,6 @@ def h_ijk(n: int, i: int, j: int, k: int) -> CohClass:
     coords = [0] * (n + 1)
     coords[0] = 1
     coords[i] = coords[j] = coords[k] = -1
-    return CohClass(tuple(coords))
-
-
-def h_ij(n: int, i: int, j: int) -> CohClass:
-    """The exceptional class H - Ei - Ej."""
-    if not (1 <= i < j <= n):
-        raise LatticeError(f"need 1 <= i < j <= {n}, got ({i},{j})")
-    coords = [0] * (n + 1)
-    coords[0] = 1
-    coords[i] = coords[j] = -1
     return CohClass(tuple(coords))
 
 
@@ -334,72 +321,3 @@ def reduce_symplectic(w: SymplecticClass, max_iters: int = 10_000):
         else:
             return cur, iso
     raise LimitExceeded(f"no reduced form after {max_iters} iterations")
-
-
-# ---------------------------------------------------------------------------
-# Shape of a reduced symplectic class
-# ---------------------------------------------------------------------------
-
-MONOTONE = "monotone"
-SMALL_FIBER = "small-fiber"
-OTHER = "other"
-
-
-def structure_test(w: SymplecticClass):
-    """Classify a reduced class as monotone, small-fiber shaped, or other.
-
-    Small fiber shape means lam1 > lam2 = ... = lamN with nu - lam1 = 2*lam2;
-    the returned candidate set then collects the classes of minimal area,
-    {Ej, H - E1 - Ej : j > 1}.  The reduced-form inequalities are verified.
-    """
-    if w.n < 3:
-        raise LatticeError("need at least three blowups")
-    if not is_reduced_class(w):
-        raise LatticeError(f"{w} is not in reduced form")
-    if is_monotone(w):
-        return MONOTONE, None
-    lams = w.lambdas
-    if lams[0] > lams[1] and all(l == lams[1] for l in lams[2:]) \
-            and w.nu - lams[0] == 2 * lams[1]:
-        n = w.n
-        cands = []
-        for j in range(2, n + 1):
-            cands.append(unit(n, j))
-            cands.append(h_ij(n, 1, j))
-        return SMALL_FIBER, tuple(sorted(cands, key=lambda c: c.coords))
-    return OTHER, None
-
-
-def positive_area_classes(w: SymplecticClass, classes: Iterable[CohClass]):
-    """Filter for area > 0; enumeration itself is kept area-independent."""
-    return tuple(e for e in classes if w.area(e) > 0)
-
-
-def is_reduced_by_minimal_areas(w: SymplecticClass) -> bool:
-    """Area-minimality form of reducedness, against the full enumeration.
-
-    The standard basis is reduced for w when E_N has minimal area among
-    the positive-area exceptional classes and, walking down, each E_i has
-    minimal area among those orthogonal to E_(i+1), ..., E_N.  Needs the
-    complete enumeration, so N <= 8.
-
-    Pointwise this is strictly stronger than the coefficient inequalities
-    of ``is_reduced_class``: area-minimality forces area(H-Ei-Ej) >=
-    area(Ej) for i < j on top of the sorted areas and the leading triple
-    inequality.  (26/3; 13/4, 11/4, 5/2, 9/4, 5/4) passes the coefficient
-    test but fails here at E2.  The descent normal forms (3+b; 1+b, 1...)
-    satisfy both.
-    """
-    n = w.n
-    if n < 3 or n > 8:
-        raise LatticeError("area-minimality test needs 3 <= N <= 8")
-    pool = positive_area_classes(w, enumerate_exceptional(n))
-    for i in range(n, 0, -1):
-        sub = [e for e in pool
-               if all(e.coords[j] == 0 for j in range(i + 1, n + 1))]
-        ei = unit(n, i)
-        if ei not in sub:
-            return False
-        if any(w.area(e) < w.area(ei) for e in sub):
-            return False
-    return True

@@ -209,12 +209,8 @@ def full_swap(n: int) -> Isometry:
     return matrix_from_fiber_action(tuple(range(2, n + 1)), (-1,) * (n - 1), n)
 
 
-def is_minimal_bundle(group: Iterable[Isometry], model: ConicBundleModel) -> bool:
-    """Every fiber is switched by some element fixing that fiber."""
-    return _is_minimal((fiber_action(g, model) for g in group), model)
-
-
 def _is_minimal(actions: Iterable[FiberAction], model: ConicBundleModel) -> bool:
+    """Every fiber is switched by some element fixing that fiber."""
     needed = set(model.labels())
     for act in actions:
         needed.difference_update(
@@ -467,7 +463,7 @@ def _q_image_name(size: int) -> str:
     return {1: "trivial", 2: "Z2", 4: "Z2xZ2"}.get(size, f"elementary-2 of order {size}")
 
 
-def sigma_partition(involutions: Sequence[Isometry], model: ConicBundleModel):
+def _sigma_partition(actions: Sequence[FiberAction], model: ConicBundleModel):
     """The fiber partition cut out by the three involutions of a Klein four.
 
     Sigma_i collects the fibers whose two spheres tau_i preserves; the sets
@@ -475,10 +471,6 @@ def sigma_partition(involutions: Sequence[Isometry], model: ConicBundleModel):
     modulo 2.  Overlap means the data admits no group action on the
     surface and raises InvariantViolation.
     """
-    return _sigma_partition([fiber_action(g, model) for g in involutions], model)
-
-
-def _sigma_partition(actions: Sequence[FiberAction], model: ConicBundleModel):
     identity = FiberAction.identity(model.n_blowups - 1)
     taus = [a for a in actions if a != identity]
     if len(taus) != 3 or len(set(taus)) != 3:
@@ -535,14 +527,6 @@ def section_classes(n: int, c_min: int = -2, c_max: int = 2):
 
 
 _MARK_VALUES = frozenset((0, 1))
-
-
-def parse_section_class(e: CohClass):
-    """Recover (c, marks) from a section normal form, or fail."""
-    c = e.coords
-    if c[1] != 1 - c[0] or not _MARK_VALUES.issuperset(c[2:]):
-        raise LatticeError(f"{e} is not in section normal form")
-    return c[0], tuple(itertools.compress(range(2, len(c)), c[2:]))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ numbers, torus kernels, and the imprimitive monomial groups.
 With three blowups the six exceptional classes form a hexagon: consecutive
 classes pair to 1 and the rest to 0.  The cyclic edge order is forced by
 those intersection numbers; the orientation is fixed so that H-E1-E3 comes
-immediately before E1 and H-E1-E2 immediately after.  A finite map acting
+immediately before E1 and H-E1-E2 immediately after, so the edges run
+E1, H-E1-E2, E2, H-E2-E3, E3, H-E1-E3.  A finite map acting
 trivially on the lattice is pinned down by its pair of rotation weights at
 the first vertex (the corner of H-E1-E3 and E1); the weights at the other
 five vertices follow by propagation around the hexagon.
@@ -15,52 +16,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd
-from typing import Optional, Tuple
+from typing import Optional
 
 from .errors import InvariantViolation, LatticeError, LimitExceeded
-from .lattice import CohClass, pairing
-
-
-def _coh(*coords) -> CohClass:
-    return CohClass(tuple(coords))
-
-
-HEX_EDGES: Tuple[CohClass, ...] = (
-    _coh(0, 1, 0, 0),    # E1
-    _coh(1, -1, -1, 0),  # H - E1 - E2
-    _coh(0, 0, 1, 0),    # E2
-    _coh(1, 0, -1, -1),  # H - E2 - E3
-    _coh(0, 0, 0, 1),    # E3
-    _coh(1, -1, 0, -1),  # H - E1 - E3
-)
-
-
-@dataclass(frozen=True)
-class HexagonModel:
-    """The cyclic configuration of the six exceptional classes, N = 3.
-
-    ``first_vertex`` is the intersection of the last and first edges
-    (H - E1 - E3 and E1); vertices are numbered from it counter-clockwise.
-    """
-
-    edges: tuple = HEX_EDGES
-
-    def __post_init__(self):
-        edges = tuple(self.edges)
-        if len(edges) != 6:
-            raise LatticeError("a hexagon has six edges")
-        for i, e in enumerate(edges):
-            for j in range(i + 1, 6):
-                want = 1 if (j - i == 1 or (i, j) == (0, 5)) else 0
-                if pairing(e, edges[j]) != want:
-                    raise LatticeError(
-                        f"edges {i} and {j} pair to {pairing(e, edges[j])},"
-                        f" expected {want}")
-        object.__setattr__(self, "edges", edges)
-
-    @property
-    def first_vertex(self) -> tuple:
-        return (self.edges[5], self.edges[0])
 
 
 def propagate_rotation(pair) -> list:
@@ -71,16 +29,6 @@ def propagate_rotation(pair) -> list:
     """
     a, b = pair
     return [(a, b), (a + b, -a), (b, -a - b), (-a, -b), (-a - b, a), (-b, a + b)]
-
-
-def other_fixed_point(pair):
-    """Weights (-a, a+b) at the second fixed point on the same sphere."""
-    a, b = pair
-    if a == 0:
-        raise LatticeError(
-            "tangentially trivial weight: the sphere is fixed, there is no"
-            " second isolated fixed point")
-    return (-a, a + b)
 
 
 def reduce_pair(pair, n: int) -> tuple:

@@ -7,7 +7,8 @@ closure versus the vectorized one, and the scans that the package's closed
 forms replaced (the a-scan blowdown obstruction and fiber pairs, the
 m-scan of the largest swap-closed section, the section identity through
 the lattice pairing, the expansion of each multiset through all of its
-n! orderings, cone membership by exact ``Fraction`` areas, the
+n! orderings, cone membership by exact ``Fraction`` areas, reducedness by
+minimal exceptional areas beside the coefficient inequalities, the
 breadth-first closures of the hexagon subgroups, the monomial
 groups and torus kernels, torus elements as ``Fraction`` angles in Q/Z
 beside the package's integer residues, the bundle isometries pushed
@@ -173,6 +174,36 @@ def cone_verdict_by_fraction_areas(w, max_degree=5):
         if w.area(e) <= 0:
             return OUTSIDE
     return FULL if exc.complete else PARTIAL_POSITIVE
+
+
+def is_reduced_by_minimal_areas(w):
+    """Area-minimality form of reducedness, against the full enumeration.
+
+    The standard basis is reduced for w when E_N has minimal area among
+    the positive-area exceptional classes and, walking down, each E_i has
+    minimal area among those orthogonal to E_(i+1), ..., E_N.  Needs the
+    complete enumeration, so N <= 8.
+
+    Pointwise this is strictly stronger than the coefficient inequalities
+    of ``lattice.is_reduced_class``: area-minimality forces area(H-Ei-Ej)
+    >= area(Ej) for i < j on top of the sorted areas and the leading
+    triple inequality.  (26/3; 13/4, 11/4, 5/2, 9/4, 5/4) passes the
+    coefficient test but fails here at E2.  The descent normal forms
+    (3+b; 1+b, 1...) satisfy both.
+    """
+    n = w.n
+    if n < 3 or n > 8:
+        raise LatticeError("area-minimality test needs 3 <= N <= 8")
+    pool = [e for e in enumerate_exceptional(n) if w.area(e) > 0]
+    for i in range(n, 0, -1):
+        sub = [e for e in pool
+               if all(e.coords[j] == 0 for j in range(i + 1, n + 1))]
+        ei = unit(n, i)
+        if ei not in sub:
+            return False
+        if any(w.area(e) < w.area(ei) for e in sub):
+            return False
+    return True
 
 
 def tuple_closure(gen_mats, limit=1_000_000):

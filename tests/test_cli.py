@@ -226,6 +226,24 @@ def test_cone_far_a_min(capsys):
     assert report["results"]["obstructions"] == []
 
 
+@pytest.mark.parametrize("fiber", ["[0,0,0,0,0,0]", "[0,1,0,0,0,0]",
+                                   "[1,0,0,0,0,0]"])
+@pytest.mark.parametrize("scan", [[], ["--scan", "0,1"]])
+def test_cone_fiber_checked_at_the_boundary(capsys, fiber, scan):
+    # F = 0, F = E1 and F = H each break F.F = 0 or K.F = -2.
+    assert cli.main(["cone", "--n", "5", "--fiber", fiber, *scan]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: fiber class must satisfy F.F = 0, K.F = -2\n"
+
+
+def test_cone_other_fiber_accepted(capsys):
+    code, report = run_json(capsys, "cone", "--n", "5", "--fiber",
+                            "[1,0,-1,0,0,0]", "--scan", "0,1")
+    assert code == 0
+    assert report["inputs"]["fiber"] == [1, 0, -1, 0, 0, 0]
+
+
 def test_hexagon_subcommand(capsys):
     code, report = run_json(capsys, "hexagon", "--kind", "Gnks", "--n", "9",
                             "--k", "3", "--s", "2", "--verify")
@@ -326,13 +344,33 @@ def test_limit_flags_stay_out_of_inputs(capsys):
     assert cli.main(argv + ["--limit", "299"]) == 1
 
 
-def _child_stdout(script):
-    """Stdout of ``script`` run in a fresh interpreter on this gsurf."""
+def _child_env():
+    """The environment of a fresh interpreter that imports this gsurf."""
     src = os.path.dirname(os.path.dirname(gsurf.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def _child_stdout(script):
+    """Stdout of ``script`` run in a fresh interpreter on this gsurf."""
     return subprocess.run([sys.executable, "-c", script], check=True,
                           capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path}).stdout
+                          env=_child_env()).stdout
+
+
+def test_closed_pipe_ends_without_traceback():
+    # `gsurf exc --n 10 --max-degree 4 | head -1`: the listing (about
+    # 130 kB) is larger than a pipe holds, so the child is still writing
+    # when the reader goes away.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gsurf", "exc", "--n", "10", "--max-degree",
+         "4"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env())
+    assert proc.stdout.readline() == b"count 3767 (partial)\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err
 
 
 # The gsurf modules each subcommand loads beyond gsurf, cli, errors and

@@ -1,5 +1,4 @@
 import math
-import random
 from fractions import Fraction
 
 import pytest
@@ -13,7 +12,6 @@ from gsurf.cone import (
     PARTIAL_POSITIVE,
     ConeSlice,
     blowdown_obstruction,
-    canonical_sign,
     delta,
     fiber_pairs,
     is_in_cone,
@@ -24,7 +22,7 @@ from gsurf.cone import (
 from gsurf.errors import LatticeError, LimitExceeded
 from gsurf.exceptional import enumerate_exceptional
 from gsurf.gconic import fiber_class
-from gsurf.lattice import SymplecticClass, canonical_class, pairing
+from gsurf.lattice import CohClass, SymplecticClass, canonical_class, pairing
 
 import oracles
 
@@ -106,44 +104,6 @@ class TestMembership:
         monkeypatch.setattr(exceptional, "enumerate_exceptional", spy)
         assert is_in_cone(SymplecticClass((3,) + (1,) * 5)) == FULL
         assert calls == [(5,)]
-
-
-class TestCanonicalSign:
-    def test_examples(self):
-        n = 5
-        k0, f = canonical_class(n), fiber_class(n)
-        plus = SymplecticClass.from_raw(
-            tuple(-k + 2 * c for k, c in zip(k0.coords, f.coords)))
-        assert canonical_sign(plus, k0) == 1
-        assert canonical_sign(-plus, k0) == -1
-        monotone = SymplecticClass.from_raw(tuple(-k for k in k0.coords))
-        assert canonical_sign(monotone, k0) == 1
-
-    def test_signs_are_opposite(self):
-        rng = random.Random(4)
-        n = 7
-        k0, f = canonical_class(n), fiber_class(n)
-        for _ in range(30):
-            a = Fraction(rng.randint(-8, 8), rng.randint(1, 3))
-            b = Fraction(rng.randint(-8, 8), rng.randint(1, 3))
-            raw = tuple(a * kc + b * fc for kc, fc in zip(k0.coords, f.coords))
-            w = SymplecticClass.from_raw(raw)
-            if w.square() <= 0:
-                continue
-            assert canonical_sign(w, k0) == -canonical_sign(-w, k0)
-
-    def test_outside_span_rejected(self):
-        n = 5
-        with pytest.raises(LatticeError):
-            canonical_sign(SymplecticClass((3, 2, 1, 1, 1, 1)),
-                           canonical_class(n))
-
-    def test_span2_solver(self):
-        n = 5
-        k0, f = canonical_class(n), fiber_class(n)
-        raw = tuple(-2 * kc + 3 * fc for kc, fc in zip(k0.coords, f.coords))
-        x, y = span2_coefficients(SymplecticClass.from_raw(raw), k0, f)
-        assert (x, y) == (-2, 3)
 
 
 @pytest.mark.parametrize("n,want", [
@@ -232,6 +192,13 @@ class TestDelta:
         with pytest.raises(LatticeError):
             delta(SymplecticClass((3, 2, 1, 1, 1, 1)), f, k0)
 
+    def test_span2_solver(self):
+        n = 5
+        k0, f = canonical_class(n), fiber_class(n)
+        raw = tuple(-2 * kc + 3 * fc for kc, fc in zip(k0.coords, f.coords))
+        x, y = span2_coefficients(SymplecticClass.from_raw(raw), k0, f)
+        assert (x, y) == (-2, 3)
+
 
 class TestFiberReport:
     def _rank2_group(self, n):
@@ -309,3 +276,12 @@ class TestSliceScan:
         n = 5
         with pytest.raises(LatticeError):
             ConeSlice(canonical_class(n), canonical_class(n), (), None, None)
+
+    def test_bad_fiber_rejected_before_the_scan(self):
+        # With F = E1 the scan itself would break monotonicity and raise an
+        # InvariantViolation; the fiber is refused first, as bad input.
+        n = 5
+        e1 = CohClass((0, 1, 0, 0, 0, 0))
+        with pytest.raises(LatticeError, match="^fiber class must satisfy"
+                                               " F.F = 0, K.F = -2$"):
+            slice_scan(n, e1, canonical_class(n), [0, 1])

@@ -7,22 +7,16 @@ from hypothesis import strategies as st
 
 from gsurf.errors import LatticeError, LimitExceeded
 from gsurf.exceptional import (
-    MONOTONE,
-    OTHER,
-    SMALL_FIBER,
     _arrangements,
     _degree_bounds,
     _distinct_permutations,
     cremona_reflect,
     enumerate_exceptional,
-    h_ij,
     h_ijk,
     is_exceptional,
     lattice_classes,
-    positive_area_classes,
     reduce_exceptional,
     reduce_symplectic,
-    structure_test,
 )
 from gsurf.lattice import (
     CohClass,
@@ -37,6 +31,11 @@ from gsurf.weyl import reflection
 import oracles
 
 FROZEN_COUNTS = {2: 3, 3: 6, 4: 10, 5: 16, 6: 27, 7: 56, 8: 240}
+
+
+def h_ij(n, i, j):
+    """The exceptional class H - Ei - Ej."""
+    return unit(n, 0) - unit(n, i) - unit(n, j)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -195,8 +194,6 @@ class TestCremona:
             h_ijk(5, 3, 3, 4)
         with pytest.raises(LatticeError):
             h_ijk(5, 0, 1, 2)
-        with pytest.raises(LatticeError):
-            h_ij(5, 2, 2)
 
 
 class TestReduceExceptional:
@@ -318,34 +315,6 @@ class TestReduceSymplectic:
             reduce_symplectic(SymplecticClass((1, 1, 1, 1)))
 
 
-class TestStructure:
-    def test_monotone(self):
-        kind, cands = structure_test(SymplecticClass((3, 1, 1, 1)))
-        assert kind == MONOTONE and cands is None
-
-    def test_small_fiber_with_candidates(self):
-        kind, cands = structure_test(SymplecticClass((4, 2, 1, 1, 1, 1)))
-        assert kind == SMALL_FIBER
-        want = set()
-        for j in range(2, 6):
-            e = [0] * 6
-            e[j] = 1
-            want.add(CohClass(tuple(e)))
-            want.add(h_ij(5, 1, j))
-        assert set(cands) == want
-        w = SymplecticClass((4, 2, 1, 1, 1, 1))
-        areas = {w.area(c) for c in cands}
-        assert areas == {1}  # candidates all have the minimal area
-
-    def test_other(self):
-        kind, cands = structure_test(SymplecticClass((5, 2, 2, 1, 1, 1)))
-        assert kind == OTHER and cands is None
-
-    def test_rejects_unreduced(self):
-        with pytest.raises(LatticeError):
-            structure_test(SymplecticClass((1, 1, 1, 1)))
-
-
 class TestReducedByAreas:
     """Cross-check of the two reducedness routes on in-cone classes.
 
@@ -355,7 +324,6 @@ class TestReducedByAreas:
 
     def test_area_reduced_implies_coefficient_reduced(self):
         from gsurf.cone import FULL, is_in_cone
-        from gsurf.exceptional import is_reduced_by_minimal_areas
         from gsurf.lattice import is_reduced_class
         from fractions import Fraction
         rng = random.Random(17)
@@ -371,16 +339,15 @@ class TestReducedByAreas:
             if is_in_cone(w) != FULL:
                 continue
             checked += 1
-            if is_reduced_by_minimal_areas(w):
+            if oracles.is_reduced_by_minimal_areas(w):
                 area_reduced += 1
                 assert is_reduced_class(w), w
             if not is_reduced_class(w):
-                assert not is_reduced_by_minimal_areas(w), w
+                assert not oracles.is_reduced_by_minimal_areas(w), w
         assert area_reduced > 10  # the sweep hits both outcomes
 
     def test_coefficient_reduced_is_strictly_weaker(self):
         from gsurf.cone import FULL, is_in_cone
-        from gsurf.exceptional import is_reduced_by_minimal_areas
         from gsurf.lattice import is_reduced_class
         from fractions import Fraction
         w = SymplecticClass((Fraction(26, 3), Fraction(13, 4), Fraction(11, 4),
@@ -388,27 +355,25 @@ class TestReducedByAreas:
         assert is_in_cone(w) == FULL
         assert is_reduced_class(w)
         # E2 is beaten by H - E1 - E2: 26/3 - 6 < 11/4
-        assert not is_reduced_by_minimal_areas(w)
+        assert not oracles.is_reduced_by_minimal_areas(w)
 
     def test_descent_normal_forms_pass_both(self):
-        from gsurf.exceptional import is_reduced_by_minimal_areas
         from gsurf.lattice import is_reduced_class
         for n in (3, 5):
             for b in (0, 1, 2):
                 w = SymplecticClass((3 + b, 1 + b) + (1,) * (n - 1))
                 assert is_reduced_class(w)
-                assert is_reduced_by_minimal_areas(w)
-        assert not is_reduced_by_minimal_areas(SymplecticClass((3, 1, 2, 1)))
+                assert oracles.is_reduced_by_minimal_areas(w)
+        assert not oracles.is_reduced_by_minimal_areas(SymplecticClass((3, 1, 2, 1)))
 
     def test_needs_complete_enumeration(self):
-        from gsurf.exceptional import is_reduced_by_minimal_areas
         with pytest.raises(LatticeError):
-            is_reduced_by_minimal_areas(SymplecticClass((4,) + (1,) * 9))
+            oracles.is_reduced_by_minimal_areas(SymplecticClass((4,) + (1,) * 9))
 
 
 def test_positive_area_filter():
     w = SymplecticClass((3, 2, 1, 1))
-    kept = positive_area_classes(w, enumerate_exceptional(3))
+    kept = [e for e in enumerate_exceptional(3) if w.area(e) > 0]
     # H - E1 - E2 and H - E1 - E3 both have zero area for this class
     assert h_ij(3, 1, 2) not in kept
     assert h_ij(3, 1, 3) not in kept

@@ -17,22 +17,21 @@ from gsurf.gconic import (
     ConicBundleModel,
     FiberAction,
     GroupDecomposition,
+    _is_minimal,
+    _sigma_partition,
     decompose,
     fiber_action,
     fiber_class,
     full_swap,
     invariant_exceptional_n6,
-    is_minimal_bundle,
     matrix_from_fiber_action,
     max_swap_closed_section,
-    parse_section_class,
     q_invariance_check,
     q_subgroup,
     section_class,
     section_classes,
     section_identity,
     section_identity_table,
-    sigma_partition,
     vertical_decompositions,
 )
 from gsurf.lattice import CohClass, Isometry, canonical_class, pairing
@@ -346,19 +345,23 @@ class TestAgainstClassRoutes:
 
 
 class TestMinimality:
+    @staticmethod
+    def _minimal(group, model):
+        return _is_minimal([fiber_action(g, model) for g in group], model)
+
     def test_identity_alone_is_not_minimal(self):
         m = ConicBundleModel(4)
-        assert not is_minimal_bundle([Isometry.identity(4)], m)
+        assert not self._minimal([Isometry.identity(4)], m)
 
     def test_full_swap_is_minimal(self):
         m = ConicBundleModel(5)
-        assert is_minimal_bundle([Isometry.identity(5), full_swap(5)], m)
+        assert self._minimal([Isometry.identity(5), full_swap(5)], m)
 
     def test_partial_swap_misses_fibers(self):
         n = 5
         m = ConicBundleModel(n)
         g = matrix_from_fiber_action((2, 3, 4, 5), (-1, -1, 1, 1), n)
-        assert not is_minimal_bundle([Isometry.identity(n), g], m)
+        assert not self._minimal([Isometry.identity(n), g], m)
 
 
 class TestDecompose:
@@ -489,7 +492,8 @@ class TestDecompose:
                 assert got[0] is LatticeError
             elif len(q) == 4:
                 with pytest.raises(InvariantViolation) as want:
-                    sigma_partition(q, model)
+                    _sigma_partition([fiber_action(g, model) for g in q],
+                                     model)
                 assert got == (InvariantViolation, str(want.value))
             else:
                 assert minimal
@@ -584,6 +588,11 @@ class TestDecompose:
 
 
 class TestSigmaPartition:
+    @staticmethod
+    def _partition(taus, n):
+        model = ConicBundleModel(n)
+        return _sigma_partition([fiber_action(g, model) for g in taus], model)
+
     def _klein(self, n, sigmas):
         taus = []
         for sigma in sigmas:
@@ -593,13 +602,13 @@ class TestSigmaPartition:
 
     def test_n4_singletons(self):
         taus = self._klein(4, ((2,), (3,), (4,)))
-        s1, s2, s3, parity = sigma_partition(taus, ConicBundleModel(4))
+        s1, s2, s3, parity = self._partition(taus, 4)
         assert (s1, s2, s3) == ((2,), (3,), (4,))
         assert parity  # sizes 1 = 3 mod 2
 
     def test_n5_sizes_220(self):
         taus = self._klein(5, ((2, 3), (4, 5), ()))
-        s1, s2, s3, parity = sigma_partition(taus, ConicBundleModel(5))
+        s1, s2, s3, parity = self._partition(taus, 5)
         assert sorted(map(len, (s1, s2, s3))) == [0, 2, 2]
         assert parity
 
@@ -608,13 +617,13 @@ class TestSigmaPartition:
         taus = self._klein(n, ((2, 3), (2, 4), ()))
         taus[2] = taus[0] @ taus[1]
         with pytest.raises(InvariantViolation):
-            sigma_partition(taus, ConicBundleModel(n))
+            self._partition(taus, n)
 
     def test_rejects_non_klein(self):
         n = 5
         taus = self._klein(n, ((2, 3), (2, 3), (2, 3)))
         with pytest.raises(LatticeError):
-            sigma_partition(taus, ConicBundleModel(n))
+            self._partition(taus, n)
 
     def test_rejects_a_base_moving_involution(self):
         n = 5
@@ -622,14 +631,14 @@ class TestSigmaPartition:
         taus += self._klein(n, ((2, 3), (4, 5)))
         with pytest.raises(LatticeError, match="^involutions must act"
                                                " trivially on the base$"):
-            sigma_partition(taus, ConicBundleModel(n))
+            self._partition(taus, n)
 
     def test_rejects_involutions_that_do_not_close(self):
         n = 5
         taus = self._klein(n, ((2, 3), (4, 5), (2, 4)))
         with pytest.raises(LatticeError, match="^the involutions do not form"
                                                " a Klein four group$"):
-            sigma_partition(taus, ConicBundleModel(n))
+            self._partition(taus, n)
 
 
 def _fields(res):
@@ -642,13 +651,6 @@ def _table_rows(table):
 
 
 class TestSectionIdentity:
-    def test_parse_round_trip(self):
-        e = section_class(6, -1, (3, 5))
-        c, marks = parse_section_class(e)
-        assert (c, marks) == (-1, (3, 5))
-        with pytest.raises(LatticeError):
-            parse_section_class(CohClass((1, 1, 0, 0, 0, 0, 0)))
-
     def test_rejects_equal_sections(self):
         m = ConicBundleModel(5)
         e = section_class(5, 0, ())

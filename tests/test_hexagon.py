@@ -4,12 +4,10 @@ import pytest
 
 from gsurf.errors import LatticeError, LimitExceeded
 from gsurf.hexagon import (
-    HEX_EDGES,
     KIND_GN,
     KIND_GNKS,
     KIND_GTN,
     KIND_GTN32,
-    HexagonModel,
     MonomialGroupElement,
     TorusElement,
     build_gamma,
@@ -18,38 +16,39 @@ from gsurf.hexagon import (
     gamma_generators,
     involution_nontrivial_conjugation,
     make_imprimitive,
-    other_fixed_point,
     presentation_check,
     propagate_rotation,
     reduce_pair,
     transitive_hexagon_subgroups,
 )
 from gsurf.exceptional import enumerate_exceptional
-from gsurf.lattice import pairing
+from gsurf.lattice import CohClass, pairing
 from gsurf.selftest import valid_gnks_parameters
 
 import oracles
 
 
+# The hexagon's edges in the module's cyclic order.
+_HEX_EDGES = tuple(CohClass(c) for c in (
+    (0, 1, 0, 0),    # E1
+    (1, -1, -1, 0),  # H - E1 - E2
+    (0, 0, 1, 0),    # E2
+    (1, 0, -1, -1),  # H - E2 - E3
+    (0, 0, 0, 1),    # E3
+    (1, -1, 0, -1),  # H - E1 - E3
+))
+
+
 class TestHexagonModel:
+    """The six exceptional classes at N = 3 in the module's edge order."""
+
     def test_edges_are_the_exceptional_set(self):
-        assert set(HEX_EDGES) == set(enumerate_exceptional(3))
+        assert set(_HEX_EDGES) == set(enumerate_exceptional(3))
 
     def test_adjacency(self):
-        model = HexagonModel()
         for i in range(6):
-            assert pairing(model.edges[i], model.edges[(i + 1) % 6]) == 1
-            assert pairing(model.edges[i], model.edges[(i + 3) % 6]) == 0
-
-    def test_first_vertex(self):
-        model = HexagonModel()
-        before, after = model.first_vertex
-        assert before == HEX_EDGES[5] and after == HEX_EDGES[0]
-
-    def test_scrambled_edges_rejected(self):
-        bad = (HEX_EDGES[0], HEX_EDGES[2], HEX_EDGES[1]) + HEX_EDGES[3:]
-        with pytest.raises(LatticeError):
-            HexagonModel(bad)
+            assert pairing(_HEX_EDGES[i], _HEX_EDGES[(i + 1) % 6]) == 1
+            assert pairing(_HEX_EDGES[i], _HEX_EDGES[(i + 3) % 6]) == 0
 
 
 class TestPropagation:
@@ -78,24 +77,6 @@ class TestPropagation:
             for i in range(6):
                 a, b = lst[i]
                 assert lst[(i + 1) % 6] == (a + b, -a)
-
-
-class TestOtherFixedPoint:
-    def test_examples(self):
-        assert other_fixed_point((1, 0)) == (-1, 1)
-        assert other_fixed_point((1, 1)) == (-1, 2)
-
-    def test_involutive(self):
-        rng = random.Random(3)
-        for _ in range(25):
-            a, b = rng.randint(-9, 9), rng.randint(-9, 9)
-            if a == 0:
-                continue
-            assert other_fixed_point(other_fixed_point((a, b))) == (a, b)
-
-    def test_tangentially_trivial_rejected(self):
-        with pytest.raises(LatticeError):
-            other_fixed_point((0, 3))
 
 
 class TestTorusElement:

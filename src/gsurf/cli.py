@@ -9,9 +9,12 @@ supposed to be valid).
 
 A handler imports what it runs: each ``_cmd_*`` imports its own gsurf
 modules, so a fresh process loads only the modules its subcommand needs
-(``schema`` none beyond ``lattice``, ``exc`` only ``exceptional``).  The
-parser's defaults are literals for the same reason; tests pin them to the
-constants they copy.
+(``schema`` none beyond ``lattice``, ``exc`` only ``exceptional``).  No
+handler but ``selftest`` loads numpy: ``weyl``, ``invariants`` and
+``conic`` run on the stabilizer chain, which is plain Python, and numpy is
+imported only where an array of elements is built (a group listing, the
+batched section identity).  The parser's defaults are literals for the
+same reason; tests pin them to the constants they copy.
 """
 
 from __future__ import annotations

@@ -6,17 +6,21 @@ the integer classes with r.r = -2 and K.r = 0.  Finite isometry groups are
 handled with one stabilizer chain on the orbits of the basis classes,
 built by ``generate_group``.  The order is read off the chain; the sorted
 element set is multiplied out of its transversals only when asked for, so
-the order alone is feasible for the largest Weyl group.  numpy is imported
-inside the functions that use it, so the commands that never build a chain
-start without it.
+the order alone is feasible for the largest Weyl group.  The chain, the
+order and ``group_sum`` run on Python ints.  numpy is imported only where
+an array of elements is built (the listing behind ``element_array()``,
+iteration and ``trace_vector()``), so ``gsurf weyl``, ``invariants`` and
+``conic``, which list no group, start without it.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
+from itertools import chain, compress, cycle
 from math import isqrt
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from .errors import InvariantViolation, LatticeError, LimitExceeded
@@ -75,10 +79,12 @@ class FiniteIsometryGroup:
         raise TypeError("a FiniteIsometryGroup is built only by generate_group")
 
     @classmethod
-    def _sealed(cls, gens: tuple, order: int, listing: tuple):
-        """``listing`` holds the arguments of ``_list_elements``."""
+    def _sealed(cls, gens: tuple, order: int, listing: tuple, orbit: list):
+        """``listing`` holds the arguments of ``_list_elements`` after the
+        dimension; ``orbit`` labels each point with its orbit."""
         group = object.__new__(cls)
-        group.__dict__.update(generators=gens, order=order, _listing=listing)
+        group.__dict__.update(generators=gens, order=order, _listing=listing,
+                              _orbit=orbit)
         return group
 
     def __setattr__(self, name, value):
@@ -93,7 +99,7 @@ class FiniteIsometryGroup:
 
     @cached_property
     def _elements(self) -> np.ndarray:
-        return _list_elements(*self._listing)
+        return _list_elements(self.n + 1, *self._listing)
 
     @cached_property
     def _invariant_lattice(self) -> tuple:
@@ -101,7 +107,7 @@ class FiniteIsometryGroup:
 
     @property
     def _moves_k(self) -> bool:
-        return self._listing[3]
+        return self._listing[2]
 
     def element_array(self) -> np.ndarray:
         return self._elements
@@ -117,18 +123,23 @@ class FiniteIsometryGroup:
         return self.element_array().trace(axis1=1, axis2=2, dtype=np.int64)
 
     def group_sum(self) -> Tuple[Tuple[int, ...], ...]:
-        """R, the sum of the matrices of all elements, from the chain alone.
+        """R, the sum of the matrices of all elements, read off the orbits.
 
-        Every element is uniquely u1 u2 ... uk with ui in Ui (see
-        ``generate_group``) and the matrix of a product is the product of
-        the matrices, so R = (sum of U1)(sum of U2) ... (sum of Uk).  Each
-        level's sum is exact in int64, as |Ui| * 32767 is far below 2^63.
-        The product is taken in Python ints, as numpy object arrays: each
-        partial product is the sum of distinct elements u1 ... uj (the rest
-        of the factors being the identity), and |G| times an entry may pass
-        int64.  With no levels (the trivial group) R is the identity.
-        Raises LimitExceeded when a transversal element's image of H has an
-        entry above 32767 in absolute value.
+        Column j >= 1 of R is the sum over g of g(E_j).  g -> g(E_j) maps
+        G onto the orbit O of E_j, and each point of O is the image of
+        |G|/|O| elements, a coset of E_j's stabilizer, so column j is
+        |G|/|O| times the sum of O's points.  Column 0, R H, is read the
+        same way from H's orbit when K moves.  Otherwise every element
+        fixes K, and as H = (E1 + ... + EN - K)/3, column 0 is (the sum of
+        the other columns - |G| K)/3.  All of it is in Python ints.
+
+        Raises LimitExceeded when an element of one of the chain's
+        transversals (see ``generate_group``) has an image of H with an
+        entry above 32767 in absolute value.  When K moves, that image is
+        a point, so in range.  Otherwise it is (sum of N points - K)/3,
+        whose entries are at most (N m + 3)/3 in absolute value, m being
+        the largest point entry; so each element is checked only when
+        N m + 3 > 3 * 32767.
 
         R is |G| times the projector onto the invariant subspace V^G:
         g R = R g = R for every g in G, as left or right multiplication
@@ -136,18 +147,32 @@ class FiniteIsometryGroup:
         V^G, and R v = |G| v for v in V^G; hence R/|G| is an idempotent
         onto V^G and tr R = |G| * rank V^G.
         """
-        import numpy as np
-        transversals, pts, k, moves_k = self._listing
-        dim = pts.shape[1]
-        if not transversals:
-            return tuple(map(tuple, np.eye(dim, dtype=int).tolist()))
-        seeds = dim if moves_k else dim - 1
-        images = np.array([u[:seeds] for trans in transversals
-                           for u in trans.values()])
-        mats = _read_matrices(images, pts, k, moves_k)
-        starts = np.cumsum([0] + [len(t) for t in transversals[:-1]])
-        levels = np.add.reduceat(mats, starts, dtype=np.int64).astype(object)
-        return tuple(map(tuple, reduce(np.matmul, levels).tolist()))
+        transversals, points, moves_k, largest = self._listing
+        n = self.n
+        dim = n + 1
+        pts = list(struct.iter_unpack(f"<{dim}q", points))
+        k = (-3,) + (1,) * n
+        if not moves_k and n * largest + 3 > 3 * _MAX_ENTRY:
+            for trans in transversals:
+                for u in trans.values():
+                    h = map(sum, zip(*map(pts.__getitem__, u[:n])))
+                    if any(abs(v - c) > 3 * _MAX_ENTRY for v, c in zip(h, k)):
+                        raise LimitExceeded(_RANGE_MESSAGE)
+        orbits = {}
+        for label, p in zip(self._orbit, pts):
+            orbits.setdefault(label, []).append(p)
+        sums = {label: [self.order // len(ps) * v for v in map(sum, zip(*ps))]
+                for label, ps in orbits.items()}
+        # the seeds E1..EN, then H if K moves, are the first points
+        cols = [sums[label] for label in self._orbit[:dim if moves_k else n]]
+        if moves_k:
+            col0 = cols.pop()
+        else:
+            col0 = [v - self.order * c for v, c in zip(map(sum, zip(*cols)), k)]
+            if any(v % 3 for v in col0):  # pragma: no cover - K is fixed
+                raise InvariantViolation("image of H is not integral")
+            col0 = [v // 3 for v in col0]
+        return tuple(zip(col0, *cols))
 
 
 # Entries are stored in int16 at most.
@@ -184,13 +209,13 @@ def generate_group(gens: Sequence[Isometry],
     the point its permutation sends E_j to.  Column 0 is the image of H:
     read from H's orbit when H is a point, otherwise (sum of the other
     columns - K)/3, K being fixed.  Each matrix is read once, at the end,
-    by ``_read_matrices``, which ``group_sum`` shares; every point is in
-    range already, so only column 0 is checked.
+    by ``_list_elements``; every point is in range already, so only
+    column 0 is checked.
     """
     gens = tuple(gens)
-    chain, pts, k, moves_k = _basis_chain(gens, limit)
-    return FiniteIsometryGroup._sealed(gens, chain.order(),
-                                       (chain.transversals, pts, k, moves_k))
+    chain, pts, orbit, moves_k, largest = _basis_chain(gens, limit)
+    return FiniteIsometryGroup._sealed(
+        gens, chain.order(), (chain.transversals, pts, moves_k, largest), orbit)
 
 
 def group_order_via_chain(gens: Sequence[Isometry]) -> int:
@@ -210,148 +235,187 @@ def group_order_via_chain(gens: Sequence[Isometry]) -> int:
 
 
 def _basis_chain(gens: Sequence[Isometry], limit: Optional[int]):
-    """``generate_group``'s chain, its points, K and whether K moves.
+    """``generate_group``'s chain, its points, their orbit labels, whether
+    K moves, and the largest point entry in absolute value.
 
     ``limit`` None bounds neither the orbits nor the order.
     """
-    import numpy as np
     if not gens:
         raise LatticeError("at least one generator required")
     dim = gens[0].dim
     if any(g.dim != dim for g in gens):
         raise LatticeError("generators act on different lattices")
-    n = dim - 1
-    if max(max(map(abs, row)) for g in gens for row in g.mat) > _MAX_ENTRY:
+    rows = [row for g in gens for row in g.mat]
+    if max(max(map(max, rows)), -min(map(min, rows))) > _MAX_ENTRY:
         raise LimitExceeded(_RANGE_MESSAGE)
-    mats = np.array([g.mat for g in gens], dtype=np.int64)
-    k = np.array((-3,) + (1,) * n, dtype=np.int64)
-    moves_k = bool((mats @ k != k).any())
-    # E1..EN, then H if K moves
-    seeds = np.roll(np.eye(dim, dtype=np.int64), -1, axis=0)[:dim if moves_k else n]
-    pts, perms = _orbits(mats, seeds, limit)
-    chain = StabilizerChain(len(pts), limit, seeds=len(seeds))
+    pts, orbit, perms, moves_k, largest = _orbits([g.mat for g in gens], limit)
+    chain = StabilizerChain(len(orbit), limit,
+                            seeds=dim if moves_k else dim - 1)
     for p in perms:
         chain.add(p)
-    return chain, pts, k, moves_k
+    return chain, pts, orbit, moves_k, largest
 
 
-def _orbits(mats: np.ndarray, seeds: np.ndarray, limit: Optional[int]):
-    """Points of the seeds' orbits and each generator's permutation of them.
+def _orbits(mats: Sequence[Sequence[Sequence[int]]], limit: Optional[int]):
+    """Orbits of the seeds: their points' keys joined in index order,
+    each point's orbit label, each matrix's permutation of the points,
+    whether some matrix moves K, and the largest point entry in absolute
+    value.
 
-    Breadth-first over all orbits at once, one matrix product per
-    generator and layer; the seeds keep indices 0.. in order.  A
-    union-find over the seeds tracks the size of each orbit found so far.
+    The seeds are E1..EN, then H when some matrix moves K; they keep
+    indices 0.. in order.  Breadth-first over all orbits at once, one
+    layer at a time and, within it, one matrix at a time.  Every matrix
+    entry must be at most 32767 in absolute value.  A point's orbit label
+    is the index of a seed in that orbit.  Once a matrix has mapped a layer,
+    its images that are not points yet are checked against 32767, then
+    recorded, and then the orbit sizes are checked against ``limit``.
+    While no orbit can pass ``limit`` in a layer, all the matrices' images
+    of it are checked and recorded at once, in the same order, so the
+    points, permutations and errors are the same.
+
+    *Keys.*  A point is keyed by its entries as little-endian signed
+    64-bit words.  Write E(v) = sum of v_i 2^(64 i).  E is linear, so
+    with A_j = sum over the matrices M_g of E(column j of M_g)
+    2^(64 dim g), the int sum of p_j A_j is sum over g of E(M_g p)
+    2^(64 dim g): one product per nonzero coordinate gives the images of
+    p under every matrix.  Adding B, the sum of 2^(64 i + 63), turns
+    every word into its entry plus 2^63; XOR-ing B back gives each word's
+    two's complement, so slicing the bytes gives each image's key.  This
+    is exact.  Every matrix entry and every point entry is at most 32767
+    in absolute value, so every entry of M_g p is below dim * 32767^2 <
+    2^63, and its word holds it with no carry into the next.  So distinct
+    images get distinct keys, and an image whose key is a point's key is
+    that point.  K's images, the sum of the A_j less 4 A_0, are read the
+    same way, as K's entries are at most 3.
     """
-    import numpy as np
-    dim = seeds.shape[1]
-    width = 2 * dim
-    # each point is keyed by its int16 bytes
-    points = [s.astype(np.int16).tobytes() for s in seeds]
-    index = {p: i for i, p in enumerate(points)}
-    owner = list(range(len(points)))
-    parent = list(owner)
+    dim, count = len(mats[0]), len(mats)
+    width = 8 * dim
+    bias = int.from_bytes((bytes(7) + b"\x80") * (dim * count), "little")
+    entries = memoryview(struct.pack(
+        f"<{dim * dim * count}q",
+        *chain.from_iterable(chain.from_iterable(mats)))).cast("q")
+    # the cast only moves 8-byte words: word g * dim + i of A_j is entry
+    # (i, j) of matrix g
+    columns = [(int.from_bytes(entries[j::dim].tobytes(), "little") ^ bias)
+               - bias for j in range(dim)]
+
+    def image_keys(total: int) -> bytes:
+        return ((total + bias) ^ bias).to_bytes(width * count, "little")
+
+    # K = -3 H + E1 + ... + EN
+    moves_k = image_keys(sum(columns) - 4 * columns[0]) != \
+        struct.pack(f"<{dim * count}q", *((-3,) + (1,) * (dim - 1)) * count)
+    # E1..EN, then H if K moves; E_j's images are the columns j
+    order = (*range(1, dim), 0)[:dim if moves_k else dim - 1]
+    index = {(1 << 64 * j).to_bytes(width, "little"): i
+             for i, j in enumerate(order)}
+    unpack = struct.Struct(f"<{dim}q").unpack
+    points = list(map(unpack, index))
+    largest = 1
+    orbit = list(range(len(points)))
     size = [1] * len(points)
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    images: List[List[int]] = [[] for _ in range(len(mats))]
+    perms: List[List[int]] = [[] for _ in mats]
+    offsets = range(0, width * count, width)
+    totals = [columns[j] for j in order]
     lo = 0
     while lo < len(points):
         hi = len(points)
-        layer = np.frombuffer(b"".join(points[lo:hi]), dtype=np.int16)
-        layer = layer.reshape(hi - lo, dim).astype(np.int64)
-        for m, img in zip(mats, images):
-            prod = layer @ m.T
-            if np.abs(prod).max() > _MAX_ENTRY:
-                raise LimitExceeded(_RANGE_MESSAGE)
-            raw = prod.astype(np.int16).tobytes()
-            for src in range(lo, hi):
-                q = raw[(src - lo) * width:(src - lo + 1) * width]
-                root = find(owner[src])
-                j = index.get(q)
-                if j is None:
-                    j = index[q] = len(points)
-                    points.append(q)
-                    owner.append(root)
-                    size[root] += 1
-                elif find(owner[j]) != root:
-                    other = find(owner[j])
-                    parent[other] = root
-                    size[root] += size[other]
-                if limit is not None and size[root] > limit:
-                    raise LimitExceeded(f"group closure exceeded limit {limit}")
-                img.append(j)
+        raw = list(map(image_keys, totals))
+        # the layer adds at most count * (hi - lo) points; while that keeps
+        # every orbit within ``limit``, all matrices' images are one step
+        if limit is None or hi + count * (hi - lo) <= limit:
+            steps = [list(zip(offsets, perms))]
+        else:
+            steps = [[pair] for pair in zip(offsets, perms)]
+        for step in steps:
+            keys = [r[at:at + width] for at, _ in step for r in raw]
+            js = list(map(index.get, keys))
+            if None in js:
+                new = list(dict.fromkeys(
+                    key for key, j in zip(keys, js) if j is None))
+                found = list(map(unpack, new))
+                top = max(max(map(max, found)), -min(map(min, found)))
+                if top > _MAX_ENTRY:
+                    raise LimitExceeded(_RANGE_MESSAGE)
+                largest = max(largest, top)
+                index.update(zip(new, range(len(points),
+                                            len(points) + len(new))))
+                points += found
+                labels = [orbit[lo + keys.index(key) % (hi - lo)]
+                          for key in new]
+                orbit += labels
+                for label in labels:
+                    size[label] += 1
+                js = list(map(index.__getitem__, keys))
+            for (_, perm), at in zip(step, range(0, len(js), hi - lo)):
+                perm += js[at:at + hi - lo]
+            if list(map(orbit.__getitem__, js)) != orbit[lo:hi] * len(step):
+                for src, j in zip(cycle(range(lo, hi)), js):
+                    here, gone = orbit[src], orbit[j]
+                    if here != gone:
+                        orbit = [here if o == gone else o for o in orbit]
+                        size[here] += size[gone]
+            # a merged orbit's stale size is below its new one's
+            if limit is not None and max(size) > limit:
+                raise LimitExceeded(f"group closure exceeded limit {limit}")
         lo = hi
-    pts = np.frombuffer(b"".join(points), dtype=np.int16)
-    return pts.reshape(len(points), dim).astype(np.int64), \
-        [tuple(img) for img in images]
+        totals = [sum(map(mul, filter(None, p), compress(columns, p)))
+                  for p in points[lo:]]
+    return b"".join(index), orbit, list(map(tuple, perms)), moves_k, largest
 
 
-def _list_elements(transversals: List[dict], pts: np.ndarray,
-                   k: np.ndarray, moves_k: bool) -> np.ndarray:
+def _list_elements(dim: int, transversals: List[dict], points: bytes,
+                   moves_k: bool, largest: int) -> np.ndarray:
     """The elements of ``generate_group``'s chain, read as it describes.
 
     Each row of ``images`` is the seeds sent through one u1 u2 ... uk; uk
     acts first, so the levels are applied last to first, each as a small
-    unsigned index array.  The matrices are read by ``_read_matrices`` and
-    sorted row-major as byte strings by ``_sort_rows``.  Sorted, a
-    repeated element would sit on adjacent rows of equal bytes.
+    unsigned index array.  Row r's matrix has column j >= 1 the point E_j
+    goes to, and column 0 H's image: read from H's orbit when K moves,
+    otherwise (sum of the other columns - K)/3, K being fixed.  Every
+    point is in 16-bit range already (``largest`` is their largest entry
+    in absolute value), so only column 0 is checked: an entry above 32767
+    in absolute value raises LimitExceeded.  The matrices are int8 when
+    every entry fits, else int16, and are sorted row-major as byte
+    strings by ``_sort_rows``.  Sorted, a repeated element would sit on
+    adjacent rows of equal bytes.  ``points`` are the points' keys from
+    ``_orbits``, joined.
     """
     import numpy as np
-    dim = pts.shape[1]
+    # exact: N entries below 2^15 in absolute value sum below 2^31
+    pts = np.frombuffer(points, "<i8").reshape(-1, dim).astype(np.int32)
     seeds = dim if moves_k else dim - 1
     index = np.min_scalar_type(len(pts) - 1)
     images = np.arange(seeds, dtype=index)[None]
     for trans in reversed(transversals):
         level = np.array(list(trans.values()), dtype=index)
         images = level[:, images].reshape(-1, seeds)
-    elements = _read_matrices(images, pts, k, moves_k)
+    if moves_k:  # H is the last seed
+        col0 = pts.take(images[:, -1], axis=0)
+    else:
+        col0 = pts.take(images[:, 0], axis=0) - \
+            np.array((-3,) + (1,) * (dim - 1), dtype=np.int32)
+        for j in range(1, dim - 1):
+            col0 += pts.take(images[:, j], axis=0)
+        if (col0 % 3).any():  # pragma: no cover - K is fixed
+            raise InvariantViolation("image of H is not integral")
+        col0 //= 3
+    largest = max(-int(col0.min()), int(col0.max()), largest)
+    if largest > _MAX_ENTRY:
+        raise LimitExceeded(_RANGE_MESSAGE)
+    elements = np.empty((len(images), dim, dim),
+                        np.int8 if largest <= 127 else np.int16)
+    elements[:, :, 0] = col0
+    del col0
+    pts = pts.astype(elements.dtype)
+    for j in range(1, dim):
+        elements[:, :, j] = pts.take(images[:, j - 1], axis=0)
     del images  # before the sort copies the elements
     elements = _sort_rows(elements.reshape(-1, dim * dim))
     rows = elements.view((np.void, elements.itemsize * dim * dim)).ravel()
     if (rows[1:] == rows[:-1]).any():  # pragma: no cover
         raise InvariantViolation("closure bookkeeping mismatch")
     return elements.reshape(-1, dim, dim)
-
-
-def _read_matrices(images: np.ndarray, pts: np.ndarray, k: np.ndarray,
-                   moves_k: bool) -> np.ndarray:
-    """The matrices of the elements whose seed images are ``images``' rows.
-
-    Row r holds the indices into ``pts`` of the points one element sends
-    the seeds to.  Column j >= 1 of its matrix is the point E_j goes to;
-    column 0 is H's image, read from H's orbit when K moves, otherwise
-    (sum of the other columns - K)/3, K being fixed.  Every point is in
-    16-bit range already, so only column 0 is checked: an entry above
-    32767 in absolute value raises LimitExceeded.  The matrices are int8
-    when every entry fits, else int16.
-    """
-    import numpy as np
-    dim = pts.shape[1]
-    # exact: N entries below 2^15 in absolute value sum below 2^31
-    pts = pts.astype(np.int32)
-    if moves_k:  # H is the last seed
-        col0 = pts.take(images[:, -1], axis=0)
-    else:
-        col0 = pts.take(images[:, 0], axis=0) - k.astype(np.int32)
-        for j in range(1, dim - 1):
-            col0 += pts.take(images[:, j], axis=0)
-        if (col0 % 3).any():  # pragma: no cover - K is fixed
-            raise InvariantViolation("image of H is not integral")
-        col0 //= 3
-    largest = max(-int(col0.min()), int(col0.max()), int(np.abs(pts).max()))
-    if largest > _MAX_ENTRY:
-        raise LimitExceeded(_RANGE_MESSAGE)
-    mats = np.empty((len(images), dim, dim), np.int8 if largest <= 127 else np.int16)
-    mats[:, :, 0] = col0
-    pts = pts.astype(mats.dtype)
-    for j in range(1, dim):
-        mats[:, :, j] = pts.take(images[:, j - 1], axis=0)
-    return mats
 
 
 def _sort_rows(arr: np.ndarray) -> np.ndarray:
@@ -373,7 +437,6 @@ def _sort_rows(arr: np.ndarray) -> np.ndarray:
                        kind="stable")
     del keys
     return arr[order]
-
 
 def weyl_group(n: int, limit: Optional[int] = 10_000_000) -> FiniteIsometryGroup:
     return generate_group(simple_reflections(n), limit=limit)
@@ -605,7 +668,7 @@ def trace_sum_condition(group: FiniteIsometryGroup):
 
     Summing over G, the total is tr R - |G| with R = ``group_sum()``, and
     tr R = |G| * rank(H2^G) (see ``group_sum``), so the total vanishes
-    exactly when the invariant rank is 1.  R comes from the chain and the
+    exactly when the invariant rank is 1.  R comes from the orbits and the
     rank from the kernel of the generators, so tr R != |G| * rank would
     be an internal error, checked on every call.  Whether some generator
     moves K is read off the group's chain, which recorded it.

@@ -19,6 +19,7 @@ from gsurf.lattice import coh_from_json
 from gsurf.selftest import klein_four_group
 from gsurf.weyl import reflection, simple_reflections
 from test_gconic import _weyl_d_generators
+from test_weyl import _conjugated, _transpositions
 
 
 def run(capsys, *args):
@@ -394,14 +395,15 @@ COLD_START_MODULES = {
     (["hexagon", "--kind", "Gnks", "--n", "9", "--k", "3", "--s", "2",
       "--verify"], False),
     (["schema"], False),
-    (["invariants", "--gens", "GENS"], True),
-    (["conic", "--gens", "GENS"], True),
-    (["weyl", "--n", "4"], True),
+    (["invariants", "--gens", "GENS"], False),
+    (["conic", "--gens", "GENS"], False),
+    (["weyl", "--n", "4"], False),
 ], ids=lambda v: v[0] if isinstance(v, list) else str(v))
 def test_cold_start_imports_numpy_only_for_groups(tmp_path, argv, loads_numpy):
     # numpy is about 40% of a small command's start-up; only a group
-    # closure or a stabilizer chain needs it.  Each handler imports only
-    # the gsurf modules it runs, so a stray top-level import fails here.
+    # listing or the batched section identity needs it, and no subcommand
+    # builds either.  Each handler imports only the gsurf modules it runs,
+    # so a stray top-level import fails here.
     gens = tmp_path / "gens.json"
     gens.write_text(json.dumps([list(map(list, full_swap(5).mat))]))
     argv = [str(gens) if a == "GENS" else a for a in argv]
@@ -517,6 +519,26 @@ def test_invariants_e8_sums_traces_from_the_chain(tmp_path, capsys):
     assert cli.main(["invariants", "--gens", str(gens)]) == 1
     assert capsys.readouterr().err == \
         "error: group closure exceeded limit 10000000\n"
+
+
+def test_invariants_refuses_a_trace_sum_out_of_range(tmp_path, capsys):
+    # Every generator entry and orbit point is in 16-bit range, but some
+    # element's image of H is not: the trace sum refuses it, as a listing
+    # of the group would.
+    gens = tmp_path / "gens.json"
+    for power, n, code in ((31, 10, 1), (39, 9, 0)):
+        gens.write_text(json.dumps([
+            list(map(list, g.mat))
+            for g in _conjugated(n, _transpositions(n, 3), power)]))
+        assert cli.main(["invariants", "--gens", str(gens)]) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert (out, err) == \
+                ("", "error: matrix entries exceeded supported range\n")
+        else:
+            res = json.loads(out)["results"]
+            assert (res["order"], res["trace_sum"], res["holds"]) == \
+                (24, 144, False)
 
 
 def test_weyl_n8_needs_chain(capsys):

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import pickle
 import random
+import struct
 import tracemalloc
 from fractions import Fraction
 
@@ -338,6 +339,27 @@ class TestListing:
         assert want == (LimitExceeded, "matrix entries exceeded supported range")
         assert _outcome(_listed, gens, 10 ** 6) == want
 
+    def test_group_sum_range_message_without_listing(self, monkeypatch):
+        # group_sum checks each transversal element's image of H only when
+        # N times the largest point entry, plus 3, passes 3 * 32767: at
+        # power 30 the check runs and passes, at power 31 it refuses.
+        # Neither lists the group.
+        gens = {p: _conjugated(10, _transpositions(10, 3), p) for p in (30, 31)}
+        listing = generate_group(gens[30]).element_array()
+
+        def refuse(*args):
+            raise AssertionError("listed the elements")
+        monkeypatch.setattr(gsurf.weyl, "_list_elements", refuse)
+        group = generate_group(gens[30])
+        assert 10 * group._listing[3] + 3 > 3 * 32767
+        _assert_group_sum(group, listing)
+        assert trace_sum_condition(group) == (168, False)
+        with pytest.raises(LimitExceeded,
+                           match="^matrix entries exceeded supported range$"):
+            generate_group(gens[31]).group_sum()
+        group = generate_group(_conjugated(9, _transpositions(9, 3), 39))
+        assert trace_sum_condition(group) == (144, False)
+
     def test_e7_listing_pinned(self):
         # W(E7) is past the BFS oracle's reach, so its listing is pinned
         group = weyl_group(7)
@@ -490,11 +512,12 @@ class TestChain:
 
 def _orbit_perms(gens):
     """``_basis_chain``'s chain, seed count, points and permutations."""
-    chain, pts, _, moves_k = _basis_chain(gens, None)
+    chain, points, orbit, moves_k, largest = _basis_chain(gens, None)
     seeds = gens[0].n + moves_k
-    mats = np.array([g.mat for g in gens], dtype=np.int64)
-    again, perms = _orbits(mats, pts[:seeds], None)
-    assert (again == pts).all()
+    again, labels, perms, _, top = _orbits([g.mat for g in gens], None)
+    assert (again, labels, top) == (points, orbit, largest)
+    pts = list(struct.iter_unpack(f"<{gens[0].dim}q", points))
+    assert largest == max(abs(v) for p in pts for v in p)
     return chain, seeds, pts, perms
 
 
@@ -574,13 +597,30 @@ class TestPermAction:
     def test_matches_apply_route(self, n):
         refl = simple_reflections(n)
         gens = list(refl) + [refl[0] @ refl[-1] @ refl[1]]
-        mats = np.array([g.mat for g in gens], dtype=np.int64)
-        seeds = np.roll(np.eye(n + 1, dtype=np.int64), -1, axis=0)[:n]
-        pts, perms = _orbits(mats, seeds, None)
-        points = [CohClass(tuple(int(v) for v in p)) for p in pts]
+        pts, _, perms, moves_k, _ = _orbits([g.mat for g in gens], None)
+        points = [CohClass(p) for p in struct.iter_unpack(f"<{n + 1}q", pts)]
+        assert not moves_k
         assert points[:n] == [unit(n, j) for j in range(1, n + 1)]
         assert len(points) == {3: 6, 4: 10, 5: 16, 6: 27, 7: 56, 8: 240}[n]
         assert perms == oracles.apply_route(gens, points)
+
+    @pytest.mark.parametrize("e", (32767, -32767))
+    def test_images_at_the_edge_of_range(self, e):
+        # With t = (1, 1, 1, 1), s = (1, -1, 0, 0) and u = (0, 0, 1, -1),
+        # pairwise orthogonal, a = e t u^T sends E2 to q = e t, c = 4 s u^T
+        # sends E2 to p = 4 s and E3 to -p, and b = e s t^T sends q to
+        # 4 e^2 s = (4 * 32767^2, -4 * 32767^2, 0, 0), the largest image
+        # entries there are.  Every other image of a point is 0 or a
+        # point.  As 4 * 32767^2 = 4 mod 2^16, that image agrees with p in
+        # its low 16 bits: it must be refused, never taken for p.
+        t, s, u = (1, 1, 1, 1), (1, -1, 0, 0), (0, 0, 1, -1)
+        a = [[e * i * j for j in u] for i in t]
+        b = [[e * i * j for j in t] for i in s]
+        c = [[4 * i * j for j in u] for i in s]
+        assert (4 * e * e) % 2 ** 16 == 4
+        with pytest.raises(LimitExceeded,
+                           match="^matrix entries exceeded supported range$"):
+            _orbits([a, b, c], None)
 
 
 def test_integer_kernel_primitive():

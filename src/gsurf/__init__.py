@@ -21,11 +21,8 @@ from .errors import InvariantViolation, LatticeError, LimitExceeded
 from .lattice import (
     CohClass,
     Isometry,
-    PicardLattice,
     SymplecticClass,
     canonical_class,
-    is_characteristic,
-    is_monotone,
     is_reduced_class,
     pairing,
 )
@@ -38,11 +35,8 @@ __all__ = [
     "InvariantViolation",
     "LatticeError",
     "LimitExceeded",
-    "PicardLattice",
     "SymplecticClass",
     "canonical_class",
-    "is_characteristic",
-    "is_monotone",
     "is_reduced_class",
     "pairing",
     "__version__",

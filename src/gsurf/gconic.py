@@ -73,14 +73,6 @@ class ConicBundleModel:
     def fiber(self) -> CohClass:
         return fiber_class(self.n_blowups)
 
-    @property
-    def canonical(self) -> CohClass:
-        return canonical_class(self.n_blowups)
-
-    def pairs(self) -> tuple:
-        f = self.fiber
-        return tuple((e, f - e) for e in self.sphere_classes)
-
     def labels(self) -> range:
         """Fiber labels j = 2..N; label j names sphere_classes[j-2]."""
         return range(2, self.n_blowups + 1)

@@ -196,35 +196,6 @@ def pairing(x: LatticeVector, y: LatticeVector) -> Rational:
     return raw_pairing(_raw(x), _raw(y))
 
 
-@dataclass(frozen=True)
-class PicardLattice:
-    """The degree-2 lattice of the plane blown up at N points."""
-
-    n_blowups: int
-
-    def __post_init__(self):
-        if self.n_blowups < 1:
-            raise LatticeError("need at least one blowup")
-
-    @property
-    def dim(self) -> int:
-        return self.n_blowups + 1
-
-    def H(self) -> CohClass:
-        return CohClass((1,) + (0,) * self.n_blowups)
-
-    def E(self, i: int) -> CohClass:
-        if not 1 <= i <= self.n_blowups:
-            raise LatticeError(f"index {i} out of range 1..{self.n_blowups}")
-        return unit(self.n_blowups, i)
-
-    def basis(self) -> tuple:
-        return (self.H(),) + tuple(self.E(i) for i in range(1, self.n_blowups + 1))
-
-    def canonical(self) -> CohClass:
-        return canonical_class(self.n_blowups)
-
-
 def unit(n: int, i: int) -> CohClass:
     """The basis class with raw coordinate i equal to 1: H for i = 0, else Ei;
     trusted once N >= 1, as its coordinates are N + 1 ints 0 and 1."""
@@ -249,15 +220,6 @@ def fiber_class(n: int) -> CohClass:
     return CohClass((1, -1) + (0,) * (n - 1))
 
 
-def is_characteristic(e: CohClass) -> bool:
-    """Whether pairing(e, x) == pairing(x, x) mod 2 for every x.
-
-    Checking the basis vectors suffices by bilinearity: the condition is
-    c0 odd and every ci odd.
-    """
-    return all(c % 2 == 1 for c in e.coords)
-
-
 def is_reduced_class(w: SymplecticClass) -> bool:
     """Sorted positive areas with nu >= lam1 + lam2 + lam3 (non-strict)."""
     if w.n < 3:
@@ -268,22 +230,6 @@ def is_reduced_class(w: SymplecticClass) -> bool:
     if lams[-1] <= 0:
         return False
     return w.nu >= lams[0] + lams[1] + lams[2]
-
-
-def monotone_scalar(w: SymplecticClass):
-    """The negative rational c with w = c*K, or None if w is not monotone."""
-    k = canonical_class(w.n)
-    raw = w.raw()
-    # c is fixed by the H coordinate; the remaining coordinates must agree.
-    c = Fraction(raw[0], k.coords[0])
-    if all(Fraction(r) == c * kc for r, kc in zip(raw, k.coords)) and c < 0:
-        return _norm_rat(c)
-    return None
-
-
-def is_monotone(w: SymplecticClass) -> bool:
-    """Whether w is a negative rational multiple of the canonical class."""
-    return monotone_scalar(w) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -392,14 +338,6 @@ class Isometry:
         return Isometry._trusted(tuple(
             tuple(q[i] * self.mat[j][i] * q[j] for j in range(self.dim))
             for i in range(self.dim)))
-
-    def order(self, cap: int = 10_000) -> int:
-        acc = self
-        for k in range(1, cap + 1):
-            if acc.is_identity():
-                return k
-            acc = acc @ self
-        raise LatticeError(f"element order exceeds cap {cap}")
 
     def key(self) -> tuple:
         return tuple(itertools.chain.from_iterable(self.mat))

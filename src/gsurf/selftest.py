@@ -1,13 +1,19 @@
 """Acceptance criteria as callable checks.
 
-Each criterion returns a CriterionResult; the CLI ``selftest`` subcommand
-and the acceptance test module both run these.  ``quick=True`` shrinks the
-expensive sweeps (documented per criterion) for smoke runs; the acceptance
-suite always runs the full versions.
+Each criterion body takes ``quick`` and returns ``(problems, pass_detail)``;
+the ``_criterion`` runner it is wrapped in times the body, adds a problem
+when the criterion has a time bound and overran it, and returns a
+CriterionResult whose detail is the first problem or else the pass detail.
+Detail lines carry no time, so the JSON report of the CLI ``selftest``
+subcommand is the same on every run; the seconds are on the stderr lines.
+The CLI and the acceptance test module both run these.  ``quick=True``
+shrinks the expensive sweeps (documented per criterion) for smoke runs; the
+acceptance suite always runs the full versions.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import time
@@ -38,25 +44,36 @@ class CriterionResult:
         return f"{status} {self.name} ({self.seconds:.1f}s) {self.detail}"
 
 
-def _result(name: str, t0: float, ok: bool, detail: str) -> CriterionResult:
-    return CriterionResult(name, ok, detail, time.monotonic() - t0)
+def _criterion(name: str, bound: float = None):
+    """Decorator turning a body ``quick -> (problems, pass_detail)`` into a
+    criterion; a body that runs ``bound`` seconds or longer fails."""
+    def wrap(body):
+        @functools.wraps(body)
+        def run(quick: bool = False) -> CriterionResult:
+            t0 = time.monotonic()
+            problems, detail = body(quick)
+            seconds = time.monotonic() - t0
+            if bound is not None and seconds >= bound:
+                problems = problems + [f"took {seconds:.2f}s, bound {bound}s"]
+            return CriterionResult(name, not problems,
+                                   problems[0] if problems else detail, seconds)
+        return run
+    return wrap
 
 
 # -- 1 -----------------------------------------------------------------------
 
-def criterion_01_exceptional_counts(quick: bool = False) -> CriterionResult:
-    t0 = time.monotonic()
+@_criterion("C01-exceptional-counts", bound=10)
+def criterion_01_exceptional_counts(quick: bool = False) -> tuple:
     counts = {n: len(exceptional.enumerate_exceptional(n)) for n in range(2, 9)}
-    elapsed = time.monotonic() - t0
-    ok = counts == EXPECTED_EXCEPTIONAL_COUNTS and elapsed < 10
-    return _result("C01-exceptional-counts", t0, ok,
-                   f"counts {counts}, {elapsed:.2f}s")
+    detail = f"counts {counts}"
+    return [] if counts == EXPECTED_EXCEPTIONAL_COUNTS else [detail], detail
 
 
 # -- 2 -----------------------------------------------------------------------
 
-def criterion_02_reduction(quick: bool = False) -> CriterionResult:
-    t0 = time.monotonic()
+@_criterion("C02-reduction", bound=30)
+def criterion_02_reduction(quick: bool = False) -> tuple:
     problems = []
     top = 6 if quick else 8
     for n in range(3, top + 1):
@@ -74,16 +91,13 @@ def criterion_02_reduction(quick: bool = False) -> CriterionResult:
                     if w.area(after) > w.area(before):
                         problems.append(
                             f"area increased along the trace of {e} for {w}")
-    elapsed = time.monotonic() - t0
-    ok = not problems and elapsed < 30
-    detail = problems[0] if problems else f"all traces checked, {elapsed:.2f}s"
-    return _result("C02-reduction", t0, ok, detail)
+    return problems, "all traces checked"
 
 
 # -- 3 -----------------------------------------------------------------------
 
-def criterion_03_weyl_orders(quick: bool = False) -> CriterionResult:
-    t0 = time.monotonic()
+@_criterion("C03-weyl-orders")
+def criterion_03_weyl_orders(quick: bool = False) -> tuple:
     problems = []
     for n in range(3, 9):
         if len(weyl.all_roots(n)) != EXPECTED_ROOT_COUNTS[n]:
@@ -103,10 +117,7 @@ def criterion_03_weyl_orders(quick: bool = False) -> CriterionResult:
         problems.append(f"chain order {chain_order} at N=8")
     if chain_secs >= 60:
         problems.append(f"chain took {chain_secs:.1f}s")
-    ok = not problems
-    detail = problems[0] if problems else \
-        f"orders verified, chain N=8 in {chain_secs:.1f}s"
-    return _result("C03-weyl-orders", t0, ok, detail)
+    return problems, "orders verified, chain N=8"
 
 
 # -- 4 -----------------------------------------------------------------------
@@ -118,8 +129,8 @@ def _random_word(rng: random.Random, refl, max_len: int = 6) -> Isometry:
     return g
 
 
-def criterion_04_trace_rank(quick: bool = False) -> CriterionResult:
-    t0 = time.monotonic()
+@_criterion("C04-trace-rank")
+def criterion_04_trace_rank(quick: bool = False) -> tuple:
     rng = random.Random(20260808)
     refl = {n: weyl.simple_reflections(n) for n in (3, 4, 5, 6)}
     trials = 40 if quick else 200
@@ -137,15 +148,13 @@ def criterion_04_trace_rank(quick: bool = False) -> CriterionResult:
         s, holds = weyl.trace_sum_condition(group)
         if holds != (rank == 1):
             problems.append(f"trial {i}: trace condition {holds}, rank {rank}")
-    ok = not problems
-    detail = problems[0] if problems else f"{trials} random subgroups verified"
-    return _result("C04-trace-rank", t0, ok, detail)
+    return problems, f"{trials} random subgroups verified"
 
 
 # -- 5 -----------------------------------------------------------------------
 
-def criterion_05_section_identity(quick: bool = False) -> CriterionResult:
-    t0 = time.monotonic()
+@_criterion("C05-section-identity")
+def criterion_05_section_identity(quick: bool = False) -> tuple:
     top = 7 if quick else 9
     checked = 0
     problems = []
@@ -156,15 +165,13 @@ def criterion_05_section_identity(quick: bool = False) -> CriterionResult:
             e, e2 = (CohClass(tuple(table.classes[k].tolist()))
                      for k in (table.i[p], table.j[p]))
             problems.append(f"identity failed for {e}, {e2} at N={n}")
-    ok = not problems
-    detail = problems[0] if problems else f"{checked} pairs verified"
-    return _result("C05-section-identity", t0, ok, detail)
+    return problems, f"{checked} pairs verified"
 
 
 # -- 6 -----------------------------------------------------------------------
 
-def criterion_06_max_swap(quick: bool = False) -> CriterionResult:
-    t0 = time.monotonic()
+@_criterion("C06-max-swap-section")
+def criterion_06_max_swap(quick: bool = False) -> tuple:
     problems = []
     got6 = gconic.max_swap_closed_section(6)
     if got6 != 1:
@@ -173,15 +180,13 @@ def criterion_06_max_swap(quick: bool = False) -> CriterionResult:
         got = gconic.max_swap_closed_section(n)
         if got > (n - 4) // 2:
             problems.append(f"bound exceeded at N={n}: {got}")
-    ok = not problems
-    detail = problems[0] if problems else "bounds 1, <=2, <=3 verified"
-    return _result("C06-max-swap-section", t0, ok, detail)
+    return problems, "bounds 1, <=2, <=3 verified"
 
 
 # -- 7 -----------------------------------------------------------------------
 
-def criterion_07_vertical(quick: bool = False) -> CriterionResult:
-    t0 = time.monotonic()
+@_criterion("C07-vertical-decompositions")
+def criterion_07_vertical(quick: bool = False) -> tuple:
     model = gconic.ConicBundleModel(6)
     problems = []
     target = CohClass((2, -2, -1, -1, -1, -1, -1))
@@ -207,25 +212,23 @@ def criterion_07_vertical(quick: bool = False) -> CriterionResult:
         problems.append("invariant class pairing with K")
     if c != -1 * k - 1 * f:
         problems.append("invariant class not in span{K, F}")
-    ok = not problems
-    detail = problems[0] if problems else "all decomposition targets empty"
-    return _result("C07-vertical-decompositions", t0, ok, detail)
+    return problems, "all decomposition targets empty"
 
 
 # -- 8 -----------------------------------------------------------------------
 
-def criterion_08_fiber_pairs(quick: bool = False) -> CriterionResult:
-    t0 = time.monotonic()
+@_criterion("C08-fiber-pairs")
+def criterion_08_fiber_pairs(quick: bool = False) -> tuple:
     expected = {5: (1,), 6: (), 7: (2,), 8: (4,), 2: (), 3: (), 4: (), 9: (), 10: ()}
     got = {n: cone.fiber_pairs(n) for n in expected}
-    ok = got == expected
-    return _result("C08-fiber-pairs", t0, ok, f"{got}")
+    detail = f"{got}"
+    return [] if got == expected else [detail], detail
 
 
 # -- 9 -----------------------------------------------------------------------
 
-def criterion_09_blowdown(quick: bool = False) -> CriterionResult:
-    t0 = time.monotonic()
+@_criterion("C09-blowdown-obstruction")
+def criterion_09_blowdown(quick: bool = False) -> tuple:
     a_min = -10_000
     problems = []
     for n in (5, 7, 8):
@@ -235,15 +238,13 @@ def criterion_09_blowdown(quick: bool = False) -> CriterionResult:
     got6 = cone.blowdown_obstruction(6, a_min)
     if got6 != ((-1, 1),):
         problems.append(f"N=6 returned {got6}")
-    ok = not problems
-    detail = problems[0] if problems else "obstruction scan over [-10^4, -1]"
-    return _result("C09-blowdown-obstruction", t0, ok, detail)
+    return problems, "obstruction scan over [-10^4, -1]"
 
 
 # -- 10 ----------------------------------------------------------------------
 
-def criterion_10_cone_monotone(quick: bool = False) -> CriterionResult:
-    t0 = time.monotonic()
+@_criterion("C10-cone-monotonicity")
+def criterion_10_cone_monotone(quick: bool = False) -> tuple:
     problems = []
     grid = [Fraction(-20 + k, 10) for k in range(50)]
     for n in range(3, 9):
@@ -260,9 +261,7 @@ def criterion_10_cone_monotone(quick: bool = False) -> CriterionResult:
         flags = [m for _, m in sl.samples]
         if any(f1 and not f2 for f1, f2 in zip(flags, flags[1:])):
             problems.append(f"non-monotone samples at N={n}")
-    ok = not problems
-    detail = problems[0] if problems else "positivity and 50-point scans verified"
-    return _result("C10-cone-monotonicity", t0, ok, detail)
+    return problems, "positivity and 50-point scans verified"
 
 
 # -- 11 ----------------------------------------------------------------------
@@ -271,8 +270,8 @@ TABLE_10 = [(1, 0), (1, -1), (0, -1), (-1, 0), (-1, 1), (0, 1)]
 TABLE_11 = [(1, 1), (0, -1), (1, 0), (-1, -1), (0, 1), (-1, 0)]
 
 
-def criterion_11_hexagon(quick: bool = False) -> CriterionResult:
-    t0 = time.monotonic()
+@_criterion("C11-hexagon-calculus")
+def criterion_11_hexagon(quick: bool = False) -> tuple:
     problems = []
     if hexagon.propagate_rotation((1, 0)) != TABLE_10:
         problems.append("weight table for type (1,0) mismatched")
@@ -291,9 +290,7 @@ def criterion_11_hexagon(quick: bool = False) -> CriterionResult:
     subs = hexagon.transitive_hexagon_subgroups()
     if len(subs) != 2 or sorted(s.order for s in subs) != [6, 12]:
         problems.append(f"transitive subgroups: {[s.order for s in subs]}")
-    ok = not problems
-    detail = problems[0] if problems else "weight tables and subgroups verified"
-    return _result("C11-hexagon-calculus", t0, ok, detail)
+    return problems, "weight tables and subgroups verified"
 
 
 # -- 12 ----------------------------------------------------------------------
@@ -311,8 +308,8 @@ def valid_gnks_parameters(n_max: int):
     return out
 
 
-def criterion_12_imprimitive(quick: bool = False) -> CriterionResult:
-    t0 = time.monotonic()
+@_criterion("C12-imprimitive-groups", bound=30)
+def criterion_12_imprimitive(quick: bool = False) -> tuple:
     problems = []
     top = 6 if quick else 9
     for n in range(1, top + 1):
@@ -339,10 +336,7 @@ def criterion_12_imprimitive(quick: bool = False) -> CriterionResult:
                     continue
                 if not hexagon.g2_action_check(n, k, b):
                     problems.append(f"rotation action failed at {(n, k, b)}")
-    elapsed = time.monotonic() - t0
-    ok = not problems and elapsed < 30
-    detail = problems[0] if problems else f"orders and relations, {elapsed:.2f}s"
-    return _result("C12-imprimitive-groups", t0, ok, detail)
+    return problems, "orders and relations"
 
 
 # -- 13 ----------------------------------------------------------------------
@@ -382,8 +376,8 @@ def _swap_relabels(model: gconic.ConicBundleModel, masks):
         yield gconic.ConicBundleModel(model.n_blowups, spheres)
 
 
-def criterion_13_classifier(quick: bool = False) -> CriterionResult:
-    t0 = time.monotonic()
+@_criterion("C13-conic-classifier")
+def criterion_13_classifier(quick: bool = False) -> tuple:
     problems = []
     top = 7 if quick else 9
 
@@ -436,9 +430,7 @@ def criterion_13_classifier(quick: bool = False) -> CriterionResult:
             model3 = gconic.ConicBundleModel(n, perm_spheres)
             if not gconic.q_invariance_check(model, model3, group):
                 problems.append(f"Q changed under label reversal at N={n}")
-    ok = not problems
-    detail = problems[0] if problems else "classifier suite verified"
-    return _result("C13-conic-classifier", t0, ok, detail)
+    return problems, "classifier suite verified"
 
 
 CRITERIA: List[Callable[[bool], CriterionResult]] = [

@@ -5,6 +5,7 @@ JSON report of ``gsurf selftest``).  Where a criterion freezes values that
 an independent oracle can recompute, the oracle runs here too.
 """
 
+import re
 import time
 
 from gsurf import selftest
@@ -81,3 +82,11 @@ def test_c12_imprimitive_groups():
 
 def test_c13_conic_classifier():
     _run(selftest.criterion_13_classifier)
+
+
+def test_runner_fails_a_criterion_over_its_bound():
+    res = selftest._criterion("probe", bound=0)(lambda quick: ([], "fine"))()
+    assert (res.name, res.ok) == ("probe", False)
+    assert re.fullmatch(r"took \d+\.\d+s, bound 0s", res.detail)
+    res = selftest._criterion("probe")(lambda quick: ([], "fine"))()
+    assert (res.ok, res.detail) == (True, "fine")

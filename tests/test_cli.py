@@ -388,18 +388,18 @@ COLD_START_MODULES = {
 }
 
 
-@pytest.mark.parametrize("argv, loads_numpy", [
-    (["exc", "--n", "6"], False),
-    (["reduce", "--class", "[6,-3,-2,-2,-2,-2,-2,-2,-2]"], False),
-    (["cone", "--n", "5", "--scan", "0,1/2,1,2"], False),
-    (["hexagon", "--kind", "Gnks", "--n", "9", "--k", "3", "--s", "2",
-      "--verify"], False),
-    (["schema"], False),
-    (["invariants", "--gens", "GENS"], False),
-    (["conic", "--gens", "GENS"], False),
-    (["weyl", "--n", "4"], False),
-], ids=lambda v: v[0] if isinstance(v, list) else str(v))
-def test_cold_start_imports_numpy_only_for_groups(tmp_path, argv, loads_numpy):
+@pytest.mark.parametrize("argv", [
+    ["exc", "--n", "6"],
+    ["reduce", "--class", "[6,-3,-2,-2,-2,-2,-2,-2,-2]"],
+    ["cone", "--n", "5", "--scan", "0,1/2,1,2"],
+    ["hexagon", "--kind", "Gnks", "--n", "9", "--k", "3", "--s", "2",
+     "--verify"],
+    ["schema"],
+    ["invariants", "--gens", "GENS"],
+    ["conic", "--gens", "GENS"],
+    ["weyl", "--n", "4"],
+], ids=lambda v: v[0])
+def test_cold_start_loads_no_numpy(tmp_path, argv):
     # numpy is about 40% of a small command's start-up; only a group
     # listing or the batched section identity needs it, and no subcommand
     # builds either.  Each handler imports only the gsurf modules it runs,
@@ -418,7 +418,7 @@ def test_cold_start_imports_numpy_only_for_groups(tmp_path, argv, loads_numpy):
     # only a JSON report needs hashlib, for its digest; `schema` prints
     # none, and `exc` and `reduce` print plain text without --json
     reports = argv[0] not in ("exc", "reduce", "schema")
-    assert status.split() == ["0", str(loads_numpy), str(reports)]
+    assert status.split() == ["0", "False", str(reports)]
     expected = ["gsurf", "gsurf.cli", "gsurf.errors", "gsurf.lattice"] + \
         ["gsurf." + m for m in COLD_START_MODULES[argv[0]]]
     assert modules.split() == sorted(expected)
@@ -579,3 +579,12 @@ def test_selftest_quick(capsys):
     assert res["all_ok"] is True
     assert len(res["criteria"]) == 13
     assert all(c["ok"] for c in res["criteria"])
+
+
+def test_selftest_report_is_the_same_on_every_run(capsys):
+    first = run(capsys, "selftest", "--quick")
+    assert run(capsys, "selftest", "--quick") == first
+    criteria = json.loads(first[1])["results"]["criteria"]
+    assert all(set(c) == {"name", "ok", "detail"} for c in criteria)
+    assert not [c["detail"] for c in criteria
+                if re.search(r"\d+\.\d+s", c["detail"])]

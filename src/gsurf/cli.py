@@ -3,9 +3,9 @@
 Reports are emitted on standard output as JSON with sorted keys and
 compact separators, so a fixed invocation produces byte-identical output;
 timing and progress go to standard error only.  Exit codes: 0 success,
-1 domain error (bad input) or a reader that closed standard output early,
-2 violated internal invariant (a bug-report trigger on input that was
-supposed to be valid).
+1 domain error (bad input, a usage error included) or a reader that
+closed standard output early, 2 violated internal invariant (a bug-report
+trigger on input that was supposed to be valid).
 
 A handler imports what it runs: each ``_cmd_*`` imports its own gsurf
 modules, so a fresh process loads only the modules its subcommand needs
@@ -14,7 +14,9 @@ handler but ``selftest`` loads numpy: ``weyl``, ``invariants`` and
 ``conic`` run on the stabilizer chain, which is plain Python, and numpy is
 imported only where an array of elements is built (a group listing, the
 batched section identity).  The parser's defaults are literals for the
-same reason; tests pin them to the constants they copy.
+same reason; tests pin them to the constants they copy.  The value types
+and result records are plain classes written out in their modules (see
+``lattice``), not generated ones, so no command loads ``inspect``.
 """
 
 from __future__ import annotations
@@ -287,8 +289,17 @@ def _cmd_schema(args, argv):
 
 # -- parser -------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, as on any bad input; argparse's 2 would
+    read as a violated internal invariant.  Subparsers share the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gsurf",
         description="Exact lattice arithmetic for finite group actions on"
                     " blown-up planes.")

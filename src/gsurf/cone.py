@@ -10,17 +10,17 @@ class and a fiber class is parametrized by the gap coordinate delta in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from . import exceptional
 from .errors import InvariantViolation, LatticeError
 from .lattice import (
     CohClass,
     SymplecticClass,
+    _Frozen,
     fiber_class,
     pairing,
     rational_to_json,
@@ -135,8 +135,7 @@ def delta(w: SymplecticClass, fiber: CohClass, k0: CohClass) -> Fraction:
     return Fraction(y2)
 
 
-@dataclass(frozen=True)
-class FiberReport:
+class FiberReport(NamedTuple):
     """Fiber-class candidates of a rank-2 invariant lattice.
 
     ``unique_expected`` records when a single fiber class is forced: nine
@@ -188,8 +187,7 @@ def check_fiber(k0: CohClass, fiber: CohClass) -> None:
         raise LatticeError("fiber class must satisfy F.F = 0, K.F = -2")
 
 
-@dataclass(frozen=True)
-class ConeSlice:
+class ConeSlice(_Frozen):
     """Membership samples of -K0 + delta*F along a grid of gap values.
 
     Membership is monotone nondecreasing in delta; the observed threshold
@@ -197,14 +195,18 @@ class ConeSlice:
     never as an exact infimum.
     """
 
-    k0: CohClass
-    fiber: CohClass
-    samples: tuple
-    last_outside: Optional[Fraction]
-    first_member: Optional[Fraction]
+    __slots__ = _fields = ("k0", "fiber", "samples", "last_outside",
+                           "first_member")
 
-    def __post_init__(self):
-        check_fiber(self.k0, self.fiber)
+    def __init__(self, k0: CohClass, fiber: CohClass, samples: tuple,
+                 last_outside: Optional[Fraction],
+                 first_member: Optional[Fraction]):
+        check_fiber(k0, fiber)
+        object.__setattr__(self, "k0", k0)
+        object.__setattr__(self, "fiber", fiber)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "last_outside", last_outside)
+        object.__setattr__(self, "first_member", first_member)
 
     def to_json(self):
         return {

@@ -15,17 +15,17 @@ K.x = 0) included, from the same closed-form degree window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
 from math import comb, isqrt
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .errors import LatticeError, LimitExceeded
 from .lattice import (
     CohClass,
     Isometry,
     SymplecticClass,
+    _Frozen,
     canonical_class,
     pairing,
     permutation_isometry,
@@ -47,14 +47,16 @@ def h_ijk(n: int, i: int, j: int, k: int) -> CohClass:
     return CohClass(tuple(coords))
 
 
-@dataclass(frozen=True)
-class ExceptionalSet:
+class ExceptionalSet(_Frozen):
     """Enumeration result; ``complete`` is False for degree-capped N >= 9."""
 
-    n: int
-    classes: tuple
-    complete: bool
-    max_degree: int
+    __slots__ = _fields = ("n", "classes", "complete", "max_degree")
+
+    def __init__(self, n: int, classes: tuple, complete: bool, max_degree: int):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "complete", complete)
+        object.__setattr__(self, "max_degree", max_degree)
 
     def __iter__(self):
         return iter(self.classes)
@@ -242,8 +244,7 @@ def cremona_reflect(x, indices):
     raise LatticeError("CohClass or SymplecticClass expected")
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
+class ReductionTrace(NamedTuple):
     """Steps of the degree-descent on an exceptional class.
 
     Each step records (indices (i,j,k), class before, class after); the

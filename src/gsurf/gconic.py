@@ -13,13 +13,12 @@ even.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from operator import mul, ne
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, List, NamedTuple, Optional, Sequence
 
 from .errors import InvariantViolation, LatticeError
-from .lattice import (CohClass, Isometry, canonical_class, fiber_class, pairing,
-                      unit)
+from .lattice import (CohClass, Isometry, _Frozen, canonical_class, fiber_class,
+                      pairing, unit)
 from .weyl import FiniteIsometryGroup
 
 if TYPE_CHECKING:
@@ -31,28 +30,26 @@ CASE_KLEIN = "klein-four"
 CASE_NON_MINIMAL = "non-minimal"
 
 
-@dataclass(frozen=True)
-class ConicBundleModel:
+class ConicBundleModel(_Frozen):
     """Fiber class H - E1 with one chosen sphere class per singular fiber.
 
     The default choice is (E2, ..., EN); a relabeled model may pick the
     other component of a fiber or permute the fibers, as long as the set
     of unordered pairs {e, F - e} is the standard one.  ``components``
     maps the coordinates of both components of every fiber to (label, +1)
-    for the chosen sphere and (label, -1) for the other one.
+    for the chosen sphere and (label, -1) for the other one; it is left
+    out of equality and repr.
     """
 
-    n_blowups: int
-    sphere_classes: tuple = None
-    components: dict = field(init=False, compare=False, repr=False)
+    _fields = ("n_blowups", "sphere_classes")
+    __slots__ = _fields + ("components",)
 
-    def __post_init__(self):
-        n = self.n_blowups
+    def __init__(self, n_blowups: int, sphere_classes: tuple = None):
+        n = n_blowups
         if n < 3:
             raise LatticeError("a conic bundle model needs at least 3 blowups")
         spheres = tuple(unit(n, j) for j in range(2, n + 1)) \
-            if self.sphere_classes is None else tuple(self.sphere_classes)
-        object.__setattr__(self, "sphere_classes", spheres)
+            if sphere_classes is None else tuple(sphere_classes)
         f = fiber_class(n)
         k = canonical_class(n)
         components = {}
@@ -67,6 +64,8 @@ class ConicBundleModel:
         # the standard fibers are labelled iff N - 1 spheres hit N - 1 fibers.
         if len(spheres) != n - 1 or len(components) != 2 * (n - 1):
             raise LatticeError("sphere classes do not label the standard fibers")
+        object.__setattr__(self, "n_blowups", n_blowups)
+        object.__setattr__(self, "sphere_classes", spheres)
         object.__setattr__(self, "components", components)
 
     @property
@@ -78,8 +77,7 @@ class ConicBundleModel:
         return range(2, self.n_blowups + 1)
 
 
-@dataclass(frozen=True, slots=True)
-class FiberAction:
+class FiberAction(_Frozen):
     """Permutation-with-swap-flags data of a bundle-preserving isometry.
 
     ``pi[j-2]`` is the image fiber label of fiber j and ``eps[j-2]`` is +1
@@ -87,15 +85,16 @@ class FiberAction:
     the other component.
     """
 
-    pi: tuple
-    eps: tuple
+    __slots__ = _fields = ("pi", "eps")
 
-    def __post_init__(self):
-        if sorted(self.pi) != list(range(2, 2 + len(self.pi))):
+    def __init__(self, pi: tuple, eps: tuple):
+        if sorted(pi) != list(range(2, 2 + len(pi))):
             raise LatticeError("pi is not a permutation of the fiber labels")
-        if len(self.eps) != len(self.pi) or \
-                any(type(e) is not int or e not in (1, -1) for e in self.eps):
+        if len(eps) != len(pi) or \
+                any(type(e) is not int or e not in (1, -1) for e in eps):
             raise LatticeError("eps must consist of +1/-1 flags")
+        object.__setattr__(self, "pi", pi)
+        object.__setattr__(self, "eps", eps)
 
     @classmethod
     def _trusted(cls, pi: tuple, eps: tuple) -> "FiberAction":
@@ -213,8 +212,7 @@ def _is_minimal(actions: Iterable[FiberAction], model: ConicBundleModel) -> bool
     return not needed
 
 
-@dataclass(frozen=True)
-class GroupDecomposition:
+class GroupDecomposition(NamedTuple):
     """The (base-trivial subgroup, declared core, base action) data.
 
     ``q_elements`` is the image of Q in the isometry group: the elements
@@ -521,13 +519,18 @@ def section_classes(n: int, c_min: int = -2, c_max: int = 2):
 _MARK_VALUES = frozenset((0, 1))
 
 
-@dataclass(frozen=True)
-class SectionIdentity:
-    r: int
-    m: int
-    m_prime: int
-    product: int
-    holds: bool
+class SectionIdentity(_Frozen):
+    # Kept without __slots__: one is built per section pair, and slots would
+    # change that per-call cost, which the classify benchmark's op counts
+    # (and with them its peak RSS) follow.
+    _fields = ("r", "m", "m_prime", "product", "holds")
+
+    def __init__(self, r: int, m: int, m_prime: int, product: int, holds: bool):
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "m_prime", m_prime)
+        object.__setattr__(self, "product", product)
+        object.__setattr__(self, "holds", holds)
 
 
 def section_identity(e: CohClass, e_prime: CohClass,
@@ -564,25 +567,32 @@ def section_identity(e: CohClass, e_prime: CohClass,
     return SectionIdentity(r, m, m_p, prod, n - 1 == r + m + m_p + 2 * prod)
 
 
-@dataclass(frozen=True, eq=False)
-class SectionIdentityTable:
+class SectionIdentityTable(_Frozen):
     """``section_identity`` on every pair of a sweep of section classes.
 
     ``classes`` holds the coordinates of ``section_classes(n, c_min,
     c_max)`` as rows, in that order; pair p is (classes[i[p]],
     classes[j[p]]) with i[p] < j[p], pairs in row-major order, and the
-    other arrays hold that pair's fields.
+    other arrays hold that pair's fields.  A table equals only itself.
     """
 
-    n: int
-    classes: np.ndarray
-    i: np.ndarray
-    j: np.ndarray
-    r: np.ndarray
-    m: np.ndarray
-    m_prime: np.ndarray
-    product: np.ndarray
-    holds: np.ndarray
+    __slots__ = _fields = ("n", "classes", "i", "j", "r", "m", "m_prime",
+                           "product", "holds")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, n: int, classes: np.ndarray, i: np.ndarray,
+                 j: np.ndarray, r: np.ndarray, m: np.ndarray,
+                 m_prime: np.ndarray, product: np.ndarray, holds: np.ndarray):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "m_prime", m_prime)
+        object.__setattr__(self, "product", product)
+        object.__setattr__(self, "holds", holds)
 
 
 def section_identity_table(n: int, c_min: int = -2,

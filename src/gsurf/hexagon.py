@@ -14,11 +14,11 @@ five vertices follow by propagation around the hexagon.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import gcd
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import InvariantViolation, LatticeError, LimitExceeded
+from .lattice import _Frozen
 
 
 def propagate_rotation(pair) -> list:
@@ -39,23 +39,21 @@ def reduce_pair(pair, n: int) -> tuple:
 # Torus elements: the subgroup acting trivially on the lattice
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TorusElement:
+class TorusElement(_Frozen):
     """Element of the two-torus of order dividing ``modulus`` = n.
 
     Recorded by its rotation numbers (a, b) at the first vertex, residues
     mod n: the angles (a/n, b/n) in Q/Z, so composition adds residues.
     """
 
-    a: int
-    b: int
-    modulus: int
+    __slots__ = _fields = ("a", "b", "modulus")
 
-    def __post_init__(self):
-        if self.modulus < 1:
+    def __init__(self, a: int, b: int, modulus: int):
+        if modulus < 1:
             raise LatticeError("order must be positive")
-        object.__setattr__(self, "a", self.a % self.modulus)
-        object.__setattr__(self, "b", self.b % self.modulus)
+        object.__setattr__(self, "a", a % modulus)
+        object.__setattr__(self, "b", b % modulus)
+        object.__setattr__(self, "modulus", modulus)
 
     @classmethod
     def identity(cls, n: int) -> "TorusElement":
@@ -194,27 +192,25 @@ def involution_nontrivial_conjugation() -> bool:
 # Monomial subgroups of the rank-3 projective linear group
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MonomialGroupElement:
+class MonomialGroupElement(_Frozen):
     """[mu^c0 z_sigma(0), mu^c1 z_sigma(1), mu^c2 z_sigma(2)] mod diagonal.
 
     Scalars are residues mod ``modulus`` canonicalized by subtracting c0,
     so the diagonal subgroup is killed and closure hashing is exact.
     """
 
-    perm: tuple
-    scalars: tuple
-    modulus: int
+    __slots__ = _fields = ("perm", "scalars", "modulus")
 
-    def __post_init__(self):
-        if sorted(self.perm) != [0, 1, 2]:
+    def __init__(self, perm: tuple, scalars: tuple, modulus: int):
+        if sorted(perm) != [0, 1, 2]:
             raise LatticeError("perm must be a permutation of (0, 1, 2)")
-        if self.modulus < 1:
+        if modulus < 1:
             raise LatticeError("modulus must be positive")
-        c0 = self.scalars[0]
-        canon = tuple((c - c0) % self.modulus for c in self.scalars)
-        object.__setattr__(self, "scalars", canon)
-        object.__setattr__(self, "perm", tuple(self.perm))
+        c0 = scalars[0]
+        object.__setattr__(self, "perm", tuple(perm))
+        object.__setattr__(self, "scalars",
+                           tuple((c - c0) % modulus for c in scalars))
+        object.__setattr__(self, "modulus", modulus)
 
     @classmethod
     def identity(cls, n: int) -> "MonomialGroupElement":
@@ -274,14 +270,17 @@ _S3 = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
 _COMPLEMENT = {KIND_GN: _C3, KIND_GTN: _S3, KIND_GNKS: _C3, KIND_GTN32: _S3}
 
 
-@dataclass(frozen=True)
-class MonomialGroup:
-    kind: str
-    n: int
-    k: int
-    s: int
-    generators: tuple
-    elements: tuple
+class MonomialGroup(_Frozen):
+    __slots__ = _fields = ("kind", "n", "k", "s", "generators", "elements")
+
+    def __init__(self, kind: str, n: int, k: int, s: int, generators: tuple,
+                 elements: tuple):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "elements", elements)
 
     @property
     def order(self) -> int:
@@ -401,8 +400,7 @@ def presentation_check(n: int, k: int, s: int) -> bool:
 # Transitive subgroups of the hexagon symmetry group
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HexagonSubgroup:
+class HexagonSubgroup(NamedTuple):
     order: int
     cyclic: bool
     vertex_perms: tuple

@@ -16,17 +16,25 @@ fiber) and ``reflection`` in a (-2)-class.  ``weyl.reflection`` and
 that ``exceptional`` and ``cone`` need neither of those modules.
 
 Everything is exact: integers and ``fractions.Fraction``, never floats.
-All values are immutable and all operations are pure.
+All values are immutable and all operations are pure.  The value types,
+here and in the other modules, are plain ``__slots__`` classes on one
+private base, ``_Frozen``: each names its compared fields in ``_fields``
+and sets them in its own ``__init__`` (which validates) or ``_trusted``
+(which does not), and the base gives equality, a hash equal to that of
+the tuple of those fields, a ``repr`` listing them, and AttributeError on
+any assignment.  Result records that nothing iterates, indexes or
+compares as a tuple are ``typing.NamedTuple`` classes instead.  Both are
+written out rather than generated, as generating them would import
+``inspect`` and add milliseconds to the start-up of every CLI call.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from operator import add, mul, neg, sub
+from operator import add, attrgetter, mul, neg, sub
 from typing import Sequence, Union
 
 from .errors import LatticeError
@@ -52,14 +60,56 @@ def raw_pairing(x: Sequence[Rational], y: Sequence[Rational]) -> Rational:
     return _norm_rat(2 * x[0] * y[0] - sum(map(mul, x, y)))
 
 
-@dataclass(frozen=True, slots=True)
-class CohClass:
+class _Frozen:
+    """Immutable record over the fields named in ``_fields``, in order.
+
+    Instances of one class are equal when their fields are, the hash is
+    that of the tuple of the fields, and the repr is ``Name(field=value,
+    ...)``.  A subclass sets its attributes with ``object.__setattr__``;
+    any other assignment or deletion raises AttributeError.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls):
+        # An attrgetter is no descriptor, so self._get is the getter itself.
+        cls._get = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            get = self._get
+            return get(self) == get(other)
+        return NotImplemented
+
+    def __hash__(self):
+        values = self._get(self)
+        return hash((values,) if len(self._fields) == 1 else values)
+
+    def __repr__(self):
+        return type(self).__qualname__ + "(" + ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self._fields) + ")"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):
+        """For pickle and copy: the state is (None, slots) for a slotted
+        record, else its ``__dict__``."""
+        for name, value in (state[1] if type(state) is tuple else state).items():
+            object.__setattr__(self, name, value)
+
+
+class CohClass(_Frozen):
     """Integer degree-2 class, raw coordinates (c0, c1, ..., cN)."""
 
-    coords: tuple
+    __slots__ = _fields = ("coords",)
 
-    def __post_init__(self):
-        coords = tuple(self.coords)
+    def __init__(self, coords: tuple):
+        coords = tuple(coords)
         if len(coords) < 2:
             raise LatticeError("need at least the H and one E coordinate")
         if not all(isinstance(c, int) and not isinstance(c, bool) for c in coords):
@@ -131,14 +181,13 @@ class CohClass:
         return "[" + ",".join(str(c) for c in self.coords) + "]"
 
 
-@dataclass(frozen=True)
-class SymplecticClass:
+class SymplecticClass(_Frozen):
     """Rational class stored as (nu; lam1..lamN) meaning nu*H - sum lami*Ei."""
 
-    coords: tuple
+    __slots__ = _fields = ("coords",)
 
-    def __post_init__(self):
-        coords = tuple(_norm_rat(c) for c in self.coords)
+    def __init__(self, coords: tuple):
+        coords = tuple(_norm_rat(c) for c in coords)
         if len(coords) < 2:
             raise LatticeError("need at least the H and one E coordinate")
         object.__setattr__(self, "coords", coords)
@@ -240,14 +289,13 @@ def _gram_diag(dim: int) -> tuple:
     return (1,) + (-1,) * (dim - 1)
 
 
-@dataclass(frozen=True, slots=True)
-class Isometry:
+class Isometry(_Frozen):
     """Integer matrix acting on raw coordinates and preserving the pairing."""
 
-    mat: tuple
+    __slots__ = _fields = ("mat",)
 
-    def __post_init__(self):
-        mat = tuple(tuple(row) for row in self.mat)
+    def __init__(self, mat: tuple):
+        mat = tuple(tuple(row) for row in mat)
         dim = len(mat)
         if dim < 2 or any(len(row) != dim for row in mat):
             raise LatticeError("square matrix of size >= 2 expected")

@@ -17,9 +17,8 @@ import functools
 import itertools
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List
+from typing import Callable, List, NamedTuple
 
 from . import cone, exceptional, gconic, hexagon, weyl
 from .errors import InvariantViolation
@@ -32,8 +31,7 @@ EXPECTED_W8_ORDER = 696729600
 EXPECTED_ROOT_COUNTS = {3: 8, 4: 20, 5: 40, 6: 72, 7: 126, 8: 240}
 
 
-@dataclass
-class CriterionResult:
+class CriterionResult(NamedTuple):
     name: str
     ok: bool
     detail: str

@@ -16,12 +16,11 @@ iteration and ``trace_vector()``), so ``gsurf weyl``, ``invariants`` and
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, compress, cycle
 from math import isqrt
 from operator import itemgetter, mul
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InvariantViolation, LatticeError, LimitExceeded
 from .lattice import (CohClass, Isometry, canonical_class, pairing,
@@ -693,8 +692,7 @@ RANK2 = "rank2"
 NEITHER = "neither"
 
 
-@dataclass(frozen=True)
-class Dichotomy:
+class Dichotomy(NamedTuple):
     kind: str
     rank: int
     basis: tuple

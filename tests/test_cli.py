@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -16,7 +17,7 @@ from gsurf import cli
 from gsurf.exceptional import h_ijk
 from gsurf.gconic import full_swap
 from gsurf.lattice import coh_from_json
-from gsurf.selftest import klein_four_group
+from gsurf.selftest import klein_four_group, parity_consistent_partitions
 from gsurf.weyl import reflection, simple_reflections
 from test_gconic import _weyl_d_generators
 from test_weyl import _conjugated, _transpositions
@@ -294,6 +295,98 @@ def test_bad_generator_file_exits_1(tmp_path, capsys, content, message):
     assert err.startswith("error: ") and message in err
 
 
+MAIN_USAGE = (
+    "usage: gsurf [-h] [--timing]\n"
+    "             {exc,reduce,weyl,invariants,conic,cone,hexagon,selftest,schema}\n"
+    "             ...\n")
+EXC_USAGE = ("usage: gsurf exc [-h] --n N [--max-degree MAX_DEGREE] [--json]"
+             " [--limit LIMIT]\n")
+
+
+@pytest.mark.parametrize("argv, err", [
+    ([], MAIN_USAGE +
+     "gsurf: error: the following arguments are required: command\n"),
+    (["exc"], EXC_USAGE +
+     "gsurf exc: error: the following arguments are required: --n\n"),
+    (["exc", "--n", "x"], EXC_USAGE +
+     "gsurf exc: error: argument --n: invalid int value: 'x'\n"),
+    (["frobnicate"], MAIN_USAGE +
+     "gsurf: error: argument command: invalid choice: 'frobnicate' (choose"
+     " from 'exc', 'reduce', 'weyl', 'invariants', 'conic', 'cone',"
+     " 'hexagon', 'selftest', 'schema')\n"),
+    (["hexagon", "--kind", "Bad", "--n", "3"],
+     "usage: gsurf hexagon [-h] --kind {Gn,Gtn,Gnks,Gtn32} --n N [--k K]"
+     " [--s S]\n                     [--verify] [--limit LIMIT]\n"
+     "gsurf hexagon: error: argument --kind: invalid choice: 'Bad' (choose"
+     " from 'Gn', 'Gtn', 'Gnks', 'Gtn32')\n"),
+], ids=["no-command", "missing-flag", "bad-int", "unknown-command",
+        "unknown-kind"])
+def test_usage_error_exits_1(monkeypatch, capsys, argv, err):
+    # A usage error is bad input, so it exits 1 like any other; 2 is kept
+    # for a violated internal invariant.  argparse wraps the usage line to
+    # the terminal width, which COLUMNS sets.
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as stop:
+        cli.main(argv)
+    assert stop.value.code == 1
+    assert capsys.readouterr() == ("", err)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["exc", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as stop:
+        cli.main(argv)
+    assert stop.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: gsurf")
+
+
+# SHA-256 of the stdout of each README example, and of `invariants` and
+# `conic` on the full swap and on a Klein four-group at N = 5.
+GOLDEN_REPORTS = {
+    "exc --n 6":
+        "aaafa015ff691c7d773b437fd9e69131ad52164ed68aa1fbf175cd8385ad81bb",
+    "exc --n 9 --max-degree 4 --json":
+        "555cde8650f50276ead2ff6e359d3fb03ceed17331ad50ecd55f5da0191ccd91",
+    "reduce --class '[6,-3,-2,-2,-2,-2,-2,-2,-2]'":
+        "570f79034fd8c8aac14cdabb76814c0c29d7b45d105034b5b67438d7d1fdccb7",
+    "weyl --n 6 --order-only":
+        "566b7c6f73f883d5da0fc55572d06c33301832c3f527fe22a055943b952adfd7",
+    "weyl --n 8 --chain --order-only":
+        "9a4b381232157b38630d0701c5e5562df47cffac5607cd92474b251f687b6f07",
+    "cone --n 5 --scan 0,1/2,1,2":
+        "ec4e51677d3e99181d6a7c2adf2ff2c02ae59ce53a4be2d1b02366f92a43fb50",
+    "hexagon --kind Gnks --n 9 --k 3 --s 2 --verify":
+        "67299d817fe17d07de3a8bf17999e1df17e9a5bd8ff6edf057a057ce5638423a",
+    "invariants --gens swap5.json":
+        "a0cebee89f1a548d1aeafb74f4541090a42bb701ba2f18b7192959b9d7f49118",
+    "conic --gens swap5.json":
+        "b47d8bc2a81e1dde343d1625dabadf055251d9316c44e0eb3203377e39c2dd44",
+    "invariants --gens klein5.json":
+        "42fab0c782f6038107489710d71813e9bce7072850ebe1d8f3773d69fa4e0790",
+    "conic --gens klein5.json":
+        "b9dd6313c5e946c3d668c885eaafabc72ca949752be14cd479502315225874ce",
+}
+
+
+def test_reports_are_byte_identical(tmp_path, monkeypatch, capsys):
+    # The report names the generator file as given, so it is a relative
+    # path in a fixed working directory.
+    monkeypatch.chdir(tmp_path)
+    klein = klein_four_group(5, next(parity_consistent_partitions(5)))[1:]
+    for name, gens in (("swap5", [full_swap(5)]), ("klein5", klein)):
+        (tmp_path / f"{name}.json").write_text(
+            json.dumps([list(map(list, g.mat)) for g in gens]))
+    examples = readme_cli_examples() + [
+        [cmd, "--gens", f"{name}.json"] for name in ("swap5", "klein5")
+        for cmd in ("invariants", "conic")]
+    digests = {}
+    for argv in examples:
+        code, out = run(capsys, *argv)
+        assert code == 0, argv
+        digests[shlex.join(argv)] = hashlib.sha256(out.encode()).hexdigest()
+    assert digests == GOLDEN_REPORTS
+
+
 def test_schema_is_json(capsys):
     code, out = run(capsys, "schema")
     assert code == 0
@@ -411,14 +504,17 @@ def test_cold_start_loads_no_numpy(tmp_path, argv):
               "from gsurf import cli\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
               f"    code = cli.main({argv!r})\n"
-              "print(code, 'numpy' in sys.modules, 'hashlib' in sys.modules)\n"
+              "print(code, 'numpy' in sys.modules, 'hashlib' in sys.modules,"
+              " 'dataclasses' in sys.modules, 'inspect' in sys.modules)\n"
               "print(*sorted(m for m in sys.modules"
               " if m.startswith('gsurf')))\n")
     status, modules = _child_stdout(script).splitlines()
     # only a JSON report needs hashlib, for its digest; `schema` prints
     # none, and `exc` and `reduce` print plain text without --json
     reports = argv[0] not in ("exc", "reduce", "schema")
-    assert status.split() == ["0", "False", str(reports)]
+    # and no record is a generated class, so neither dataclasses nor the
+    # inspect module it imports is loaded
+    assert status.split() == ["0", "False", str(reports), "False", "False"]
     expected = ["gsurf", "gsurf.cli", "gsurf.errors", "gsurf.lattice"] + \
         ["gsurf." + m for m in COLD_START_MODULES[argv[0]]]
     assert modules.split() == sorted(expected)
@@ -431,9 +527,11 @@ def test_each_module_imports_alone(module):
     # The test session has imported everything already, so an import
     # cycle shows only in a fresh interpreter that starts at one module.
     # numpy is imported inside the functions that build arrays (group
-    # listings, the batched section identity), so no import loads it.
-    script = f"import sys, gsurf.{module}\nprint('numpy' in sys.modules)\n"
-    assert _child_stdout(script) == "False\n"
+    # listings, the batched section identity), so no import loads it; the
+    # records are plain classes, so none loads dataclasses either.
+    script = (f"import sys, gsurf.{module}\n"
+              "print('numpy' in sys.modules, 'dataclasses' in sys.modules)\n")
+    assert _child_stdout(script) == "False False\n"
 
 
 def test_parser_literals_match_the_library():

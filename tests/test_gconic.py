@@ -748,8 +748,6 @@ class TestSectionIdentity:
         assert _table_rows(table) == [_fields(w) for w in want]
 
     def test_c05_names_a_failing_pair(self, monkeypatch):
-        import dataclasses
-
         from gsurf import gconic, selftest
         real = gconic.section_identity_table
 
@@ -759,7 +757,9 @@ class TestSectionIdentity:
                 return table
             holds = table.holds.copy()
             holds[1234] = False
-            return dataclasses.replace(table, holds=holds)
+            return gconic.SectionIdentityTable(
+                table.n, table.classes, table.i, table.j, table.r, table.m,
+                table.m_prime, table.product, holds)
 
         monkeypatch.setattr(gconic, "section_identity_table", one_failure)
         res = selftest.criterion_05_section_identity(quick=True)

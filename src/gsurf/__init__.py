@@ -15,19 +15,27 @@ Submodules:
                     monomial groups
 * ``cli``         - command-line front end with JSON reports
 * ``selftest``    - the acceptance criteria as callable checks
+
+The package namespace imports only ``errors``; the six ``lattice`` names in
+``__all__`` are served on first access, so each CLI command compiles only
+the modules it runs.
 """
 
 from .errors import InvariantViolation, LatticeError, LimitExceeded
-from .lattice import (
-    CohClass,
-    Isometry,
-    SymplecticClass,
-    canonical_class,
-    is_reduced_class,
-    pairing,
-)
 
 __version__ = "0.1.0"
+
+_LATTICE_NAMES = frozenset({"CohClass", "Isometry", "SymplecticClass",
+                            "canonical_class", "is_reduced_class", "pairing"})
+
+
+def __getattr__(name):
+    # The lattice names load on first use (PEP 562), so `python -m gsurf`
+    # does not compile ``lattice`` before the command that may not need it.
+    if name in _LATTICE_NAMES:
+        from . import lattice
+        return getattr(lattice, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "CohClass",

@@ -7,9 +7,14 @@ timing and progress go to standard error only.  Exit codes: 0 success,
 closed standard output early, 2 violated internal invariant (a bug-report
 trigger on input that was supposed to be valid).
 
-A handler imports what it runs: each ``_cmd_*`` imports its own gsurf
-modules, so a fresh process loads only the modules its subcommand needs
-(``schema`` none beyond ``lattice``, ``exc`` only ``exceptional``).  No
+A handler imports what it runs: each ``_cmd_*``, and each parser or
+helper that needs ``lattice`` or ``fractions``, imports its own modules, so
+a fresh process loads only the modules its subcommand needs: ``schema``
+none beyond ``errors``, ``hexagon`` only ``hexagon``, ``weyl`` only
+``lattice`` and ``weyl``.  With no writable ``__pycache__`` every call
+compiles what it imports, a large share of a small command's cost.
+``schema`` reads ``schema.json`` beside this file with ``open()``, as
+``importlib.resources`` would import ``pathlib`` and ``zipfile``.  No
 handler but ``selftest`` loads numpy: ``weyl``, ``invariants`` and
 ``conic`` run on the stabilizer chain, which is plain Python, and numpy is
 imported only where an array of elements is built (a group listing, the
@@ -26,18 +31,9 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 
 from . import __version__
 from .errors import InvariantViolation, LatticeError
-from .lattice import (
-    CohClass,
-    Isometry,
-    canonical_class,
-    coh_from_json,
-    coords_to_json,
-    fiber_class,
-)
 
 
 def _dump(obj) -> str:
@@ -64,6 +60,7 @@ def _report(argv, inputs: dict, results: dict, timing=None) -> str:
 
 
 def parse_class_argument(text: str) -> CohClass:
+    from .lattice import coh_from_json
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -73,6 +70,7 @@ def parse_class_argument(text: str) -> CohClass:
 
 def parse_group_file(path: str):
     """Load a JSON array of integer matrices as validated isometries."""
+    from .lattice import Isometry
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -99,6 +97,7 @@ def _resolve_n(n_flag, dim_minus_one: int, what: str) -> int:
 
 
 def _class_list(classes) -> list:
+    from .lattice import coords_to_json
     return [coords_to_json(c) for c in classes]
 
 
@@ -125,6 +124,7 @@ def _cmd_exc(args, argv):
 
 def _cmd_reduce(args, argv):
     from . import exceptional
+    from .lattice import coords_to_json
     cls = parse_class_argument(args.cls)
     n = _resolve_n(args.n, cls.n, "the class vector")
     trace = exceptional.reduce_exceptional(cls)
@@ -210,6 +210,7 @@ def _cmd_conic(args, argv):
 
 
 def _parse_scan(text: str):
+    from fractions import Fraction
     out = []
     for part in text.split(","):
         part = part.strip()
@@ -226,6 +227,7 @@ def _parse_scan(text: str):
 
 def _cmd_cone(args, argv):
     from . import cone
+    from .lattice import canonical_class, coords_to_json, fiber_class
     n = args.n
     k0 = canonical_class(n)
     fiber = parse_class_argument(args.fiber) if args.fiber else \
@@ -281,9 +283,9 @@ def _cmd_selftest(args, argv):
 
 
 def _cmd_schema(args, argv):
-    from importlib import resources
-    text = resources.files("gsurf").joinpath("schema.json").read_text()
-    sys.stdout.write(text)
+    path = os.path.join(os.path.dirname(__file__), "schema.json")
+    with open(path, encoding="utf-8") as fh:
+        sys.stdout.write(fh.read())
     return 0
 
 

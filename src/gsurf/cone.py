@@ -16,11 +16,10 @@ from operator import mul
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 from . import exceptional
-from .errors import InvariantViolation, LatticeError
+from .errors import InvariantViolation, LatticeError, _Frozen
 from .lattice import (
     CohClass,
     SymplecticClass,
-    _Frozen,
     fiber_class,
     pairing,
     rational_to_json,

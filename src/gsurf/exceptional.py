@@ -9,8 +9,9 @@ e = a*H - sum_s bs*Es the two equations read
 Cauchy-Schwarz gives (3a-1)^2 <= N*(a^2+1) for any integer solution, which
 bounds the degree a whenever N <= 8; the solution set is then finite.  For
 N >= 9 the caller must supply a degree cap and the result is flagged partial.
-``lattice_classes`` enumerates any such family, the roots (x.x = -2,
-K.x = 0) included, from the same closed-form degree window.
+The window and the plan behind the enumeration hold for any family
+x.x = s, K.x = k; the roots (s = -2, k = 0) have a closed form instead,
+``weyl.all_roots``.
 """
 
 from __future__ import annotations
@@ -20,12 +21,11 @@ from itertools import groupby
 from math import comb, isqrt
 from typing import NamedTuple, Optional, Tuple
 
-from .errors import LatticeError, LimitExceeded
+from .errors import LatticeError, LimitExceeded, _Frozen
 from .lattice import (
     CohClass,
     Isometry,
     SymplecticClass,
-    _Frozen,
     canonical_class,
     pairing,
     permutation_isometry,
@@ -171,16 +171,6 @@ def _expand(plan) -> tuple:
                for perm in _distinct_permutations([-b for b in multiset])]
     classes.sort(key=lambda e: e.coords)
     return tuple(classes)
-
-
-def lattice_classes(n: int, square: int, k_degree: int) -> tuple:
-    """All integer classes x with x.x = ``square`` and K.x = ``k_degree``,
-    sorted by coordinates, for 1 <= N <= 8, where ``_degree_bounds``
-    makes the set finite."""
-    if not 1 <= n <= 8:
-        raise LatticeError(f"lattice classes need 1 <= N <= 8, got {n}")
-    lo, hi = _degree_bounds(n, square, k_degree)
-    return _expand(_plan(n, square, k_degree, lo, hi))
 
 
 DEFAULT_LIMIT = 1_000_000

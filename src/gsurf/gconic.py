@@ -16,9 +16,9 @@ import itertools
 from operator import mul, ne
 from typing import TYPE_CHECKING, Iterable, List, NamedTuple, Optional, Sequence
 
-from .errors import InvariantViolation, LatticeError
-from .lattice import (CohClass, Isometry, _Frozen, canonical_class, fiber_class,
-                      pairing, unit)
+from .errors import InvariantViolation, LatticeError, _Frozen
+from .lattice import (CohClass, Isometry, canonical_class, fiber_class, pairing,
+                      unit)
 from .weyl import FiniteIsometryGroup
 
 if TYPE_CHECKING:

@@ -17,8 +17,7 @@ import itertools
 from math import gcd
 from typing import NamedTuple, Optional
 
-from .errors import InvariantViolation, LatticeError, LimitExceeded
-from .lattice import _Frozen
+from .errors import InvariantViolation, LatticeError, LimitExceeded, _Frozen
 
 
 def propagate_rotation(pair) -> list:

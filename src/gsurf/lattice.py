@@ -18,14 +18,17 @@ that ``exceptional`` and ``cone`` need neither of those modules.
 Everything is exact: integers and ``fractions.Fraction``, never floats.
 All values are immutable and all operations are pure.  The value types,
 here and in the other modules, are plain ``__slots__`` classes on one
-private base, ``_Frozen``: each names its compared fields in ``_fields``
-and sets them in its own ``__init__`` (which validates) or ``_trusted``
-(which does not), and the base gives equality, a hash equal to that of
-the tuple of those fields, a ``repr`` listing them, and AttributeError on
-any assignment.  Result records that nothing iterates, indexes or
-compares as a tuple are ``typing.NamedTuple`` classes instead.  Both are
-written out rather than generated, as generating them would import
-``inspect`` and add milliseconds to the start-up of every CLI call.
+private base, ``errors._Frozen``: each names its compared fields in
+``_fields`` and sets them in its own ``__init__`` (which validates) or
+``_trusted`` (which does not), and the base gives equality, a hash equal
+to that of the tuple of those fields, a ``repr`` listing them, and
+AttributeError on any assignment.  The base sits in the leaf module
+``errors``, so that ``hexagon``, which needs records but no classes,
+starts without compiling this module.  Result records that nothing
+iterates, indexes or compares as a tuple are ``typing.NamedTuple``
+classes instead.  Both are written out rather than generated, as
+generating them would import ``inspect`` and add milliseconds to the
+start-up of every CLI call.
 """
 
 from __future__ import annotations
@@ -34,10 +37,10 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from operator import add, attrgetter, mul, neg, sub
+from operator import add, mul, neg, sub
 from typing import Sequence, Union
 
-from .errors import LatticeError
+from .errors import LatticeError, _Frozen
 
 Rational = Union[int, Fraction]
 
@@ -58,49 +61,6 @@ def raw_pairing(x: Sequence[Rational], y: Sequence[Rational]) -> Rational:
     if len(x) != len(y):
         raise LatticeError(f"dimension mismatch: {len(x)} vs {len(y)}")
     return _norm_rat(2 * x[0] * y[0] - sum(map(mul, x, y)))
-
-
-class _Frozen:
-    """Immutable record over the fields named in ``_fields``, in order.
-
-    Instances of one class are equal when their fields are, the hash is
-    that of the tuple of the fields, and the repr is ``Name(field=value,
-    ...)``.  A subclass sets its attributes with ``object.__setattr__``;
-    any other assignment or deletion raises AttributeError.
-    """
-
-    __slots__ = ()
-    _fields = ()
-
-    def __init_subclass__(cls):
-        # An attrgetter is no descriptor, so self._get is the getter itself.
-        cls._get = attrgetter(*cls._fields)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            get = self._get
-            return get(self) == get(other)
-        return NotImplemented
-
-    def __hash__(self):
-        values = self._get(self)
-        return hash((values,) if len(self._fields) == 1 else values)
-
-    def __repr__(self):
-        return type(self).__qualname__ + "(" + ", ".join(
-            f"{name}={getattr(self, name)!r}" for name in self._fields) + ")"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __setstate__(self, state):
-        """For pickle and copy: the state is (None, slots) for a slotted
-        record, else its ``__dict__``."""
-        for name, value in (state[1] if type(state) is tuple else state).items():
-            object.__setattr__(self, name, value)
 
 
 class CohClass(_Frozen):

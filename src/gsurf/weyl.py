@@ -16,10 +16,10 @@ iteration and ``trace_vector()``), so ``gsurf weyl``, ``invariants`` and
 from __future__ import annotations
 
 import struct
-from functools import cached_property, lru_cache
-from itertools import chain, compress, cycle
+from functools import cached_property, lru_cache, reduce
+from itertools import chain, combinations, compress, cycle, permutations
 from math import isqrt
-from operator import itemgetter, mul
+from operator import itemgetter, matmul, mul
 from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InvariantViolation, LatticeError, LimitExceeded
@@ -47,10 +47,35 @@ def simple_roots(n: int) -> Tuple[CohClass, ...]:
 
 @lru_cache(maxsize=None)
 def all_roots(n: int) -> Tuple[CohClass, ...]:
-    """All integer r with r.r = -2 and K.r = 0, sorted."""
-    from .exceptional import lattice_classes
+    """All integer r with r.r = -2 and K.r = 0, sorted by coordinates.
+
+    In closed form (Dolgachev, *Classical Algebraic Geometry*, 2012,
+    section 8.2): the roots are E_i - E_j for i != j, +-(H - E_i - E_j -
+    E_k), +-(2H minus six of the E's) for N >= 6, and +-(3H - 2E_i minus
+    the other seven E's) for N = 8; 8, 20, 40, 72, 126 and 240 of them for
+    N = 3..8.
+    """
     root_system_type(n)
-    return lattice_classes(n, -2, 0)
+    coords = []
+    for i, j in permutations(range(1, n + 1), 2):
+        c = [0] * (n + 1)
+        c[i], c[j] = 1, -1
+        coords.append(c)
+    # aH minus `size` of the E's; combinations() yields none when size > N
+    for a, size in ((1, 3), (2, 6)):
+        for chosen in combinations(range(1, n + 1), size):
+            c = [a] + [0] * n
+            for i in chosen:
+                c[i] = -1
+            coords += [c, [-x for x in c]]
+    if n == 8:
+        for i in range(1, 9):
+            c = [3] + [-1] * 8
+            c[i] = -2
+            coords += [c, [-x for x in c]]
+    coords.sort()
+    # trusted: N + 1 >= 4 coordinates, each an int literal or its negative
+    return tuple(CohClass._trusted(tuple(c)) for c in coords)
 
 
 @lru_cache(maxsize=None)
@@ -177,6 +202,17 @@ class FiniteIsometryGroup:
 # Entries are stored in int16 at most.
 _MAX_ENTRY = 32767
 _RANGE_MESSAGE = "matrix entries exceeded supported range"
+# Orbit points at which a group that may be infinite is tested for an
+# element of infinite order (see ``generate_group``).  Growing the orbits to
+# here takes about as long as the test's worst case, 5-20 ms at N = 9..12,
+# and a group whose search ends sooner never pays for the test.
+_CERTIFY_AT = 1024
+# B(d), the largest finite order of an element of GL(d, Z), for d <= 21.
+# An element of order m exists exactly when the sum of phi(p^a) over the
+# prime powers p^a exactly dividing m, less 1 when m = 2 mod 4, is at most
+# d (Kuzmanovich and Pavlichenkov, Amer. Math. Monthly, 2002).
+_MAX_FINITE_ORDER = (1, 2, 6, 6, 12, 12, 30, 30, 60, 60, 120, 120, 210, 210,
+                     420, 420, 840, 840, 1260, 1260, 2520, 2520)
 
 
 def generate_group(gens: Sequence[Isometry],
@@ -193,8 +229,15 @@ def generate_group(gens: Sequence[Isometry],
     the rational space and H = (E1 + ... + EN - K)/3, so an isometry is
     determined by its action on these points: the action is faithful.
     The orbits are grown breadth-first with the seeds first, so point j-1
-    is E_j.  An orbit longer than ``limit`` proves |G| > limit, which ends
-    the search for an infinite group.
+    is E_j.  An orbit longer than ``limit`` proves |G| > limit.  Once the
+    orbits hold 1024 points, a group that may be infinite (N >= 9, or
+    some generator moves K) is tested for an element of infinite order: a
+    generator or the product of all of them, in order, with no power up
+    to the largest finite order in GL(N + 1, Z) equal to I (for N <= 20).
+    The group is then refused with the same message, as it exceeds every
+    limit.  For reflections the product is a Coxeter element, which has
+    infinite order in every infinite irreducible Coxeter group (Howlett
+    1982), so the affine E8 and the E10 reflections end at once.
 
     *Factorization.*  Deterministic Schreier-Sims gives a base b1..bk and
     transversals U1..Uk, Ui holding one element per point of the orbit of
@@ -259,7 +302,8 @@ def _orbits(mats: Sequence[Sequence[Sequence[int]]], limit: Optional[int]):
     """Orbits of the seeds: their points' keys joined in index order,
     each point's orbit label, each matrix's permutation of the points,
     whether some matrix moves K, and the largest point entry in absolute
-    value.
+    value.  Once there are ``_CERTIFY_AT`` points, matrices that may
+    generate an infinite group go through ``_refuse_infinite_order``.
 
     The seeds are E1..EN, then H when some matrix moves K; they keep
     indices 0.. in order.  Breadth-first over all orbits at once, one
@@ -316,8 +360,14 @@ def _orbits(mats: Sequence[Sequence[Sequence[int]]], limit: Optional[int]):
     perms: List[List[int]] = [[] for _ in mats]
     offsets = range(0, width * count, width)
     totals = [columns[j] for j in order]
+    # With K fixed and N <= 8, K.K = 9 - N > 0 leaves a negative definite
+    # complement and the group is finite; otherwise it may be infinite.
+    certify = (moves_k or dim >= 10) and dim < len(_MAX_FINITE_ORDER)
     lo = 0
     while lo < len(points):
+        if certify and len(points) >= _CERTIFY_AT:
+            certify = False
+            _refuse_infinite_order(mats, limit)
         hi = len(points)
         raw = list(map(image_keys, totals))
         # the layer adds at most count * (hi - lo) points; while that keeps
@@ -361,6 +411,25 @@ def _orbits(mats: Sequence[Sequence[Sequence[int]]], limit: Optional[int]):
         totals = [sum(map(mul, filter(None, p), compress(columns, p)))
                   for p in points[lo:]]
     return b"".join(index), orbit, list(map(tuple, perms)), moves_k, largest
+
+
+def _refuse_infinite_order(mats, limit: Optional[int]) -> None:
+    """Raise LimitExceeded when a matrix, or the product of all of them in
+    order, has no power up to B(dim) = ``_MAX_FINITE_ORDER[dim]`` equal
+    to I: that element has infinite order, so the group is infinite and
+    exceeds every limit.
+    """
+    # trusted: ``generate_group`` passes its generators' own matrices
+    gens = [Isometry._trusted(m) for m in mats]
+    bound = _MAX_FINITE_ORDER[len(mats[0])]
+    for g in (*gens, reduce(matmul, gens)):
+        power = g
+        for _ in range(bound):
+            if power.is_identity():
+                break
+            power = power @ g
+        else:
+            raise LimitExceeded(f"group closure exceeded limit {limit}")
 
 
 def _list_elements(dim: int, transversals: List[dict], points: bytes,

@@ -28,7 +28,10 @@ from math import factorial, floor, gcd, isqrt
 from gsurf.cone import FULL, OUTSIDE, PARTIAL_POSITIVE
 from gsurf.errors import LatticeError, LimitExceeded
 from gsurf.exceptional import (
+    _degree_bounds,
+    _expand,
     _multisets,
+    _plan,
     enumerate_exceptional,
 )
 from gsurf.gconic import (
@@ -109,6 +112,20 @@ def feasible_degrees(n, square, k_degree, reach=50):
     """
     return [a for a in range(-reach, reach + 1)
             if (3 * a + k_degree) ** 2 <= n * (a * a - square)]
+
+
+def lattice_classes(n, square, k_degree):
+    """All integer classes x with x.x = ``square`` and K.x = ``k_degree``,
+    sorted by coordinates, for 1 <= N <= 8, where ``_degree_bounds``
+    makes the set finite.
+
+    The package's exceptional enumerator run on any family: the route
+    ``weyl.all_roots`` took before its closed form.
+    """
+    if not 1 <= n <= 8:
+        raise LatticeError(f"lattice classes need 1 <= N <= 8, got {n}")
+    lo, hi = _degree_bounds(n, square, k_degree)
+    return _expand(_plan(n, square, k_degree, lo, hi))
 
 
 def _degree_window(n, max_degree):

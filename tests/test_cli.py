@@ -20,7 +20,7 @@ from gsurf.lattice import coh_from_json
 from gsurf.selftest import klein_four_group, parity_consistent_partitions
 from gsurf.weyl import reflection, simple_reflections
 from test_gconic import _weyl_d_generators
-from test_weyl import _conjugated, _transpositions
+from test_weyl import _affine_reflections, _conjugated, _transpositions
 
 
 def run(capsys, *args):
@@ -467,17 +467,19 @@ def test_closed_pipe_ends_without_traceback():
     assert "Traceback" not in err
 
 
-# The gsurf modules each subcommand loads beyond gsurf, cli, errors and
-# lattice; `weyl` lists its roots through the exceptional enumerator.
+# The gsurf modules each subcommand loads beyond gsurf, cli and errors:
+# `schema` none and `hexagon` only its own module, as neither handles a
+# class; `weyl` lists its roots in closed form, without the exceptional
+# enumerator.
 COLD_START_MODULES = {
     "schema": [],
-    "exc": ["exceptional"],
-    "reduce": ["exceptional"],
+    "exc": ["exceptional", "lattice"],
+    "reduce": ["exceptional", "lattice"],
     "hexagon": ["hexagon"],
-    "cone": ["cone", "exceptional"],
-    "invariants": ["weyl"],
-    "conic": ["gconic", "weyl"],
-    "weyl": ["exceptional", "weyl"],
+    "cone": ["cone", "exceptional", "lattice"],
+    "invariants": ["lattice", "weyl"],
+    "conic": ["gconic", "lattice", "weyl"],
+    "weyl": ["lattice", "weyl"],
 }
 
 
@@ -515,7 +517,7 @@ def test_cold_start_loads_no_numpy(tmp_path, argv):
     # and no record is a generated class, so neither dataclasses nor the
     # inspect module it imports is loaded
     assert status.split() == ["0", "False", str(reports), "False", "False"]
-    expected = ["gsurf", "gsurf.cli", "gsurf.errors", "gsurf.lattice"] + \
+    expected = ["gsurf", "gsurf.cli", "gsurf.errors"] + \
         ["gsurf." + m for m in COLD_START_MODULES[argv[0]]]
     assert modules.split() == sorted(expected)
 
@@ -601,6 +603,24 @@ def test_conic_reads_the_even_swap_group_off_its_generators(tmp_path):
     code, err, _ = _fresh_cli(["conic", "--gens", str(gens),
                                "--limit", "1000000"])
     assert (code, err) == (1, "error: group closure exceeded limit 1000000\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the peak RSS from /proc")
+@pytest.mark.parametrize("n", (9, 10))
+def test_invariants_refuses_an_infinite_group_at_once(tmp_path, n):
+    # The affine E8 (N = 9) and the E10 (N = 10) reflections generate
+    # infinite groups.  Their product, a Coxeter element, has no power up
+    # to 120 equal to I, so the closure ends before any orbit grows; it
+    # once ran past 60 s and 1.2 GB.
+    gens = tmp_path / "gens.json"
+    gens.write_text(json.dumps([list(map(list, g.mat))
+                                for g in _affine_reflections(n)]))
+    t0 = time.monotonic()
+    code, err, peak_kb = _fresh_cli(["invariants", "--gens", str(gens)])
+    assert time.monotonic() - t0 < 2
+    assert (code, err) == (1, "error: group closure exceeded limit 10000000\n")
+    assert peak_kb < 150 * 1024
 
 
 def test_invariants_e8_sums_traces_from_the_chain(tmp_path, capsys):

@@ -14,7 +14,6 @@ from gsurf.exceptional import (
     enumerate_exceptional,
     h_ijk,
     is_exceptional,
-    lattice_classes,
     reduce_exceptional,
     reduce_symplectic,
 )
@@ -91,7 +90,7 @@ def test_fiber_classes_start_at_degree_one():
     """F.F = 0, K.F = -2 has no class of degree 0: no window may assume one."""
     for n in range(1, 9):
         assert _degree_bounds(n, 0, -2)[0] == 1
-        got = {c.coords for c in lattice_classes(n, 0, -2)}
+        got = {c.coords for c in oracles.lattice_classes(n, 0, -2)}
         want = {v for a in range(-3, 13)    # contains every window, [1, 11]
                 for v in oracles._solve(n, 3 * a - 2, a * a, a)}
         assert got == want
@@ -99,13 +98,13 @@ def test_fiber_classes_start_at_degree_one():
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_lattice_classes_are_the_exceptional_enumeration(n):
-    assert lattice_classes(n, -1, -1) == enumerate_exceptional(n).classes
+    assert oracles.lattice_classes(n, -1, -1) == enumerate_exceptional(n).classes
 
 
 @pytest.mark.parametrize("n", [0, 9, 12])
 def test_lattice_classes_need_a_finite_window(n):
     with pytest.raises(LatticeError, match="1 <= N <= 8"):
-        lattice_classes(n, -1, -1)
+        oracles.lattice_classes(n, -1, -1)
 
 
 @pytest.mark.parametrize("items", [(), (0,), (1, 1, 1), (2, 1, 1, 0),

@@ -3,6 +3,7 @@ import itertools
 import pickle
 import random
 import struct
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -18,8 +19,10 @@ from gsurf.gconic import fiber_class, full_swap, matrix_from_fiber_action
 from gsurf.lattice import CohClass, Isometry, canonical_class, pairing, unit
 from gsurf.selftest import klein_four_group, parity_consistent_partitions
 from gsurf.weyl import (
+    _MAX_FINITE_ORDER,
     _basis_chain,
     _orbits,
+    _refuse_infinite_order,
     _sort_rows,
     NEITHER,
     RANK1,
@@ -68,6 +71,10 @@ def test_all_roots_counts(n):
     roots = all_roots(n)
     assert len(roots) == ROOT_COUNTS[n]
     assert [r.coords for r in roots] == sorted(oracles.root_classes_oracle(n))
+    # the closed form builds trusted classes: each must pass validation and
+    # equal the exceptional enumerator's route
+    assert roots == tuple(CohClass(r.coords) for r in roots) == \
+        oracles.lattice_classes(n, -2, 0)
 
 
 def test_roots_closed_under_simple_reflections():
@@ -299,13 +306,18 @@ class TestListing:
 
     @pytest.mark.parametrize("n", (9, 10))
     def test_entry_range_message(self, n):
-        # a Coxeter element: its powers' entries grow without bound
-        coxeter = Isometry.identity(n)
-        for s in _affine_reflections(n):
-            coxeter = coxeter @ s
-        want = _outcome(oracles.group_by_bfs, [coxeter], 10 ** 6)
+        # A finite group whose generators are in 16-bit range but whose
+        # orbits are not.  (An infinite cyclic group, whose powers' entries
+        # grow without bound, is refused before its orbits grow: see
+        # TestInfiniteOrder.)
+        gens = _conjugated(n, _transpositions(n, 3), {9: 760, 10: 33}[n])
+        assert max(abs(v) for g in gens for row in g.mat for v in row) <= 32767
+        with pytest.raises(LimitExceeded,
+                           match="^matrix entries exceeded supported range$"):
+            _basis_chain(gens, 10 ** 6)
+        want = _outcome(oracles.group_by_bfs, gens, 10 ** 6)
         assert want == (LimitExceeded, "matrix entries exceeded supported range")
-        assert _outcome(_listed, [coxeter], 10 ** 6) == want
+        assert _outcome(_listed, gens, 10 ** 6) == want
 
     @pytest.mark.parametrize("n,power", ((9, 26), (9, 39), (10, 20)))
     def test_entries_past_int8(self, n, power):
@@ -385,6 +397,113 @@ class TestListing:
         with pytest.raises(LimitExceeded,
                            match="^group closure exceeded limit 10000000$"):
             generate_group(simple_reflections(8))
+
+
+def _coxeter(reflections, n):
+    c = Isometry.identity(n)
+    for s in reflections:
+        c = c @ s
+    return c
+
+
+def _order(g, cap):
+    """The order of g if it is at most ``cap``, else None."""
+    power = g
+    for k in range(1, cap + 1):
+        if power.is_identity():
+            return k
+        power = power @ g
+    return None
+
+
+def _psi(m):
+    """Least d with an element of order m in GL(d, Z): the sum of phi(p^a)
+    over m's prime powers, less 1 when m = 2 mod 4 (m >= 2)."""
+    total, p, rest = 0, 2, m
+    while rest > 1:
+        if rest % p == 0:
+            q = 1
+            while rest % p == 0:
+                rest, q = rest // p, q * p
+            total += q - q // p
+        p += 1
+    return total - (m % 4 == 2)
+
+
+class TestInfiniteOrder:
+    """Once its orbits hold ``_CERTIFY_AT`` points, a group that may be
+    infinite is tested for an element of infinite order."""
+
+    @pytest.fixture
+    def tested(self, monkeypatch):
+        """Every group is tested from its first point on; the list holds
+        one entry per test that passed."""
+        calls = []
+
+        def spy(mats, limit):
+            _refuse_infinite_order(mats, limit)
+            calls.append(len(mats))
+        monkeypatch.setattr(gsurf.weyl, "_CERTIFY_AT", 1)
+        monkeypatch.setattr(gsurf.weyl, "_refuse_infinite_order", spy)
+        return calls
+
+    def test_max_finite_order_table(self):
+        assert _MAX_FINITE_ORDER[10:14] == (120, 120, 210, 210)
+        psi = {m: _psi(m) for m in range(2, 3000)}
+        assert len(_MAX_FINITE_ORDER) == 22
+        for d in range(1, 22):
+            assert _MAX_FINITE_ORDER[d] == \
+                max(m for m, cost in psi.items() if cost <= d), d
+
+    @pytest.mark.parametrize("n,order", ((6, 12), (7, 18), (8, 30)))
+    def test_coxeter_numbers_are_never_refused(self, tested, n, order):
+        # the Coxeter element of E_n has order the Coxeter number
+        c = _coxeter(simple_reflections(n), n)
+        assert _order(c, 100) == order <= _MAX_FINITE_ORDER[n + 1]
+        _refuse_infinite_order([c.mat], None)
+        # -I moves K, so the group it joins is tested, and kept
+        assert generate_group([c, _minus(n)]).order == 2 * order
+        assert tested == [2]
+
+    def test_finite_k_moving_groups_are_kept(self, tested):
+        moved = reflection(CohClass((0, -1, -1, 0, 0, 0, 0)))
+        _assert_matches_bfs([moved] + list(simple_reflections(6)[1:]))
+        assert generate_group([_minus(6)] + list(simple_reflections(6))) \
+            .order == 103680
+        assert len(tested) >= 2
+
+    @pytest.mark.parametrize("n", (9, 10))
+    def test_finite_groups_past_eight_blowups_are_kept(self, tested, n):
+        for sets in list(parity_consistent_partitions(n))[:2]:
+            _assert_matches_bfs(klein_four_group(n, sets)[1:])
+        _assert_matches_bfs(_conjugated(n, _transpositions(n, 3), 20))
+        assert len(tested) >= 3
+
+    @pytest.mark.parametrize("n", (9, 10, 11))
+    def test_affine_reflections_end_at_once(self, n):
+        # The product of the affine reflections, a Coxeter element, has
+        # infinite order.  Without the test the closure runs until an orbit
+        # passes the limit: past 60 s and 1.2 GB at the default limit.
+        coxeter = _coxeter(_affine_reflections(n), n)
+        assert _order(coxeter, _MAX_FINITE_ORDER[n + 1]) is None
+        t0 = time.monotonic()
+        for limit in (10 ** 6, None):
+            with pytest.raises(LimitExceeded,
+                               match=f"^group closure exceeded limit {limit}$"):
+                generate_group(_affine_reflections(n), limit)
+        assert time.monotonic() - t0 < 1
+        with pytest.raises(LimitExceeded, match="^group closure exceeded"):
+            _refuse_infinite_order([coxeter.mat], 10 ** 6)
+
+    def test_k_moving_generator_of_infinite_order(self, tested):
+        # N = 5 with K moved: the test runs below N = 9 too
+        moved = reflection(CohClass((0, -1, -1, 0, 0, 0)))
+        shear = moved @ simple_reflections(5)[0]
+        assert _order(shear, _MAX_FINITE_ORDER[6]) is None
+        with pytest.raises(LimitExceeded,
+                           match="^group closure exceeded limit 1000$"):
+            generate_group([shear], 1000)
+        assert tested == []
 
 
 @pytest.mark.parametrize("fits_int8", (True, False))

@@ -8,6 +8,8 @@ Submodules:
                     reflections, reduction
 * ``weyl``        - root systems, isometry groups, stabilizer chains,
                     invariant lattices, the rank dichotomy
+* ``listing``     - element order, element arrays and traces read off a
+                    stabilizer chain (numpy)
 * ``gconic``      - conic-bundle combinatorics and the group classifier
 * ``cone``        - cone membership, fiber pairs, blowdown obstructions,
                     gap-coordinate slices

@@ -241,7 +241,7 @@ def _cmd_cone(args, argv):
     }
     inputs = {"n": n, "fiber": coords_to_json(fiber), "a_min": args.a_min,
               "scan": args.scan}
-    if args.scan:
+    if args.scan is not None:
         grid = _parse_scan(args.scan)
         sl = cone.slice_scan(n, fiber, k0, grid, limit=args.limit)
         results["slice"] = sl.to_json()

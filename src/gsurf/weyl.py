@@ -5,12 +5,12 @@ is a root lattice (A2+A1, A4, D5, E6, E7, E8 for N = 3..8); its roots are
 the integer classes with r.r = -2 and K.r = 0.  Finite isometry groups are
 handled with one stabilizer chain on the orbits of the basis classes,
 built by ``generate_group``.  The order is read off the chain; the sorted
-element set is multiplied out of its transversals only when asked for, so
-the order alone is feasible for the largest Weyl group.  The chain, the
-order and ``group_sum`` run on Python ints.  numpy is imported only where
-an array of elements is built (the listing behind ``element_array()``,
-iteration and ``trace_vector()``), so ``gsurf weyl``, ``invariants`` and
-``conic``, which list no group, start without it.
+elements and their traces are read off its transversals only when asked
+for, so the order alone is feasible for the largest Weyl group.  The
+chain, the order and ``group_sum`` run on Python ints.  numpy is imported
+only by the ``listing`` module, which builds the arrays behind
+``element_array()``, iteration and ``trace_vector()``; ``gsurf weyl``,
+``invariants`` and ``conic``, which list no group, load neither.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ def simple_reflections(n: int) -> Tuple[Isometry, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Element listing from a stabilizer chain
+# Finite isometry groups
 # ---------------------------------------------------------------------------
 
 class FiniteIsometryGroup:
@@ -93,10 +93,13 @@ class FiniteIsometryGroup:
 
     Only ``generate_group`` builds one; calling the class raises, and an
     instance is immutable and safe to share.  ``order`` is the product of
-    the transversal sizes.  The elements are listed on the first
-    ``element_array()`` or iteration and cached: an (order, dim, dim)
-    integer array in lexicographic row-major order, so reports are
-    reproducible.
+    the transversal sizes.  The first ``element_array()``, iteration or
+    ``trace_vector()`` reads the elements' order and traces off the chain
+    (see ``listing``) and caches them; the elements themselves, an
+    (order, dim, dim) integer array in lexicographic row-major order, so
+    reports are reproducible, are built and cached on the first
+    ``element_array()`` or iteration.  ``trace_vector()`` builds no
+    matrix.
     """
 
     def __init__(self, *args, **kwargs):
@@ -104,8 +107,8 @@ class FiniteIsometryGroup:
 
     @classmethod
     def _sealed(cls, gens: tuple, order: int, listing: tuple, orbit: list):
-        """``listing`` holds the arguments of ``_list_elements`` after the
-        dimension; ``orbit`` labels each point with its orbit."""
+        """``listing`` holds the arguments of ``listing.sorted_rows`` after
+        the dimension; ``orbit`` labels each point with its orbit."""
         group = object.__new__(cls)
         group.__dict__.update(generators=gens, order=order, _listing=listing,
                               _orbit=orbit)
@@ -122,8 +125,14 @@ class FiniteIsometryGroup:
         return self.order
 
     @cached_property
+    def _rows(self):
+        from .listing import sorted_rows
+        return sorted_rows(self.n + 1, *self._listing)
+
+    @cached_property
     def _elements(self) -> np.ndarray:
-        return _list_elements(self.n + 1, *self._listing)
+        from .listing import elements
+        return elements(self._rows)
 
     @cached_property
     def _invariant_lattice(self) -> tuple:
@@ -142,9 +151,9 @@ class FiniteIsometryGroup:
             yield Isometry._trusted(tuple(map(tuple, mat.tolist())))
 
     def trace_vector(self) -> np.ndarray:
-        """Trace of every element on the full degree-2 lattice."""
-        import numpy as np
-        return self.element_array().trace(axis1=1, axis2=2, dtype=np.int64)
+        """Trace of every element on the full degree-2 lattice, in element
+        order, as int64."""
+        return self._rows.trace.copy()
 
     def group_sum(self) -> Tuple[Tuple[int, ...], ...]:
         """R, the sum of the matrices of all elements, read off the orbits.
@@ -246,13 +255,14 @@ def generate_group(gens: Sequence[Isometry],
     Algorithms*, 2003, ch. 4), so |G| = |U1| ... |Uk| and multiplying the
     transversals out lists each element once, with no deduplication.
 
-    *Columns.*  The transversals are multiplied out as permutations,
-    keeping only the images of the seeds.  Column j >= 1 of an element is
-    the point its permutation sends E_j to.  Column 0 is the image of H:
-    read from H's orbit when H is a point, otherwise (sum of the other
-    columns - K)/3, K being fixed.  Each matrix is read once, at the end,
-    by ``_list_elements``; every point is in range already, so only
-    column 0 is checked.
+    *Rows.*  The transversals are multiplied out as permutations,
+    keeping only the images of the seeds.  Each product h is listed as
+    h^-1 = Q h^T Q, Q = diag(1, -1, ..., -1): row j >= 1 of it is -Q times
+    the point h sends E_j to, and row 0 is Q h(H), read from H's orbit when
+    H is a point, otherwise as (sum of the seeds' images - K)/3, K being
+    fixed.  ``listing.sorted_rows`` orders the elements and reads their
+    traces off these images; every point is in range already, so only
+    row 0 is checked.
     """
     gens = tuple(gens)
     chain, pts, orbit, moves_k, largest = _basis_chain(gens, limit)
@@ -380,8 +390,11 @@ def _orbits(mats: Sequence[Sequence[Sequence[int]]], limit: Optional[int]):
             keys = [r[at:at + width] for at, _ in step for r in raw]
             js = list(map(index.get, keys))
             if None in js:
-                new = list(dict.fromkeys(
-                    key for key, j in zip(keys, js) if j is None))
+                # each new point, at its first position among the images
+                first = {}
+                for at in [at for at, j in enumerate(js) if j is None]:
+                    first.setdefault(keys[at], at)
+                new = list(first)
                 found = list(map(unpack, new))
                 top = max(max(map(max, found)), -min(map(min, found)))
                 if top > _MAX_ENTRY:
@@ -390,8 +403,8 @@ def _orbits(mats: Sequence[Sequence[Sequence[int]]], limit: Optional[int]):
                 index.update(zip(new, range(len(points),
                                             len(points) + len(new))))
                 points += found
-                labels = [orbit[lo + keys.index(key) % (hi - lo)]
-                          for key in new]
+                labels = [orbit[lo + at % (hi - lo)]
+                          for at in first.values()]
                 orbit += labels
                 for label in labels:
                     size[label] += 1
@@ -431,80 +444,6 @@ def _refuse_infinite_order(mats, limit: Optional[int]) -> None:
         else:
             raise LimitExceeded(f"group closure exceeded limit {limit}")
 
-
-def _list_elements(dim: int, transversals: List[dict], points: bytes,
-                   moves_k: bool, largest: int) -> np.ndarray:
-    """The elements of ``generate_group``'s chain, read as it describes.
-
-    Each row of ``images`` is the seeds sent through one u1 u2 ... uk; uk
-    acts first, so the levels are applied last to first, each as a small
-    unsigned index array.  Row r's matrix has column j >= 1 the point E_j
-    goes to, and column 0 H's image: read from H's orbit when K moves,
-    otherwise (sum of the other columns - K)/3, K being fixed.  Every
-    point is in 16-bit range already (``largest`` is their largest entry
-    in absolute value), so only column 0 is checked: an entry above 32767
-    in absolute value raises LimitExceeded.  The matrices are int8 when
-    every entry fits, else int16, and are sorted row-major as byte
-    strings by ``_sort_rows``.  Sorted, a repeated element would sit on
-    adjacent rows of equal bytes.  ``points`` are the points' keys from
-    ``_orbits``, joined.
-    """
-    import numpy as np
-    # exact: N entries below 2^15 in absolute value sum below 2^31
-    pts = np.frombuffer(points, "<i8").reshape(-1, dim).astype(np.int32)
-    seeds = dim if moves_k else dim - 1
-    index = np.min_scalar_type(len(pts) - 1)
-    images = np.arange(seeds, dtype=index)[None]
-    for trans in reversed(transversals):
-        level = np.array(list(trans.values()), dtype=index)
-        images = level[:, images].reshape(-1, seeds)
-    if moves_k:  # H is the last seed
-        col0 = pts.take(images[:, -1], axis=0)
-    else:
-        col0 = pts.take(images[:, 0], axis=0) - \
-            np.array((-3,) + (1,) * (dim - 1), dtype=np.int32)
-        for j in range(1, dim - 1):
-            col0 += pts.take(images[:, j], axis=0)
-        if (col0 % 3).any():  # pragma: no cover - K is fixed
-            raise InvariantViolation("image of H is not integral")
-        col0 //= 3
-    largest = max(-int(col0.min()), int(col0.max()), largest)
-    if largest > _MAX_ENTRY:
-        raise LimitExceeded(_RANGE_MESSAGE)
-    elements = np.empty((len(images), dim, dim),
-                        np.int8 if largest <= 127 else np.int16)
-    elements[:, :, 0] = col0
-    del col0
-    pts = pts.astype(elements.dtype)
-    for j in range(1, dim):
-        elements[:, :, j] = pts.take(images[:, j - 1], axis=0)
-    del images  # before the sort copies the elements
-    elements = _sort_rows(elements.reshape(-1, dim * dim))
-    rows = elements.view((np.void, elements.itemsize * dim * dim)).ravel()
-    if (rows[1:] == rows[:-1]).any():  # pragma: no cover
-        raise InvariantViolation("closure bookkeeping mismatch")
-    return elements.reshape(-1, dim, dim)
-
-
-def _sort_rows(arr: np.ndarray) -> np.ndarray:
-    """Rows in row-major value order, sorted as fixed-width byte strings.
-
-    Each entry is biased to unsigned, so that value order is byte order,
-    and written big-endian at its dtype's width; each row is then one
-    ``np.void`` string, and comparing the strings compares the entries in
-    column order.  The sort is stable, so equal rows keep their order.
-    """
-    import numpy as np
-    rows, cols = arr.shape
-    if rows < 2:
-        return arr
-    unsigned = np.dtype(f"u{arr.itemsize}")
-    keys = arr.view(unsigned) ^ unsigned.type(1 << (8 * arr.itemsize - 1))
-    keys = keys.astype(unsigned.newbyteorder(">"), copy=False)
-    order = np.argsort(keys.view((np.void, arr.itemsize * cols)).ravel(),
-                       kind="stable")
-    del keys
-    return arr[order]
 
 def weyl_group(n: int, limit: Optional[int] = 10_000_000) -> FiniteIsometryGroup:
     return generate_group(simple_reflections(n), limit=limit)

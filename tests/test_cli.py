@@ -272,6 +272,7 @@ def test_hexagon_k_and_s_refused_for_a_fixed_kind(capsys):
     (["reduce", "--class", "[1,"], "error: bad class literal '[1,': "),
     (["cone", "--n", "5", "--scan", "0,x"], "error: bad grid value 'x'\n"),
     (["cone", "--n", "5", "--scan", ","], "error: empty scan grid\n"),
+    (["cone", "--n", "5", "--scan", ""], "error: empty scan grid\n"),
 ])
 def test_bad_argument_exits_1(capsys, argv, message):
     assert cli.main(argv) == 1
@@ -470,7 +471,8 @@ def test_closed_pipe_ends_without_traceback():
 # The gsurf modules each subcommand loads beyond gsurf, cli and errors:
 # `schema` none and `hexagon` only its own module, as neither handles a
 # class; `weyl` lists its roots in closed form, without the exceptional
-# enumerator.
+# enumerator.  `weyl`, `invariants` and `conic` list no group, so none of
+# them loads `listing`, which builds the numpy element arrays.
 COLD_START_MODULES = {
     "schema": [],
     "exc": ["exceptional", "lattice"],
@@ -520,6 +522,7 @@ def test_cold_start_loads_no_numpy(tmp_path, argv):
     expected = ["gsurf", "gsurf.cli", "gsurf.errors"] + \
         ["gsurf." + m for m in COLD_START_MODULES[argv[0]]]
     assert modules.split() == sorted(expected)
+    assert "gsurf.listing" not in modules.split()
 
 
 @pytest.mark.parametrize("module", ["cli", "cone", "errors", "exceptional",
@@ -534,6 +537,14 @@ def test_each_module_imports_alone(module):
     script = (f"import sys, gsurf.{module}\n"
               "print('numpy' in sys.modules, 'dataclasses' in sys.modules)\n")
     assert _child_stdout(script) == "False False\n"
+
+
+def test_listing_imports_alone():
+    # The element listing is the one module that imports numpy at the top;
+    # only the group methods that build arrays import it.
+    script = ("import sys, gsurf.listing\n"
+              "print('numpy' in sys.modules, 'dataclasses' in sys.modules)\n")
+    assert _child_stdout(script) == "True False\n"
 
 
 def test_parser_literals_match_the_library():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gsurf.gconic
-import gsurf.weyl
+import gsurf.listing
 from gsurf.errors import InvariantViolation, LatticeError, LimitExceeded
 from gsurf.gconic import (
     CASE_CYCLIC_CORE,
@@ -559,7 +559,7 @@ class TestDecompose:
 
         def refuse(*args):
             raise AssertionError("listed the elements")
-        monkeypatch.setattr(gsurf.weyl, "_list_elements", refuse)
+        monkeypatch.setattr(gsurf.listing, "sorted_rows", refuse)
         monkeypatch.setattr(FiniteIsometryGroup, "__iter__", refuse)
         assert [_decompose_outcome(g, model, 1) for g in groups] == want
         assert want[0] == (InvariantViolation, "minimal bundle with"

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gsurf.listing
 import gsurf.weyl
 from gsurf.errors import InvariantViolation, LatticeError, LimitExceeded
 from gsurf.exceptional import cremona_reflect, h_ijk
@@ -23,7 +24,6 @@ from gsurf.weyl import (
     _basis_chain,
     _orbits,
     _refuse_infinite_order,
-    _sort_rows,
     NEITHER,
     RANK1,
     RANK2,
@@ -344,12 +344,15 @@ class TestListing:
 
     def test_column_zero_range_message(self):
         # every generator entry and every orbit point is in 16-bit range;
-        # only some element's image of H is not
+        # only some element's image of H is not, and the traces, which
+        # build no matrix, are refused with the same message
         gens = _conjugated(10, _transpositions(10, 3), 31)
         _basis_chain(gens, 10 ** 6)
         want = _outcome(oracles.group_by_bfs, gens, 10 ** 6)
         assert want == (LimitExceeded, "matrix entries exceeded supported range")
         assert _outcome(_listed, gens, 10 ** 6) == want
+        with pytest.raises(LimitExceeded, match=f"^{want[1]}$"):
+            generate_group(gens, 10 ** 6).trace_vector()
 
     def test_group_sum_range_message_without_listing(self, monkeypatch):
         # group_sum checks each transversal element's image of H only when
@@ -361,7 +364,7 @@ class TestListing:
 
         def refuse(*args):
             raise AssertionError("listed the elements")
-        monkeypatch.setattr(gsurf.weyl, "_list_elements", refuse)
+        monkeypatch.setattr(gsurf.listing, "sorted_rows", refuse)
         group = generate_group(gens[30])
         assert 10 * group._listing[3] + 3 > 3 * 32767
         _assert_group_sum(group, listing)
@@ -384,7 +387,7 @@ class TestListing:
     def test_order_without_listing(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("listed the elements")
-        monkeypatch.setattr(gsurf.weyl, "_list_elements", refuse)
+        monkeypatch.setattr(gsurf.listing, "sorted_rows", refuse)
         group = weyl_group(7)
         assert group.order == len(group) == 2903040
         assert invariant_lattice(group)[0] == 1
@@ -506,19 +509,49 @@ class TestInfiniteOrder:
         assert tested == []
 
 
-@pytest.mark.parametrize("fits_int8", (True, False))
-@pytest.mark.parametrize("cols", (1, 4, 7, 9, 64))
-def test_sort_rows_matches_column_packer(fits_int8, cols):
-    rng = np.random.default_rng(cols)
-    hi = 128 if fits_int8 else 32768
-    arr = rng.integers(-hi, hi, size=(500, cols), dtype=np.int16)
-    arr[:50] = arr[50:100]  # repeated rows keep their relative order
-    arr[100:110] = -32767 if not fits_int8 else -128
-    arr[110:120, 0] = 32767 if not fits_int8 else 127
-    want = oracles.sort_rows_by_columns(arr)
-    assert _sort_rows(arr).tobytes() == want.tobytes()
-    small = arr.astype(np.int8) if fits_int8 else arr
-    assert _sort_rows(small).tobytes() == want.astype(small.dtype).tobytes()
+def _order_cases():
+    """Groups for the chain order: random subgroups at N = 3..8, a group
+    moving K, an int16 group, and two whose keys take two words."""
+    rng = random.Random(2603)
+    cases = []
+    for n in range(3, 9):
+        for i in range(3):
+            gens = _random_gens(rng, n, rng.randint(1, 3))
+            try:
+                generate_group(gens, 3000)
+            except LimitExceeded:
+                continue
+            cases.append((f"random-{n}-{i}", gens))
+    cases += [("K-moving", [reflection(CohClass((0, -1, -1, 0, 0, 0))),
+                            *_transpositions(5, 4)]),
+              ("int16", _conjugated(9, _transpositions(9, 3), 26)),
+              ("two-words-16", _transpositions(16, 3)),
+              ("two-words-20", _transpositions(20, 1))]
+    return [pytest.param(name, gens, id=name) for name, gens in cases]
+
+
+@pytest.mark.parametrize("name,gens", _order_cases())
+def test_chain_order_matches_column_packer(name, gens):
+    # the element order read off the chain against a column-by-column
+    # sort of the same elements, shuffled; and the traces read off the
+    # chain against an int64 copy of the listing, before and after it
+    group = generate_group(gens)
+    traces = group.trace_vector()
+    elements = group.element_array()
+    assert elements.dtype == (np.int16 if name == "int16" else np.int8)
+    if name.startswith("two-words"):
+        # the ranks of rows 1..N alone take more values than one key
+        # word holds (under 2^64 / 3)
+        points = len(group._listing[1]) // (8 * (group.n + 1))
+        assert points ** group.n > 2 ** 64 // 3
+    flat = elements.astype(np.int16).reshape(len(elements), -1)
+    shuffled = flat[np.random.default_rng(len(flat)).permutation(len(flat))]
+    want = oracles.sort_rows_by_columns(shuffled)
+    assert want.astype(elements.dtype).tobytes() == elements.tobytes()
+    want = oracles.trace_vector_by_einsum(group)
+    assert (traces.dtype, traces.tolist()) == (np.int64, want.tolist())
+    again = group.trace_vector()
+    assert (again.dtype, again.tolist()) == (np.int64, want.tolist())
 
 
 class TestChain:
@@ -707,6 +740,22 @@ class TestSeededChain:
         chain.add(cycle)
         assert (chain.order(), chain.base) == (4, [0])
         assert chain.contains((2, 3, 0, 1))
+
+
+def test_orbit_growth_is_linear_in_the_points(monkeypatch):
+    # The affine E8 reflections generate an infinite group.  With the
+    # infinite-order test off, their orbits grow layer by layer until one
+    # passes the limit.  Each new point is labelled from a dict of first
+    # positions: a list search per point would make a layer quadratic in
+    # its size, about 1.6 s here on a 2-vCPU VM.
+    monkeypatch.setattr(gsurf.weyl, "_refuse_infinite_order",
+                        lambda mats, limit: None)
+    mats = [g.mat for g in _affine_reflections(9)]
+    t0 = time.monotonic()
+    with pytest.raises(LimitExceeded,
+                       match="^group closure exceeded limit 64000$"):
+        _orbits(mats, 64000)
+    assert time.monotonic() - t0 < 1
 
 
 class TestPermAction:

@@ -188,10 +188,11 @@ def _cmd_conic(args, argv):
     gens = parse_group_file(args.gens)
     n = _resolve_n(args.n, gens[0].n, "the generator matrices")
     model = gconic.ConicBundleModel(n)
-    for g in gens:  # the group preserves the bundle iff every generator does
-        gconic.fiber_action(g, model)
+    # Each generator's action is read once, before the chain is built: the
+    # group preserves the bundle iff every generator does.
+    actions = [gconic.fiber_action(g, model) for g in gens]
     group = weyl.generate_group(gens, limit=args.limit)
-    dec = gconic.decompose(group, model, args.g0)
+    dec = gconic._decompose(gens, actions, group.order, model, args.g0)
     results = {
         "minimal": dec.minimal,
         "case": dec.case_tag,
@@ -230,8 +231,8 @@ def _cmd_cone(args, argv):
     from .lattice import canonical_class, coords_to_json, fiber_class
     n = args.n
     k0 = canonical_class(n)
-    fiber = parse_class_argument(args.fiber) if args.fiber else \
-        fiber_class(n)
+    fiber = parse_class_argument(args.fiber) if args.fiber is not None \
+        else fiber_class(n)
     _resolve_n(args.n, fiber.n, "the fiber class")
     cone.check_fiber(k0, fiber)
     results = {

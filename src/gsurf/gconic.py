@@ -13,7 +13,7 @@ even.
 from __future__ import annotations
 
 import itertools
-from operator import mul, ne
+from operator import mul, ne, sub
 from typing import TYPE_CHECKING, Iterable, List, NamedTuple, Optional, Sequence
 
 from .errors import InvariantViolation, LatticeError, _Frozen
@@ -37,12 +37,13 @@ class ConicBundleModel(_Frozen):
     other component of a fiber or permute the fibers, as long as the set
     of unordered pairs {e, F - e} is the standard one.  ``components``
     maps the coordinates of both components of every fiber to (label, +1)
-    for the chosen sphere and (label, -1) for the other one; it is left
-    out of equality and repr.
+    for the chosen sphere and (label, -1) for the other one.  ``columns``
+    holds, per label, (i, +1) when the chosen sphere is Ei and (i, -1)
+    when it is F - Ei.  Both are left out of equality and repr.
     """
 
     _fields = ("n_blowups", "sphere_classes")
-    __slots__ = _fields + ("components",)
+    __slots__ = _fields + ("components", "columns")
 
     def __init__(self, n_blowups: int, sphere_classes: tuple = None):
         n = n_blowups
@@ -67,6 +68,9 @@ class ConicBundleModel(_Frozen):
         object.__setattr__(self, "n_blowups", n_blowups)
         object.__setattr__(self, "sphere_classes", spheres)
         object.__setattr__(self, "components", components)
+        object.__setattr__(self, "columns", tuple(
+            (next(i for i in range(2, n + 1) if e.coords[i]), 1 - 2 * e.coords[0])
+            for e in spheres))
 
     @property
     def fiber(self) -> CohClass:
@@ -82,10 +86,12 @@ class FiberAction(_Frozen):
 
     ``pi[j-2]`` is the image fiber label of fiber j and ``eps[j-2]`` is +1
     when the chosen sphere goes to the chosen sphere, -1 when it goes to
-    the other component.
+    the other component.  ``mask``, the swap mask, has bit j-2 set exactly
+    when eps[j-2] = -1; it is left out of equality and repr.
     """
 
-    __slots__ = _fields = ("pi", "eps")
+    _fields = ("pi", "eps")
+    __slots__ = _fields + ("mask",)
 
     def __init__(self, pi: tuple, eps: tuple):
         if sorted(pi) != list(range(2, 2 + len(pi))):
@@ -93,40 +99,36 @@ class FiberAction(_Frozen):
         if len(eps) != len(pi) or \
                 any(type(e) is not int or e not in (1, -1) for e in eps):
             raise LatticeError("eps must consist of +1/-1 flags")
-        object.__setattr__(self, "pi", pi)
-        object.__setattr__(self, "eps", eps)
+        self._fill(pi, eps)
 
     @classmethod
     def _trusted(cls, pi: tuple, eps: tuple) -> "FiberAction":
         """Unchecked: for a label permutation and int +1/-1 flags."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "pi", pi)
-        object.__setattr__(obj, "eps", eps)
-        return obj
+        return object.__new__(cls)._fill(pi, eps)
+
+    def _fill(self, pi, eps):
+        object.__setattr__(self, "pi", pi)
+        object.__setattr__(self, "eps", eps)
+        object.__setattr__(self, "mask",
+                           sum([1 << t for t, e in enumerate(eps) if e < 0]))
+        return self
 
     @classmethod
     def identity(cls, size: int) -> "FiberAction":
-        return cls(tuple(range(2, 2 + size)), (1,) * size)
-
-    @property
-    def size(self) -> int:
-        return len(self.pi)
+        return cls._trusted(tuple(range(2, 2 + size)), (1,) * size)
 
     def is_base_trivial(self) -> bool:
-        return all(self.pi[t] == t + 2 for t in range(self.size))
-
-    def swap_count(self) -> int:
-        return sum(1 for e in self.eps if e == -1)
+        return self.pi == tuple(range(2, 2 + len(self.pi)))
 
     def sigma(self) -> tuple:
         """Fiber labels whose pair is preserved componentwise."""
-        return tuple(j for t, j in enumerate(range(2, 2 + self.size))
+        return tuple(j for t, j in enumerate(range(2, 2 + len(self.pi)))
                      if self.pi[t] == j and self.eps[t] == 1)
 
     def compose(self, other: "FiberAction") -> "FiberAction":
         """Action of g @ h given self = action(g), other = action(h); trusted,
         as permutations compose to one and +1/-1 flags multiply to one."""
-        if self.size != other.size:
+        if len(self.pi) != len(other.pi):
             raise LatticeError("size mismatch")
         pi, eps = self.pi, self.eps
         return FiberAction._trusted(
@@ -137,30 +139,33 @@ class FiberAction(_Frozen):
 def fiber_action(g: Isometry, model: ConicBundleModel) -> FiberAction:
     """Extract (pi, eps) from a matrix, or fail if it breaks the bundle.
 
-    F and K go to col0 - col1 and -3 col0 + col1 + ... + colN.  Each
-    sphere's image, a sum of the columns its coordinates select, is looked
-    up in the model's component table.
+    The classifier's input boundary: ``decompose``, ``q_invariance_check``
+    and ``gsurf conic`` read each isometry here once per model, then use
+    only actions and swap masks.  F goes to col0 - col1.  Sphere j is Ei
+    or F - Ei (``columns``), with image col_i or F minus it; col_i is
+    looked up among the components.  With F fixed, the spheres all land
+    exactly when K is fixed.  If K is fixed, each image e has e.e = K.e
+    = -1 and F.e = 0, so it is a component.  If they all land, E1's image
+    is fixed by its pairings with F and the Ej images up to adding tF,
+    and squaring to -1 fixes t: g is the lift ``matrix_from_fiber_action``
+    writes, which fixes K.
     """
     n = model.n_blowups
     if g.n != n:
         raise LatticeError("dimension mismatch")
-    if tuple([r[0] - r[1] for r in g.mat]) != (1, -1) + (0,) * (n - 1):
-        raise LatticeError("isometry does not fix the fiber class")
-    if tuple([sum(r) - 4 * r[0] for r in g.mat]) != (-3,) + (1,) * n:
-        raise LatticeError("isometry does not fix the canonical class")
     cols = tuple(zip(*g.mat))
+    if tuple(map(sub, cols[0], cols[1])) != (1, -1) + (0,) * (n - 1):
+        raise LatticeError("isometry does not fix the fiber class")
+    get = model.components.get
     pi: List[int] = []
     eps: List[int] = []
-    for e in model.sphere_classes:
-        terms = [cols[i] if c == 1 else [c * v for v in cols[i]]
-                 for i, c in enumerate(e.coords) if c]
-        img = tuple(map(sum, zip(*terms)))
-        hit = model.components.get(img)
+    for i, s in model.columns:
+        hit = get(cols[i])
         if hit is None:
-            raise LatticeError(f"isometry moves {e} out of the singular fibers")
+            raise LatticeError("isometry does not fix the canonical class")
         pi.append(hit[0])
-        eps.append(hit[1])
-    return FiberAction(tuple(pi), tuple(eps))
+        eps.append(hit[1] * s)
+    return FiberAction._trusted(tuple(pi), tuple(eps))
 
 
 def matrix_from_fiber_action(pi: Sequence[int], eps: Sequence[int],
@@ -179,9 +184,9 @@ def matrix_from_fiber_action(pi: Sequence[int], eps: Sequence[int],
     H's, F + E1', squares to 1 and the Gram matrix is diag(1, -1, ..., -1).
     """
     action = FiberAction(tuple(pi), tuple(eps))
-    if action.size != n - 1:
+    if len(action.pi) != n - 1:
         raise LatticeError("wrong number of fiber labels")
-    s = action.swap_count()
+    s = action.mask.bit_count()
     if s % 2:
         raise LatticeError(
             "no integral lift: the number of swapped fibers must be even")
@@ -201,15 +206,16 @@ def full_swap(n: int) -> Isometry:
 
 
 def _is_minimal(actions: Iterable[FiberAction], model: ConicBundleModel) -> bool:
-    """Every fiber is switched by some element fixing that fiber."""
-    needed = set(model.labels())
+    """Every fiber is switched by some element fixing that fiber: the
+    fibers an action switches are its swap mask on the fixed points of
+    pi."""
+    needed = (1 << (model.n_blowups - 1)) - 1
     for act in actions:
-        needed.difference_update(
-            j for j, p, e in zip(model.labels(), act.pi, act.eps)
-            if p == j and e == -1)
+        fixed = sum([1 << t for t, p in enumerate(act.pi) if p == t + 2])
+        needed &= ~(act.mask & fixed)
         if not needed:
             return True
-    return not needed
+    return False
 
 
 class GroupDecomposition(NamedTuple):
@@ -250,8 +256,8 @@ def decompose(group, model: ConicBundleModel, g0_order: int = 1) -> GroupDecompo
     A ``FiniteIsometryGroup`` is read off its generators and never
     listed.  Any other collection of isometries must be nonempty and
     without repeats, and is read as a generating set of itself.  Either
-    way each element's fiber action is taken once, and one that breaks
-    the bundle raises ``fiber_action``'s LatticeError.
+    way each element's fiber action is taken once, here, and one that
+    breaks the bundle raises ``fiber_action``'s LatticeError.
 
     *P.*  Breadth-first from the identity: for a queued lift l and a
     generator s, g = s l becomes the lift of g.pi if that permutation is
@@ -269,8 +275,8 @@ def decompose(group, model: ConicBundleModel, g0_order: int = 1) -> GroupDecompo
     Group Algorithms*, 2003, 4.2) Q is generated by the residues
     l(g.pi)^-1 g.  Such a residue fixes every fiber, with flag
     l(g.pi).eps[t] * g.eps[t] at fiber t, as both elements send fiber t
-    to g.pi(t): its swap mask is the XOR of the two masks, with no
-    inverse or product formed.  Q is an elementary abelian 2-group, the
+    to g.pi(t): its swap mask is the XOR of the two actions' masks, with
+    no inverse or product formed.  Q is an elementary abelian 2-group, the
     F2 span of these masks.  An integral lift swaps an even number of
     fibers, so rank N - 2 is the whole even-weight space and ends the
     reduction.
@@ -293,7 +299,8 @@ def decompose(group, model: ConicBundleModel, g0_order: int = 1) -> GroupDecompo
     exactly when p(j) = j, and then its flag there is l_p.eps_j q.eps_j,
     so some element switches fiber j exactly when some lift fixing j or
     some element of Q switches it: ``_is_minimal`` over the lifts and
-    Q's actions is exact.
+    Q's actions is exact.  Each element of Q is an involution, as its
+    square's mask is m ^ m = 0.
 
     Structures incompatible with the classification of minimal bundles are
     reported as InvariantViolation: they cannot arise from a group action
@@ -305,15 +312,24 @@ def decompose(group, model: ConicBundleModel, g0_order: int = 1) -> GroupDecompo
     elements = group.generators if generated else list(group)
     if not elements:  # generate_group needs a generator
         raise LatticeError("input group is empty")
-    if type(g0_order) is not int:
+    return _decompose(elements, [fiber_action(g, model) for g in elements],
+                      group.order if generated else None, model, g0_order)
+
+
+def _decompose(elements, actions, order, model, m):
+    """``decompose`` from the elements' actions; ``order`` is the order
+    from the chain for a generated group, None for a list."""
+    if type(m) is not int:
         raise LatticeError("the declared core order must be an int")
-    if g0_order < 1:
+    if m < 1:
         raise LatticeError("the declared core order must be at least 1")
     n = model.n_blowups
-    actions = [fiber_action(g, model) for g in elements]
-    if not generated and len(set(actions)) != len(actions):
-        raise LatticeError("input group lists an element more than once")
-    order = group.order if generated else len(actions)
+    labels = tuple(model.labels())
+    generated = order is not None
+    if not generated:
+        if len(set(actions)) != len(actions):
+            raise LatticeError("input group lists an element more than once")
+        order = len(actions)
     lifts, span = _bundle_structure(actions, model, order)
     if len(lifts) * len(span) != order:
         if not generated:
@@ -323,33 +339,25 @@ def decompose(group, model: ConicBundleModel, g0_order: int = 1) -> GroupDecompo
     if generated:
         q_pairs = _q_pairs(span, model)
     else:
-        q_pairs = [(g, a) for g, a in zip(elements, actions) if a.is_base_trivial()]
+        q_pairs = [(g, a) for g, a in zip(elements, actions) if a.pi == labels]
     q = tuple(g for g, _ in q_pairs)
     p_structure = tuple(sorted(lifts))
     minimal = _is_minimal([*lifts.values(), *(a for _, a in q_pairs)], model)
-    m = g0_order
-
-    identity = FiberAction.identity(n - 1)
-    nontrivial = [a for _, a in q_pairs if a != identity]
-    for a in nontrivial:
-        if a.compose(a) != identity:  # pragma: no cover - forced by the model
-            raise InvariantViolation("base-trivial element is not an involution")
+    nontrivial = [a for _, a in q_pairs if a.mask]
 
     sigma_sets = sigma_sizes = parity = None
-    q_abstract: tuple
-    q_image = _q_image_name(len(q))
+    q_image = {1: "trivial", 2: "Z2", 4: "Z2xZ2"}.get(
+        len(q), f"elementary-2 of order {len(q)}")
 
     if m > 1:
         if n % 2 == 0:
             raise LatticeError("a nontrivial core forces an odd number of blowups")
-        full = all(e == -1 for a in nontrivial for e in a.eps)
+        full = all(a.mask == (1 << (n - 1)) - 1 for a in nontrivial)
         shape_ok = len(nontrivial) <= 1 and full
         if shape_ok and nontrivial:
             q_abstract = (f"D{2 * m}",)
-        elif shape_ok:
-            q_abstract = (f"Z{m}",) if m % 2 == 0 else ()
         else:
-            q_abstract = ()
+            q_abstract = (f"Z{m}",) if shape_ok and m % 2 == 0 else ()
         if minimal:
             if not shape_ok:
                 raise LatticeError(
@@ -382,17 +390,9 @@ def decompose(group, model: ConicBundleModel, g0_order: int = 1) -> GroupDecompo
             q_abstract = ()
 
     return GroupDecomposition(
-        q_elements=q,
-        g0_size=m,
-        p_structure=p_structure,
-        case_tag=tag,
-        minimal=minimal,
-        q_image=q_image,
-        q_abstract=q_abstract,
-        sigma_sets=sigma_sets,
-        sigma_sizes=sigma_sizes,
-        parity_ok=parity,
-    )
+        q_elements=q, g0_size=m, p_structure=p_structure, case_tag=tag,
+        minimal=minimal, q_image=q_image, q_abstract=q_abstract,
+        sigma_sets=sigma_sets, sigma_sizes=sigma_sizes, parity_ok=parity)
 
 
 def _bundle_structure(actions: Sequence[FiberAction], model: ConicBundleModel,
@@ -403,17 +403,15 @@ def _bundle_structure(actions: Sequence[FiberAction], model: ConicBundleModel,
     n = model.n_blowups
     identity = FiberAction.identity(n - 1)
     lifts, queue, basis, gens = {identity.pi: identity}, [identity], [], []
-    bits = [1 << t for t in range(n - 1)]
 
-    def residue(lift, g):  # mask of lift^-1 g, reduced against the basis
-        v = sum(itertools.compress(bits, map(ne, lift.eps, g.eps)))
+    def residue(v):  # a mask reduced against the basis
         for b in basis:  # leading bits distinct, highest first
             v = min(v, v ^ b)
         return v
 
     for s in actions:
         have = lifts.get(s.pi)
-        if have is not None and not residue(have, s):
+        if have is not None and not residue(have.mask ^ s.mask):
             continue
         gens.append(s)
         old = len(queue)
@@ -425,8 +423,8 @@ def _bundle_structure(actions: Sequence[FiberAction], model: ConicBundleModel,
                 have = lifts.setdefault(g.pi, g)
                 if have is g:
                     queue.append(g)
-                elif have.eps != g.eps and len(basis) < n - 2:
-                    v = residue(have, g)
+                elif have.mask != g.mask and len(basis) < n - 2:
+                    v = residue(have.mask ^ g.mask)
                     if v:
                         basis = sorted(basis + [v], reverse=True)
     span = [0]
@@ -449,42 +447,36 @@ def _q_pairs(span: Sequence[int], model: ConicBundleModel) -> list:
     return sorted(q_pairs, key=lambda pair: pair[0].key())
 
 
-def _q_image_name(size: int) -> str:
-    return {1: "trivial", 2: "Z2", 4: "Z2xZ2"}.get(size, f"elementary-2 of order {size}")
-
-
 def _sigma_partition(actions: Sequence[FiberAction], model: ConicBundleModel):
     """The fiber partition cut out by the three involutions of a Klein four.
 
-    Sigma_i collects the fibers whose two spheres tau_i preserves; the sets
-    must be pairwise disjoint and each size must be congruent to N - 1
-    modulo 2.  Overlap means the data admits no group action on the
-    surface and raises InvariantViolation.
+    Sigma_i collects the fibers whose two spheres tau_i preserves, the
+    zero bits of its swap mask; the sets must be pairwise disjoint and
+    each size must be congruent to N - 1 modulo 2.  Overlap means the
+    data admits no group action on the surface and raises
+    InvariantViolation.  A base-trivial action is an involution, and the
+    product of two has the XOR of their masks, so the Klein relation is
+    m1 ^ m2 = m3.  The sets then cover the fibers: a fiber swapped by
+    tau_1 and tau_2 is preserved by tau_3.
     """
-    identity = FiberAction.identity(model.n_blowups - 1)
-    taus = [a for a in actions if a != identity]
+    labels = tuple(model.labels())
+    taus = [a for a in actions if a.mask or a.pi != labels]
     if len(taus) != 3 or len(set(taus)) != 3:
         raise LatticeError("exactly three distinct involutions expected")
-    for a in taus:
-        if not a.is_base_trivial():
-            raise LatticeError("involutions must act trivially on the base")
-        if a.compose(a) != identity:
-            raise LatticeError("non-involution in the base-trivial subgroup")
-    if taus[0].compose(taus[1]) != taus[2]:
+    if any(a.pi != labels for a in taus):
+        raise LatticeError("involutions must act trivially on the base")
+    if taus[0].mask ^ taus[1].mask != taus[2].mask:
         raise LatticeError("the involutions do not form a Klein four group")
-    sigmas = [set(a.sigma()) for a in taus]
+    out = [tuple(j for t, j in enumerate(labels) if not a.mask >> t & 1)
+           for a in taus]
     for i in range(3):
         for j in range(i + 1, 3):
-            common = sigmas[i] & sigmas[j]
+            common = set(out[i]) & set(out[j])
             if common:
                 raise InvariantViolation(
                     f"fibers {sorted(common)} are preserved componentwise by"
                     f" two distinct involutions")
-    if set().union(*sigmas) != set(model.labels()):
-        raise InvariantViolation("fiber partition does not cover all fibers")
-    n = model.n_blowups
-    parity_ok = all(len(s) % 2 == (n - 1) % 2 for s in sigmas)
-    out = tuple(tuple(sorted(s)) for s in sigmas)
+    parity_ok = all(len(s) % 2 == len(labels) % 2 for s in out)
     return out[0], out[1], out[2], parity_ok
 
 
@@ -719,22 +711,29 @@ def invariant_exceptional_n6() -> CohClass:
 # Independence of Q from the adapted basis
 # ---------------------------------------------------------------------------
 
-def q_subgroup(group, model: ConicBundleModel) -> tuple:
-    """Elements leaving each singular fiber invariant (pi = identity)."""
-    return tuple(g for g in group if fiber_action(g, model).is_base_trivial())
-
-
 def q_invariance_check(model: ConicBundleModel, model_prime: ConicBundleModel,
                        group) -> bool:
     """Q computed from either adapted labeling is the same subset.
 
     The primed model must label the same fibers: each primed sphere class
     lies in one of the standard pairs (this is enforced by the model
-    constructor, which also pins F and K).
+    constructor, which also pins F and K).  ``fiber_action`` runs once
+    per element and model, and each Q is kept as the set of its swap
+    masks, the primed masks moved to the labels of ``model``.  That is
+    exact: a base-trivial element swaps the same fibers whichever
+    component a model chooses, and the action is faithful, so the mask
+    sets agree exactly when the two subsets of the group do.
     """
     if model.n_blowups != model_prime.n_blowups:
         raise LatticeError("models live on different lattices")
-    elements = list(group)
-    q1 = {g.key() for g in q_subgroup(elements, model)}
-    q2 = {g.key() for g in q_subgroup(elements, model_prime)}
-    return q1 == q2
+    labels = tuple(model.labels())
+    moved = [1 << (model.components[e.coords][0] - 2)
+             for e in model_prime.sphere_classes]
+    q, q_prime = set(), set()
+    for g in group:
+        a, b = fiber_action(g, model), fiber_action(g, model_prime)
+        if a.pi == labels:
+            q.add(a.mask)
+        if b.pi == labels:
+            q_prime.add(sum([bit for t, bit in enumerate(moved) if b.mask >> t & 1]))
+    return q == q_prime

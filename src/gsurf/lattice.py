@@ -418,9 +418,3 @@ def coh_from_json(v) -> CohClass:
     if not all(isinstance(c, int) for c in vals):
         raise LatticeError("integer class expected")
     return CohClass(tuple(vals))
-
-
-def symplectic_from_json(v) -> SymplecticClass:
-    if not isinstance(v, (list, tuple)):
-        raise LatticeError("coordinate array expected")
-    return SymplecticClass.from_raw([rational_from_json(c) for c in v])

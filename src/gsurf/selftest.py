@@ -357,13 +357,20 @@ def parity_consistent_partitions(n: int):
             yield sets
 
 
+def _klein_actions(n: int, sets) -> list:
+    """The fiber actions of the involutions keeping exactly each set."""
+    labels = tuple(range(2, n + 1))
+    return [gconic.FiberAction(labels, tuple(1 if j in s else -1 for j in labels))
+            for s in sets]
+
+
+def _lifted(n: int, actions) -> list:
+    return [Isometry.identity(n)] + [
+        gconic.matrix_from_fiber_action(a.pi, a.eps, n) for a in actions]
+
+
 def klein_four_group(n: int, sets) -> list:
-    taus = []
-    for sigma in sets:
-        eps = tuple(1 if j in sigma else -1 for j in range(2, n + 1))
-        taus.append(gconic.matrix_from_fiber_action(
-            tuple(range(2, n + 1)), eps, n))
-    return [Isometry.identity(n)] + taus
+    return _lifted(n, _klein_actions(n, sets))
 
 
 def _swap_relabels(model: gconic.ConicBundleModel, masks):
@@ -400,11 +407,11 @@ def criterion_13_classifier(quick: bool = False) -> tuple:
         model = gconic.ConicBundleModel(n)
         partitions = list(parity_consistent_partitions(n))
         for sets in partitions:
-            group = klein_four_group(n, sets)
-            if not (group[1] @ group[2]).key() == group[3].key():
+            taus = _klein_actions(n, sets)
+            if taus[0].compose(taus[1]) != taus[2]:
                 problems.append(f"Klein group relation failed at N={n}")
                 continue
-            dec = gconic.decompose(group, model, 1)
+            dec = gconic.decompose(_lifted(n, taus), model, 1)
             if dec.case_tag != gconic.CASE_KLEIN or not dec.minimal:
                 problems.append(f"Klein partition {sets} tagged {dec.case_tag}")
                 continue

@@ -16,7 +16,10 @@ through ``CohClass`` arithmetic, a stabilizer chain on the roots beside the libr
 the orbits of the basis classes, traces read off an int64 copy of a
 group's listing, and a bundle group's P, Q and minimality read off the
 columns of its listing, or off a plain list checked for closure product
-by product).
+by product).  The conic-bundle classifier's matrix routes are here too:
+each fiber action read off full rows and columns with F and K checked
+first, the classification on eps tuples, and Q's independence of the
+labelling by comparing matrix keys.
 """
 
 import itertools
@@ -26,7 +29,7 @@ from fractions import Fraction
 from math import factorial, floor, gcd, isqrt
 
 from gsurf.cone import FULL, OUTSIDE, PARTIAL_POSITIVE
-from gsurf.errors import LatticeError, LimitExceeded
+from gsurf.errors import InvariantViolation, LatticeError, LimitExceeded
 from gsurf.exceptional import (
     _degree_bounds,
     _expand,
@@ -35,11 +38,16 @@ from gsurf.exceptional import (
     enumerate_exceptional,
 )
 from gsurf.gconic import (
+    CASE_CYCLIC_CORE,
+    CASE_INVOLUTION,
+    CASE_KLEIN,
+    CASE_NON_MINIMAL,
     FiberAction,
+    GroupDecomposition,
     SectionIdentity,
-    _is_minimal,
     fiber_action,
     fiber_class,
+    matrix_from_fiber_action,
 )
 from gsurf.hexagon import (
     HexagonSubgroup,
@@ -50,7 +58,7 @@ from gsurf.hexagon import (
     propagate_rotation,
 )
 from gsurf.lattice import CohClass, Isometry, canonical_class, pairing, unit
-from gsurf.weyl import StabilizerChain, all_roots
+from gsurf.weyl import FiniteIsometryGroup, StabilizerChain, all_roots
 
 
 def raw_pairing(x, y):
@@ -522,7 +530,7 @@ def bundle_data_by_products(elements, model):
                 raise LatticeError("input group is not closed under products")
     q = tuple(g for g, a in pairs if a.is_base_trivial())
     lifts = {a.pi: a for a in actions}
-    return q, tuple(sorted(lifts)), _is_minimal(actions, model)
+    return q, tuple(sorted(lifts)), _is_minimal_by_eps(actions, model)
 
 
 def matrix_from_fiber_action_by_classes(pi, eps, n):
@@ -540,6 +548,209 @@ def matrix_from_fiber_action_by_classes(pi, eps, n):
     e1_img = CohClass(tuple(c // 2 for c in num.coords))
     cols = [(f + e1_img).coords, e1_img.coords] + [img.coords for img in images]
     return tuple(zip(*cols))
+
+
+# -- the matrix routes of the conic-bundle classifier ---------------------------
+#
+# ``gconic`` reads each isometry's fiber action once and works on swap masks
+# from then on.  The routes below are the ones it replaced: the action read
+# off full row and column tuples with F and K checked first, the
+# classification on eps tuples (residues by comparing flags, minimality and
+# the sigma sets by label, the involution and cover checks kept), and Q's
+# independence of the labelling by comparing the keys of the matrices.
+
+def fiber_action_by_rows(g, model):
+    """(pi, eps) with F and K read off the rows and each sphere's image
+    summed from the columns its coordinates select."""
+    n = model.n_blowups
+    if g.n != n:
+        raise LatticeError("dimension mismatch")
+    if tuple([r[0] - r[1] for r in g.mat]) != (1, -1) + (0,) * (n - 1):
+        raise LatticeError("isometry does not fix the fiber class")
+    if tuple([sum(r) - 4 * r[0] for r in g.mat]) != (-3,) + (1,) * n:
+        raise LatticeError("isometry does not fix the canonical class")
+    cols = tuple(zip(*g.mat))
+    pi, eps = [], []
+    for e in model.sphere_classes:
+        terms = [[c * v for v in cols[i]] for i, c in enumerate(e.coords) if c]
+        hit = model.components.get(tuple(map(sum, zip(*terms))))
+        if hit is None:
+            raise LatticeError(f"isometry moves {e} out of the singular fibers")
+        pi.append(hit[0])
+        eps.append(hit[1])
+    return FiberAction(tuple(pi), tuple(eps))
+
+
+def _is_minimal_by_eps(actions, model):
+    needed = set(model.labels())
+    for act in actions:
+        needed.difference_update(
+            j for j, p, e in zip(model.labels(), act.pi, act.eps)
+            if p == j and e == -1)
+    return not needed
+
+
+def _bundle_structure_by_eps(actions, n, bound):
+    """``gconic._bundle_structure`` with each residue's mask read off the
+    two flag tuples."""
+    identity = FiberAction.identity(n - 1)
+    lifts, queue, basis, gens = {identity.pi: identity}, [identity], [], []
+
+    def residue(lift, g):
+        v = sum(1 << t for t, (a, b) in enumerate(zip(lift.eps, g.eps)) if a != b)
+        for b in basis:
+            v = min(v, v ^ b)
+        return v
+
+    for s in actions:
+        have = lifts.get(s.pi)
+        if have is not None and not residue(have, s):
+            continue
+        gens.append(s)
+        old = len(queue)
+        for i, lift in enumerate(queue):
+            if len(queue) << len(basis) > bound:
+                break
+            for t in gens if i >= old else gens[-1:]:
+                g = t.compose(lift)
+                have = lifts.setdefault(g.pi, g)
+                if have is g:
+                    queue.append(g)
+                elif have.eps != g.eps and len(basis) < n - 2:
+                    v = residue(have, g)
+                    if v:
+                        basis = sorted(basis + [v], reverse=True)
+    span = [0]
+    for b in basis:
+        span += [v ^ b for v in span]
+    return lifts, span
+
+
+def _sigma_partition_by_eps(actions, model):
+    identity = FiberAction.identity(model.n_blowups - 1)
+    taus = [a for a in actions if a != identity]
+    if len(taus) != 3 or len(set(taus)) != 3:
+        raise LatticeError("exactly three distinct involutions expected")
+    for a in taus:
+        if not a.is_base_trivial():
+            raise LatticeError("involutions must act trivially on the base")
+        if a.compose(a) != identity:
+            raise LatticeError("non-involution in the base-trivial subgroup")
+    if taus[0].compose(taus[1]) != taus[2]:
+        raise LatticeError("the involutions do not form a Klein four group")
+    sigmas = [set(a.sigma()) for a in taus]
+    for i in range(3):
+        for j in range(i + 1, 3):
+            common = sigmas[i] & sigmas[j]
+            if common:
+                raise InvariantViolation(
+                    f"fibers {sorted(common)} are preserved componentwise by"
+                    f" two distinct involutions")
+    if set().union(*sigmas) != set(model.labels()):
+        raise InvariantViolation("fiber partition does not cover all fibers")
+    n = model.n_blowups
+    out = tuple(tuple(sorted(s)) for s in sigmas)
+    return out + (all(len(s) % 2 == (n - 1) % 2 for s in sigmas),)
+
+
+def decompose_by_matrices(group, model, g0_order=1):
+    """``gconic.decompose`` with every action read by
+    ``fiber_action_by_rows`` and the classification on eps tuples."""
+    generated = isinstance(group, FiniteIsometryGroup)
+    elements = group.generators if generated else list(group)
+    if not elements:
+        raise LatticeError("input group is empty")
+    if type(g0_order) is not int:
+        raise LatticeError("the declared core order must be an int")
+    if g0_order < 1:
+        raise LatticeError("the declared core order must be at least 1")
+    n, m = model.n_blowups, g0_order
+    actions = [fiber_action_by_rows(g, model) for g in elements]
+    if not generated and len(set(actions)) != len(actions):
+        raise LatticeError("input group lists an element more than once")
+    order = group.order if generated else len(actions)
+    lifts, span = _bundle_structure_by_eps(actions, n, order)
+    if len(lifts) * len(span) != order:
+        if not generated:
+            raise LatticeError("input group is not closed under products")
+        raise InvariantViolation(f"|P| |Q| = {len(lifts)} * {len(span)}"
+                                 f" for a group of order {order}")
+    if generated:
+        pi = tuple(model.labels())
+        fibers = [model.components[unit(n, k).coords][0] - 2 for k in pi]
+        q_pairs = []
+        for v in span:
+            eps = tuple(-1 if v >> t & 1 else 1 for t in range(n - 1))
+            g = matrix_from_fiber_action(pi, [eps[t] for t in fibers], n)
+            q_pairs.append((g, FiberAction(pi, eps)))
+        q_pairs.sort(key=lambda pair: pair[0].key())
+    else:
+        q_pairs = [(g, a) for g, a in zip(elements, actions) if a.is_base_trivial()]
+    q = tuple(g for g, _ in q_pairs)
+    minimal = _is_minimal_by_eps([*lifts.values(), *(a for _, a in q_pairs)], model)
+    identity = FiberAction.identity(n - 1)
+    nontrivial = [a for _, a in q_pairs if a != identity]
+    for a in nontrivial:
+        if a.compose(a) != identity:
+            raise InvariantViolation("base-trivial element is not an involution")
+    sigma_sets = sigma_sizes = parity = None
+    q_image = {1: "trivial", 2: "Z2", 4: "Z2xZ2"}.get(
+        len(q), f"elementary-2 of order {len(q)}")
+    if m > 1:
+        if n % 2 == 0:
+            raise LatticeError("a nontrivial core forces an odd number of blowups")
+        full = all(e == -1 for a in nontrivial for e in a.eps)
+        shape_ok = len(nontrivial) <= 1 and full
+        if shape_ok and nontrivial:
+            q_abstract = (f"D{2 * m}",)
+        else:
+            q_abstract = (f"Z{m}",) if shape_ok and m % 2 == 0 else ()
+        if minimal:
+            if not shape_ok:
+                raise LatticeError(
+                    "nontrivial core with a base-trivial image outside {id, full swap}")
+            if not nontrivial and m % 2:
+                raise LatticeError(
+                    "core-only base kernel needs an even core order")
+            tag = CASE_CYCLIC_CORE
+        else:
+            tag = CASE_NON_MINIMAL
+    elif len(q) == 2:
+        tag = CASE_INVOLUTION if minimal else CASE_NON_MINIMAL
+        q_abstract = ("Z2",)
+        sig = nontrivial[0].sigma()
+        sigma_sets, sigma_sizes = (sig,), (len(sig),)
+        parity = len(sig) % 2 == (n - 1) % 2
+    elif len(q) == 4:
+        tag = CASE_KLEIN if minimal else CASE_NON_MINIMAL
+        q_abstract = ("Z2xZ2",)
+        s1, s2, s3, parity = _sigma_partition_by_eps(nontrivial, model)
+        sigma_sets = (s1, s2, s3)
+        sigma_sizes = (len(s1), len(s2), len(s3))
+    elif minimal:
+        raise InvariantViolation(
+            f"minimal bundle with base-trivial image of order {len(q)}")
+    else:
+        tag, q_abstract = CASE_NON_MINIMAL, ()
+    return GroupDecomposition(q, m, tuple(sorted(lifts)), tag, minimal, q_image,
+                              q_abstract, sigma_sets, sigma_sizes, parity)
+
+
+def q_subgroup(group, model):
+    """Elements leaving each singular fiber invariant (pi = identity)."""
+    return tuple(g for g in group
+                 if fiber_action_by_rows(g, model).is_base_trivial())
+
+
+def q_invariance_by_keys(model, model_prime, group):
+    """``gconic.q_invariance_check`` listing the group and comparing the
+    keys of the two Q subsets."""
+    if model.n_blowups != model_prime.n_blowups:
+        raise LatticeError("models live on different lattices")
+    elements = list(group)
+    q1 = {g.key() for g in q_subgroup(elements, model)}
+    q2 = {g.key() for g in q_subgroup(elements, model_prime)}
+    return q1 == q2
 
 
 def sort_rows_by_columns(arr):

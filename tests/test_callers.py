@@ -34,10 +34,6 @@ ALLOWED_UNCALLED = {
         " notes time against the breadth-first closure",
     "lattice.is_reduced_class":
         "reduced form, the stopping test of ROADMAP item 10",
-    "lattice.symplectic_from_json":
-        "the checking JSON reader for symplectic classes, beside"
-        " coh_from_json; README lists it among the input-boundary"
-        " constructors",
 }
 
 

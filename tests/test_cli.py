@@ -273,6 +273,7 @@ def test_hexagon_k_and_s_refused_for_a_fixed_kind(capsys):
     (["cone", "--n", "5", "--scan", "0,x"], "error: bad grid value 'x'\n"),
     (["cone", "--n", "5", "--scan", ","], "error: empty scan grid\n"),
     (["cone", "--n", "5", "--scan", ""], "error: empty scan grid\n"),
+    (["cone", "--n", "5", "--fiber", ""], "error: bad class literal '': "),
 ])
 def test_bad_argument_exits_1(capsys, argv, message):
     assert cli.main(argv) == 1

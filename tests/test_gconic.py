@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import gsurf.gconic
 import gsurf.listing
+from gsurf import cli
 from gsurf.errors import InvariantViolation, LatticeError, LimitExceeded
 from gsurf.gconic import (
     CASE_CYCLIC_CORE,
@@ -27,7 +29,6 @@ from gsurf.gconic import (
     matrix_from_fiber_action,
     max_swap_closed_section,
     q_invariance_check,
-    q_subgroup,
     section_class,
     section_classes,
     section_identity,
@@ -50,9 +51,9 @@ def units(n):
             for i in range(n + 1)]
 
 
-def _decompose_outcome(group, model, m):
+def _decompose_outcome(group, model, m, route=decompose):
     try:
-        return decompose(group, model, m)
+        return route(group, model, m)
     except (InvariantViolation, LatticeError) as exc:
         return type(exc), str(exc)
 
@@ -469,15 +470,19 @@ class TestDecompose:
     def test_group_and_list_agree(self, family):
         # Up to 200 elements, both forms against the pairwise product
         # check, and a broken copy of the list refused by both; above,
-        # the group against the listing.
+        # the group against the listing.  Every form, broken ones too,
+        # against the matrix route on every field and message.
         rng = random.Random(f"broken-{family}")
+        by_matrices = oracles.decompose_by_matrices
         for group, model, m in _bundle_fixtures(family):
             got = _decompose_outcome(group, model, m)
+            assert _decompose_outcome(group, model, m, by_matrices) == got
             if len(group) > 200:
                 q, p_structure, minimal = oracles.bundle_data_by_listing(group)
             else:
                 listed = list(group)
                 assert _decompose_outcome(listed, model, m) == got
+                assert _decompose_outcome(listed, model, m, by_matrices) == got
                 q, p_structure, minimal = oracles.bundle_data_by_products(
                     listed, model)
             if 2 < len(group) <= 200:
@@ -485,6 +490,7 @@ class TestDecompose:
                 with pytest.raises(LatticeError) as want:
                     oracles.bundle_data_by_products(broken, model)
                 assert _decompose_outcome(broken, model, m) == \
+                    _decompose_outcome(broken, model, m, by_matrices) == \
                     (LatticeError, str(want.value))
             if isinstance(got, GroupDecomposition):
                 assert (got.q_elements, got.p_structure, got.minimal) == \
@@ -586,6 +592,98 @@ class TestDecompose:
         assert len(group) == 8
         with pytest.raises(InvariantViolation):
             decompose(group, ConicBundleModel(n), 1)
+
+
+def _bundle_breakers(n):
+    """Reflections that move F (in E1 - E2), and that fix F but move K
+    (in E2 + E3)."""
+    return [reflection(CohClass((0, 1, -1) + (0,) * (n - 2))),
+            reflection(CohClass((0, 0, 1, 1) + (0,) * (n - 3)))]
+
+
+class TestAgainstMatrixRoutes:
+    """``decompose`` and ``q_invariance_check`` against the matrix routes
+    they replaced (``oracles.decompose_by_matrices`` and
+    ``oracles.q_invariance_by_keys``): every ``GroupDecomposition`` field,
+    every verdict, and every refusal with its message.  The fixtures of
+    ``test_group_and_list_agree`` are compared there."""
+
+    @staticmethod
+    def _agree(group, model, m=1):
+        got = _decompose_outcome(group, model, m)
+        assert _decompose_outcome(group, model, m,
+                                  oracles.decompose_by_matrices) == got
+        return got
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_every_swap_relabel_and_the_reversal(self, n):
+        model = ConicBundleModel(n)
+        models = [*_swap_relabels(model, range(1 << (n - 1))),
+                  ConicBundleModel(n, tuple(reversed(model.sphere_classes)))]
+        partitions = _partitions(n)
+        for sets in (partitions[0], partitions[len(partitions) // 2],
+                     partitions[-1]):
+            listed = klein_four_group(n, sets)
+            group = generate_group(listed[1:])
+            for model2 in models:
+                assert self._agree(listed, model2).minimal
+                self._agree(group, model2)
+                assert q_invariance_check(model, model2, listed) is \
+                    oracles.q_invariance_by_keys(model, model2, listed) is True
+
+    @pytest.mark.parametrize("n", (8, 9))
+    def test_even_swap_groups_of_conic(self, n):
+        # W(D7) and W(D8), the groups `gsurf conic` reads off its generators
+        got = self._agree(generate_group(_weyl_d_generators(n)),
+                          ConicBundleModel(n))
+        assert got == (InvariantViolation, "minimal bundle with base-trivial"
+                       f" image of order {2 ** (n - 2)}")
+
+    @pytest.mark.parametrize("n", range(4, 8))
+    def test_broken_lists_refused_alike(self, n):
+        rng = random.Random(f"matrix-routes-{n}")
+        model = ConicBundleModel(n)
+        for sets in _partitions(n)[:20]:
+            listed = klein_four_group(n, sets)
+            broken = [_broken_list(listed, rng) for _ in range(4)]
+            broken += [listed[:2] + [g] + listed[2:] for g in _bundle_breakers(n)]
+            for group in broken:
+                assert isinstance(self._agree(group, model), tuple)
+            rev = ConicBundleModel(n, tuple(reversed(model.sphere_classes)))
+            for group in broken[4:]:
+                with pytest.raises(LatticeError) as want:
+                    oracles.q_invariance_by_keys(model, rev, group)
+                with pytest.raises(LatticeError) as got:
+                    q_invariance_check(model, rev, group)
+                assert str(got.value) == str(want.value)
+
+    def test_one_fiber_action_per_isometry_and_model(self, monkeypatch,
+                                                     tmp_path):
+        calls = []
+        read = gsurf.gconic.fiber_action
+
+        def spy(g, model):
+            calls.append((g.key(), model))
+            return read(g, model)
+        monkeypatch.setattr(gsurf.gconic, "fiber_action", spy)
+        n = 7
+        model = ConicBundleModel(n)
+        rev = ConicBundleModel(n, tuple(reversed(model.sphere_classes)))
+        listed = klein_four_group(n, _partitions(n)[5])
+        gens = _weyl_d_generators(n)
+        decompose(listed, model, 1)
+        assert calls == [(g.key(), model) for g in listed]
+        calls.clear()
+        _decompose_outcome(generate_group(gens), model, 1)
+        assert calls == [(g.key(), model) for g in gens]
+        calls.clear()
+        q_invariance_check(model, rev, listed)
+        assert calls == [(g.key(), m) for g in listed for m in (model, rev)]
+        calls.clear()
+        path = tmp_path / "gens.json"
+        path.write_text(json.dumps([list(map(list, g.mat)) for g in gens]))
+        assert cli.main(["conic", "--gens", str(path)]) == 2
+        assert calls == [(g.key(), model) for g in gens]
 
 
 class TestSigmaPartition:
@@ -874,7 +972,7 @@ class TestQInvariance:
         n = 5
         group = self._group(n) + [full_swap(n)]
         # not closed, but q_subgroup only filters
-        q = q_subgroup(group, ConicBundleModel(n))
+        q = oracles.q_subgroup(group, ConicBundleModel(n))
         assert len(q) == 2  # identity and the full swap
 
     def test_invariance_under_pair_swap(self):

@@ -121,27 +121,6 @@ def _solve_congruence(k: int, c: int, n: int) -> Optional[int]:
     return (c2 * pow(k2, -1, n2)) % n2 if n2 > 1 else 0
 
 
-def build_gamma(n: int, k: int, b: int) -> tuple:
-    """The torus kernel generated by weights (0, 1) of order n/k and (1, b).
-
-    Requires k | n and b^2 + b + 1 = 0 (mod k).  The generator ht1 = (1, b)
-    has order n and first residue 1, while h1 = (0, k) has order n/k and
-    first residue 0, so the two cyclic groups meet only in the identity and
-    the kernel is their direct sum, of order n^2/k, with residues mod n
-
-        {(i, i*b + j*k mod n) : 0 <= i < n, 0 <= j < n/k}.
-
-    For fixed i the second residues are r + j*k with r = i*b mod k, so
-    listing i and then j ascending is already the sorted order.
-    """
-    if n < 1 or k < 1 or n % k:
-        raise LatticeError(f"k = {k} must divide n = {n}")
-    if (b * b + b + 1) % k:
-        raise LatticeError(f"b^2 + b + 1 = {b*b+b+1} is not 0 mod k = {k}")
-    return tuple(TorusElement(i, i * b % k + j * k, n)
-                 for i in range(n) for j in range(n // k))
-
-
 def gamma_generators(n: int, k: int, b: int) -> tuple:
     """The kernel generators h1 = (0, k) and ht1 = (1, b), mod n."""
     return TorusElement(0, k, n), TorusElement(1, b, n)

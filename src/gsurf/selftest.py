@@ -425,14 +425,14 @@ def criterion_13_classifier(quick: bool = False) -> tuple:
             masks = range(1 << n_fibers)
         else:
             masks = [0, (1 << n_fibers) - 1] + [1 << t for t in range(n_fibers)]
+        relabels = list(_swap_relabels(model, masks))
+        model3 = gconic.ConicBundleModel(n, tuple(reversed(model.sphere_classes)))
         for sets in reps:
             group = klein_four_group(n, sets)
-            for model2 in _swap_relabels(model, masks):
+            for model2 in relabels:
                 if not gconic.q_invariance_check(model, model2, group):
                     problems.append(f"Q changed under a relabel at N={n}")
                     break
-            perm_spheres = tuple(reversed(model.sphere_classes))
-            model3 = gconic.ConicBundleModel(n, perm_spheres)
             if not gconic.q_invariance_check(model, model3, group):
                 problems.append(f"Q changed under label reversal at N={n}")
     return problems, "classifier suite verified"

@@ -18,7 +18,7 @@ from __future__ import annotations
 import struct
 from functools import cached_property, lru_cache, reduce
 from itertools import chain, combinations, compress, cycle, permutations
-from math import isqrt
+from math import isqrt, prod
 from operator import itemgetter, matmul, mul
 from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -248,12 +248,11 @@ def generate_group(gens: Sequence[Isometry],
     infinite order in every infinite irreducible Coxeter group (Howlett
     1982), so the affine E8 and the E10 reflections end at once.
 
-    *Factorization.*  Deterministic Schreier-Sims gives a base b1..bk and
-    transversals U1..Uk, Ui holding one element per point of the orbit of
-    bi under the stabilizer of b1..b(i-1).  Every element is uniquely
-    u1 u2 ... uk with ui in Ui (Sims 1970; Seress, *Permutation Group
-    Algorithms*, 2003, ch. 4), so |G| = |U1| ... |Uk| and multiplying the
-    transversals out lists each element once, with no deduplication.
+    *Factorization.*  ``StabilizerChain`` gives a base b1..bk and
+    transversals U1..Uk, Ui holding one element per point of bi's orbit
+    under the stabilizer of b1..b(i-1).  Every element is uniquely
+    u1 ... uk with ui in Ui (Sims 1970), so |G| = |U1| ... |Uk| and
+    multiplying the transversals out lists each element once.
 
     *Rows.*  The transversals are multiplied out as permutations,
     keeping only the images of the seeds.  Each product h is listed as
@@ -276,13 +275,17 @@ def group_order_via_chain(gens: Sequence[Isometry]) -> int:
     Defined for 3 <= N <= 8 and generators fixing K.  K's orthogonal
     complement is then negative definite, so the group is finite and the
     chain runs with no limit: W(E8) has 696,729,600 elements, above
-    ``generate_group``'s default limit.
+    ``generate_group``'s default limit.  K is checked first, with integer
+    row sums, so a generator moving it is refused before any orbit grows.
     """
     if gens:
         root_system_type(gens[0].n)
-        k = canonical_class(gens[0].n)
-        if not all(g.fixes(k) for g in gens):
-            raise LatticeError("generators must fix the canonical class")
+        k = [-3] + [1] * gens[0].n  # row . K = sum(row) - 4 row[0]
+        for g in gens:
+            if g.dim != len(k):
+                raise LatticeError("dimension mismatch")
+            if [sum(row) - 4 * row[0] for row in g.mat] != k:
+                raise LatticeError("generators must fix the canonical class")
     return generate_group(gens, None).order
 
 
@@ -303,8 +306,7 @@ def _basis_chain(gens: Sequence[Isometry], limit: Optional[int]):
     pts, orbit, perms, moves_k, largest = _orbits([g.mat for g in gens], limit)
     chain = StabilizerChain(len(orbit), limit,
                             seeds=dim if moves_k else dim - 1)
-    for p in perms:
-        chain.add(p)
+    chain.add_all(perms)
     return chain, pts, orbit, moves_k, largest
 
 
@@ -454,12 +456,9 @@ def weyl_group(n: int, limit: Optional[int] = 10_000_000) -> FiniteIsometryGroup
 # ---------------------------------------------------------------------------
 
 def _pcompose(p: tuple, q: tuple) -> tuple:
-    """Product acting as q first, then p; q must have length >= 2.
-
-    q is a permutation or its images of the seeds.  Every permutation the
-    chain composes has degree >= 2, since a non-identity permutation
-    moves at least two points, and the chain sifts at least two images.
-    """
+    """Product acting as q first, then p.  q, a permutation or its images
+    of the seeds, has length >= 2: a non-identity permutation moves two
+    points, and the chain sifts at least two images."""
     return itemgetter(*q)(p)
 
 
@@ -471,13 +470,15 @@ def _pinv(p: tuple) -> tuple:
 
 
 class StabilizerChain:
-    """Deterministic Schreier-Sims over a faithful permutation action.
+    """Deterministic Schreier-Sims over a faithful permutation action
+    (Seress, *Permutation Group Algorithms*, 2003, ch. 4).
 
-    Level i stores the strong generators whose first moved base point is
-    base[i]; the generating set effective at level i is the union over all
-    levels >= i, since deeper generators also stabilize the prefix.  Each
-    transversal element and each strong generator is stored with its
-    inverse, so sifting never inverts a permutation.
+    ``add_all`` puts each generator, as later each residue, at the level of
+    its first moved base point (or appends that point), then completes the
+    levels once each, deepest first.  Level i acts by the generators of
+    all levels >= i.  Points are only appended, so a level counts, per
+    generator, the points whose Schreier generators it has sifted.  Every
+    element is stored with its inverse, so sifting inverts nothing.
 
     *Seeds.*  The action must be faithful on the points ``0..seeds-1``
     (all points by default).  Two facts follow, and the Schreier
@@ -506,42 +507,40 @@ class StabilizerChain:
         self.transversals: List[dict] = []
         self._assigned_inv: List[List[tuple]] = []
         self._inverses: List[dict] = []
-        self._done: List[set] = []
+        self._counts: List[dict] = []
         self._id = tuple(range(degree))
         # an element fixing the seeds fixes every point; sifting at least
         # two keeps each itemgetter result a tuple (see _pcompose)
         self._sifted = min(max(degree if seeds is None else seeds, 2), degree)
 
     def order(self) -> int:
-        o = 1
-        for t in self.transversals:
-            o *= len(t)
-        return o
+        return prod(map(len, self.transversals))
 
-    def add(self, perm: tuple) -> None:
-        if len(perm) != self.degree:
-            raise LatticeError("permutation degree mismatch")
-        residue, at = self._strip(0, perm)
-        if residue == self._id:
-            return
-        self._assign(at, residue)
-        for i in range(at, -1, -1):
+    def add_all(self, perms: Sequence[tuple]) -> None:
+        for perm in dict.fromkeys(perms):
+            if len(perm) != self.degree:
+                raise LatticeError("permutation degree mismatch")
+            if perm != self._id:
+                self._assign(perm)
+        for i in range(len(self.base) - 1, -1, -1):
             self._complete(i)
 
     def contains(self, perm: tuple) -> bool:
-        residue, _ = self._strip(0, perm)
-        return residue == self._id
+        return self._strip(0, perm) == self._id
 
-    def _strip(self, start: int, p: tuple):
+    def _strip(self, start: int, p: tuple) -> tuple:
         """Sift ``p``, a full permutation or its images of the seeds."""
         for i in range(start, len(self.base)):
             uinv = self._inverses[i].get(p[self.base[i]])
             if uinv is None:
-                return p, i
+                break
             p = _pcompose(uinv, p)
-        return p, len(self.base)
+        return p
 
-    def _assign(self, at: int, gen: tuple) -> None:
+    def _assign(self, gen: tuple) -> int:
+        # a residue maps its level's base point out of the orbit: it is new
+        at = next((i for i, b in enumerate(self.base) if gen[b] != b),
+                  len(self.base))
         if at == len(self.base):
             beta = next(i for i, v in enumerate(gen) if v != i)
             self.base.append(beta)
@@ -549,10 +548,10 @@ class StabilizerChain:
             self._assigned_inv.append([])
             self.transversals.append({beta: self._id})
             self._inverses.append({beta: self._id})
-            self._done.append(set())
-        if gen not in self.assigned[at]:
-            self.assigned[at].append(gen)
-            self._assigned_inv[at].append(_pinv(gen))
+            self._counts.append({})
+        self.assigned[at].append(gen)
+        self._assigned_inv[at].append(_pinv(gen))
+        return at
 
     def _extend_orbit(self, i: int) -> None:
         trans, inverses = self.transversals[i], self._inverses[i]
@@ -571,33 +570,30 @@ class StabilizerChain:
             raise LimitExceeded(f"group closure exceeded limit {self.limit}")
 
     def _complete(self, i: int) -> None:
-        """Process Schreier generators until level i verifies.
+        """Sift Schreier generators until level i verifies.
 
         Assumes deeper levels are complete on entry and re-completes any
         level it adds generators to, so the invariant holds on exit.
         """
         sifted = self._sifted
         ident = self._id[:sifted]
+        trans, inverses = self.transversals[i], self._inverses[i]
+        counts = self._counts[i]
         while True:
             self._extend_orbit(i)
-            trans, inverses = self.transversals[i], self._inverses[i]
-            done = self._done[i]
+            points = list(trans)
             progressed = False
             for j, idx, g in [(j, idx, g) for j in range(i, len(self.base))
                               for idx, g in enumerate(self.assigned[j])]:
-                for pt in list(trans):
-                    mark = (pt, j, idx)
-                    if mark in done:
-                        continue
-                    done.add(mark)
+                start, counts[j, idx] = counts.get((j, idx), 0), len(points)
+                for pt in points[start:]:
                     # u_{g(pt)}^-1 g u_pt on the seeds
                     back = inverses[g[pt]]
                     s = _pcompose(back, _pcompose(g, trans[pt][:sifted]))
-                    if s == ident or self._strip(i + 1, s)[0] == ident:
+                    if s == ident or self._strip(i + 1, s) == ident:
                         continue
-                    residue, at = self._strip(
-                        i + 1, _pcompose(back, _pcompose(g, trans[pt])))
-                    self._assign(at, residue)
+                    at = self._assign(self._strip(
+                        i + 1, _pcompose(back, _pcompose(g, trans[pt]))))
                     for jj in range(at, i, -1):
                         self._complete(jj)
                     progressed = True
@@ -658,10 +654,12 @@ def _fixed_sublattice(gens: Sequence[Isometry]):
     if not gens:
         raise LatticeError("at least one generator required")
     dim = gens[0].dim
-    rows = [[v - (i == j) for j, v in enumerate(row)]
-            for g in gens for i, row in enumerate(g.mat)]
+    # a zero row of g - I is a no-op in integer_kernel's column operations
+    rows = [r for g in gens for i, row in enumerate(g.mat)
+            if any(r := [v - (i == j) for j, v in enumerate(row)])]
     kernel = integer_kernel(rows, dim)
-    return len(kernel), tuple(CohClass(v) for v in kernel)
+    # trusted: integer_kernel returns int tuples of length dim >= 2
+    return len(kernel), tuple(map(CohClass._trusted, kernel))
 
 
 def trace_sum_condition(group: FiniteIsometryGroup):

@@ -9,11 +9,13 @@ m-scan of the largest swap-closed section, the section identity through
 the lattice pairing, the expansion of each multiset through all of its
 n! orderings, cone membership by exact ``Fraction`` areas, reducedness by
 minimal exceptional areas beside the coefficient inequalities, the
-breadth-first closures of the hexagon subgroups, the monomial
-groups and torus kernels, torus elements as ``Fraction`` angles in Q/Z
+breadth-first closures of the hexagon subgroups and the monomial
+groups, torus elements as ``Fraction`` angles in Q/Z
 beside the package's integer residues, the bundle isometries pushed
 through ``CohClass`` arithmetic, a stabilizer chain on the roots beside the library's chain on
-the orbits of the basis classes, traces read off an int64 copy of a
+the orbits of the basis classes, the order of a parabolic subgroup of
+W(E7) as a product over the Coxeter components, the invariant lattice
+from every row of the stacked g - I, traces read off an int64 copy of a
 group's listing, and a bundle group's P, Q and minimality read off the
 columns of its listing, or off a plain list checked for closure product
 by product).  The conic-bundle classifier's matrix routes are here too:
@@ -52,13 +54,12 @@ from gsurf.gconic import (
 from gsurf.hexagon import (
     HexagonSubgroup,
     MonomialGroupElement,
-    TorusElement,
     _imprimitive_generators,
-    gamma_generators,
     propagate_rotation,
 )
 from gsurf.lattice import CohClass, Isometry, canonical_class, pairing, unit
-from gsurf.weyl import FiniteIsometryGroup, StabilizerChain, all_roots
+from gsurf.weyl import (FiniteIsometryGroup, StabilizerChain, all_roots,
+                        integer_kernel)
 
 
 def raw_pairing(x, y):
@@ -419,12 +420,6 @@ def monomial_group_by_closure(kind, n, k=None, s=None):
     gens = _imprimitive_generators(kind, n, k, s)[0]
     seen = _bfs(MonomialGroupElement.identity(n), gens)
     return tuple(sorted(seen, key=MonomialGroupElement.sort_key))
-
-
-def torus_kernel_by_closure(n, k, b):
-    """Sorted elements of the torus kernel, closed breadth-first."""
-    seen = _bfs(TorusElement.identity(n), gamma_generators(n, k, b))
-    return tuple(sorted(seen, key=TorusElement.sort_key))
 
 
 @dataclass(frozen=True)
@@ -844,6 +839,56 @@ def root_chain(gens):
         raise LatticeError("the root action is faithful only when K is fixed")
     roots = all_roots(n)
     chain = StabilizerChain(len(roots))
-    for p in apply_route(gens, roots):
-        chain.add(p)
+    chain.add_all(apply_route(gens, roots))
     return chain
+
+
+# The E7 Coxeter diagram on ``simple_reflections(7)``: root 0 is
+# H - E1 - E2 - E3 and joins root 3; root i is Ei - E(i+1).
+E7_EDGES = frozenset({(0, 3)} | {(i, i + 1) for i in range(1, 6)})
+
+
+def parabolic_order(nodes):
+    """|W_J| for a set J of E7's simple reflections: the product over the
+    connected components of J of |W(A_k)| = (k+1)!, |W(D_k)| =
+    2^(k-1) k!, |W(E6)| = 51,840 or |W(E7)| = 2,903,040, the type read off
+    the arm lengths at the branch node."""
+    nbrs = {v: {w for e in E7_EDGES if v in e for w in e if w != v} & set(nodes)
+            for v in nodes}
+    todo, order = set(nodes), 1
+    while todo:
+        comp, stack = set(), [todo.pop()]
+        while stack:
+            v = stack.pop()
+            comp.add(v)
+            stack += nbrs[v] - comp
+        todo -= comp
+        k = len(comp)
+        branch = [v for v in comp if len(nbrs[v]) == 3]
+        if not branch:
+            order *= factorial(k + 1)
+            continue
+        arms = []
+        for start in nbrs[branch[0]]:
+            prev, cur, length = branch[0], start, 1
+            while len(nbrs[cur]) == 2:
+                prev, cur = cur, next(iter(nbrs[cur] - {prev}))
+                length += 1
+            arms.append(length)
+        arms.sort()
+        if arms[:2] == [1, 1]:
+            order *= 2 ** (k - 1) * factorial(k)
+        else:
+            order *= {(1, 2, 2): 51840, (1, 2, 3): 2903040}[tuple(arms)]
+    return order
+
+
+def invariant_lattice_all_rows(gens):
+    """(rank, basis) of the sublattice every generator fixes, from the
+    kernel of every row of the stacked g - I, zero rows included, with
+    each basis vector validated as a ``CohClass``."""
+    dim = gens[0].dim
+    rows = [[v - (i == j) for j, v in enumerate(row)]
+            for g in gens for i, row in enumerate(g.mat)]
+    kernel = integer_kernel(rows, dim)
+    return len(kernel), tuple(CohClass(v) for v in kernel)

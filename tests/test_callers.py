@@ -29,9 +29,6 @@ ALLOWED_UNCALLED = {
         "the gap coordinate of a class on the slice -K + delta*F, the"
         " inverse of slice_point; the exact slice threshold and the"
         " equivariant cone are stated in it (ROADMAP items 2 and 11)",
-    "hexagon.build_gamma":
-        "the torus kernel as a sorted listing, which README's performance"
-        " notes time against the breadth-first closure",
     "lattice.is_reduced_class":
         "reduced form, the stopping test of ROADMAP item 10",
 }

@@ -10,7 +10,6 @@ from gsurf.hexagon import (
     KIND_GTN32,
     MonomialGroupElement,
     TorusElement,
-    build_gamma,
     g2_action_check,
     g3_conjugation_check,
     gamma_generators,
@@ -157,37 +156,10 @@ class TestTorusAgainstAngles:
 
 
 class TestGamma:
-    def test_orders(self):
-        assert len(build_gamma(5, 1, 0)) == 25
-        assert len(build_gamma(3, 3, 1)) == 3
-        assert len(build_gamma(6, 3, 1)) == 12
-
     def test_generator_orders(self):
         h1, ht1 = gamma_generators(6, 3, 1)
         assert h1.order == 2      # n/k
         assert ht1.order == 6     # n
-
-    def test_bad_divisor(self):
-        with pytest.raises(LatticeError):
-            build_gamma(4, 3, 1)
-
-    def test_bad_congruence(self):
-        with pytest.raises(LatticeError):
-            build_gamma(9, 3, 0)  # 0 + 0 + 1 is not 0 mod 3
-
-    def test_direct_sum_matches_the_closure(self):
-        for n in range(1, 25):
-            for k in range(1, n + 1):
-                if n % k:
-                    continue
-                for b in range(n):
-                    if (b * b + b + 1) % k == 0:
-                        assert build_gamma(n, k, b) == \
-                            oracles.torus_kernel_by_closure(n, k, b), (n, k, b)
-
-    def test_residue_of_b_is_irrelevant(self):
-        assert build_gamma(7, 1, -3) == build_gamma(7, 1, 4)
-        assert build_gamma(9, 3, 7 + 9) == build_gamma(9, 3, 7)
 
 
 class TestG2Action:

@@ -584,6 +584,32 @@ class TestChain:
                            match="^generators must fix the canonical class$"):
             group_order_via_chain([minus])
 
+    def test_k_checked_before_the_orbits(self, monkeypatch):
+        def no_orbits(mats, limit):
+            raise AssertionError("orbits grown before the K check")
+
+        monkeypatch.setattr(gsurf.weyl, "_orbits", no_orbits)
+        moved = reflection(CohClass((0, -1, -1, 0, 0, 0)))
+        with pytest.raises(LatticeError,
+                           match="^generators must fix the canonical class$"):
+            group_order_via_chain(list(simple_reflections(5)) + [moved])
+        with pytest.raises(LatticeError, match="^dimension mismatch$"):
+            group_order_via_chain([simple_reflections(5)[0],
+                                   simple_reflections(6)[0]])
+
+    def test_e7_parabolic_orders(self):
+        # every nonempty set J of simple reflections: |W_J| in closed form
+        refl = simple_reflections(7)
+        subsets = [nodes for r in range(1, 8)
+                   for nodes in itertools.combinations(range(7), r)]
+        assert len(subsets) == 127
+        for nodes in subsets:
+            gens = [refl[i] for i in nodes]
+            order = oracles.parabolic_order(nodes)
+            assert group_order_via_chain(gens) == order, nodes
+            assert oracles.root_chain(gens).order() == order, nodes
+        assert oracles.parabolic_order(range(7)) == 2903040
+
     def test_chain_membership(self):
         chain = oracles.root_chain(simple_reflections(4))
         perms = oracles.apply_route([reflection(h_ijk(4, 2, 3, 4))],
@@ -623,14 +649,12 @@ class TestChain:
     def test_limit_stops_the_chain(self):
         perms = oracles.apply_route(simple_reflections(6), all_roots(6))
         chain = StabilizerChain(72, 51840)
-        for p in perms:
-            chain.add(p)
+        chain.add_all(perms)
         assert chain.order() == 51840
         chain = StabilizerChain(72, 1000)
         with pytest.raises(LimitExceeded,
                            match="^group closure exceeded limit 1000$"):
-            for p in perms:
-                chain.add(p)
+            chain.add_all(perms)
         assert chain.order() <= 51840
 
     def test_limit_stops_the_seeded_chain(self):
@@ -643,14 +667,12 @@ class TestChain:
                 chain = StabilizerChain(len(pts), 1000, seeds=s)
                 with pytest.raises(LimitExceeded,
                                    match="^group closure exceeded limit 1000$"):
-                    for p in perms:
-                        chain.add(p)
+                    chain.add_all(perms)
                 assert 1000 < chain.order() <= order
                 states.append(_chain_bytes(chain))
             assert states[0] == states[1]
             chain = StabilizerChain(len(pts), order, seeds=seeds)
-            for p in perms:
-                chain.add(p)
+            chain.add_all(perms)
             assert chain.order() == order
 
     def test_e8_chain_shape(self):
@@ -686,9 +708,8 @@ def _assert_seeded_chain_is_full_chain(gens):
     chain, seeds, pts, perms = _orbit_perms(gens)
     full = StabilizerChain(len(pts))
     seeded = StabilizerChain(len(pts), seeds=seeds)
-    for p in perms:
-        full.add(p)
-        seeded.add(p)
+    full.add_all(perms)
+    seeded.add_all(perms)
     assert _chain_bytes(seeded) == _chain_bytes(full)
     assert _chain_bytes(chain) == _chain_bytes(full)
     assert set(full.base) <= set(range(seeds))
@@ -737,7 +758,7 @@ class TestSeededChain:
         # a 1-tuple of seed images would be an int: at least two are sifted
         cycle = (1, 2, 3, 0)
         chain = StabilizerChain(4, seeds=1)
-        chain.add(cycle)
+        chain.add_all([cycle])
         assert (chain.order(), chain.base) == (4, [0])
         assert chain.contains((2, 3, 0, 1))
 
@@ -827,6 +848,21 @@ class TestInvariantLattice:
         s = reflection(CohClass((0, 1, -1, 0, 0, 0)))
         rank, _ = invariant_lattice([s])
         assert rank == 5
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_matches_the_every_row_route(self, n):
+        rng = random.Random(700 + n)
+        moved = reflection(CohClass((0, -1, -1) + (0,) * (n - 2)))
+        sets = [_random_gens(rng, n, count) for count in (1, 2, 3) * 4]
+        sets += [[Isometry.identity(n)], [_minus(n)],
+                 [_minus(n)] + list(simple_reflections(n)),
+                 [moved] + list(simple_reflections(n)[1:]),
+                 [Isometry.identity(n)] + _random_gens(rng, n, 2)]
+        for gens in sets:
+            want = oracles.invariant_lattice_all_rows(gens)
+            assert invariant_lattice(gens) == want
+            if n <= 6:
+                assert invariant_lattice(generate_group(gens)) == want
 
     def test_computed_once_per_group(self, monkeypatch):
         calls = []

@@ -41,8 +41,16 @@ def _dump(obj) -> str:
 
 
 def _digest(inputs: dict) -> str:
-    import hashlib  # only reports need it; `schema` and `--help` do not
-    return hashlib.sha256(_dump(inputs).encode()).hexdigest()
+    # The builtin sha256, as CPython's `random` takes its sha512: hashlib
+    # would load the OpenSSL binding, milliseconds of every report call.
+    try:
+        from _sha2 import sha256  # CPython 3.12 on
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256(_dump(inputs).encode()).hexdigest()
 
 
 def _report(argv, inputs: dict, results: dict, timing=None) -> str:

@@ -201,11 +201,7 @@ class ConeSlice(_Frozen):
                  last_outside: Optional[Fraction],
                  first_member: Optional[Fraction]):
         check_fiber(k0, fiber)
-        object.__setattr__(self, "k0", k0)
-        object.__setattr__(self, "fiber", fiber)
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "last_outside", last_outside)
-        object.__setattr__(self, "first_member", first_member)
+        super().__init__(k0, fiber, samples, last_outside, first_member)
 
     def to_json(self):
         return {

@@ -31,8 +31,10 @@ class _Frozen:
 
     Instances of one class are equal when their fields are, the hash is
     that of the tuple of the fields, and the repr is ``Name(field=value,
-    ...)``.  A subclass sets its attributes with ``object.__setattr__``;
-    any other assignment or deletion raises AttributeError.
+    ...)``.  The inherited initializer stores its arguments in ``_fields``
+    order; a subclass that checks or computes its fields defines its own
+    and sets them with ``object.__setattr__``.  Any other assignment or
+    deletion raises AttributeError.
     """
 
     __slots__ = ()
@@ -41,6 +43,10 @@ class _Frozen:
     def __init_subclass__(cls):
         # An attrgetter is no descriptor, so self._get is the getter itself.
         cls._get = attrgetter(*cls._fields)
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -52,12 +52,6 @@ class ExceptionalSet(_Frozen):
 
     __slots__ = _fields = ("n", "classes", "complete", "max_degree")
 
-    def __init__(self, n: int, classes: tuple, complete: bool, max_degree: int):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "classes", classes)
-        object.__setattr__(self, "complete", complete)
-        object.__setattr__(self, "max_degree", max_degree)
-
     def __iter__(self):
         return iter(self.classes)
 

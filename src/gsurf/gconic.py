@@ -14,15 +14,12 @@ from __future__ import annotations
 
 import itertools
 from operator import mul, ne, sub
-from typing import TYPE_CHECKING, Iterable, List, NamedTuple, Optional, Sequence
+from typing import Iterable, List, NamedTuple, Optional, Sequence
 
 from .errors import InvariantViolation, LatticeError, _Frozen
 from .lattice import (CohClass, Isometry, canonical_class, fiber_class, pairing,
                       unit)
 from .weyl import FiniteIsometryGroup
-
-if TYPE_CHECKING:
-    import numpy as np
 
 CASE_CYCLIC_CORE = "cyclic-core"
 CASE_INVOLUTION = "involution"
@@ -117,14 +114,6 @@ class FiberAction(_Frozen):
     def identity(cls, size: int) -> "FiberAction":
         return cls._trusted(tuple(range(2, 2 + size)), (1,) * size)
 
-    def is_base_trivial(self) -> bool:
-        return self.pi == tuple(range(2, 2 + len(self.pi)))
-
-    def sigma(self) -> tuple:
-        """Fiber labels whose pair is preserved componentwise."""
-        return tuple(j for t, j in enumerate(range(2, 2 + len(self.pi)))
-                     if self.pi[t] == j and self.eps[t] == 1)
-
     def compose(self, other: "FiberAction") -> "FiberAction":
         """Action of g @ h given self = action(g), other = action(h); trusted,
         as permutations compose to one and +1/-1 flags multiply to one."""
@@ -205,17 +194,20 @@ def full_swap(n: int) -> Isometry:
     return matrix_from_fiber_action(tuple(range(2, n + 1)), (-1,) * (n - 1), n)
 
 
-def _is_minimal(actions: Iterable[FiberAction], model: ConicBundleModel) -> bool:
-    """Every fiber is switched by some element fixing that fiber: the
-    fibers an action switches are its swap mask on the fixed points of
-    pi."""
+def _is_minimal(lifts: Iterable[FiberAction], q_masks: Iterable[int],
+                model: ConicBundleModel) -> bool:
+    """Every fiber is switched by some element fixing that fiber: an
+    element of Q fixes every fiber and switches those of its swap mask, a
+    lift those of its mask on the fixed points of pi."""
     needed = (1 << (model.n_blowups - 1)) - 1
-    for act in actions:
+    for v in q_masks:
+        needed &= ~v
+    for act in lifts:
+        if not needed:
+            break
         fixed = sum([1 << t for t, p in enumerate(act.pi) if p == t + 2])
         needed &= ~(act.mask & fixed)
-        if not needed:
-            return True
-    return False
+    return not needed
 
 
 class GroupDecomposition(NamedTuple):
@@ -299,8 +291,9 @@ def decompose(group, model: ConicBundleModel, g0_order: int = 1) -> GroupDecompo
     exactly when p(j) = j, and then its flag there is l_p.eps_j q.eps_j,
     so some element switches fiber j exactly when some lift fixing j or
     some element of Q switches it: ``_is_minimal`` over the lifts and
-    Q's actions is exact.  Each element of Q is an involution, as its
-    square's mask is m ^ m = 0.
+    Q's masks is exact.  Each element of Q is an involution, as its
+    square's mask is m ^ m = 0, and its sigma set, the fibers whose two
+    spheres it preserves, is the zero bits of its mask.
 
     Structures incompatible with the classification of minimal bundles are
     reported as InvariantViolation: they cannot arise from a group action
@@ -339,11 +332,13 @@ def _decompose(elements, actions, order, model, m):
     if generated:
         q_pairs = _q_pairs(span, model)
     else:
-        q_pairs = [(g, a) for g, a in zip(elements, actions) if a.pi == labels]
+        q_pairs = [(g, a.mask) for g, a in zip(elements, actions)
+                   if a.pi == labels]
     q = tuple(g for g, _ in q_pairs)
     p_structure = tuple(sorted(lifts))
-    minimal = _is_minimal([*lifts.values(), *(a for _, a in q_pairs)], model)
-    nontrivial = [a for _, a in q_pairs if a.mask]
+    # on a list, span is Q's masks once closure is checked
+    minimal = _is_minimal(lifts.values(), span, model)
+    nontrivial = [v for _, v in q_pairs if v]
 
     sigma_sets = sigma_sizes = parity = None
     q_image = {1: "trivial", 2: "Z2", 4: "Z2xZ2"}.get(
@@ -352,7 +347,7 @@ def _decompose(elements, actions, order, model, m):
     if m > 1:
         if n % 2 == 0:
             raise LatticeError("a nontrivial core forces an odd number of blowups")
-        full = all(a.mask == (1 << (n - 1)) - 1 for a in nontrivial)
+        full = all(v == (1 << (n - 1)) - 1 for v in nontrivial)
         shape_ok = len(nontrivial) <= 1 and full
         if shape_ok and nontrivial:
             q_abstract = (f"D{2 * m}",)
@@ -372,14 +367,14 @@ def _decompose(elements, actions, order, model, m):
         if len(q) == 2:
             tag = CASE_INVOLUTION if minimal else CASE_NON_MINIMAL
             q_abstract = ("Z2",)
-            sig = nontrivial[0].sigma()
+            sig = _sigma(nontrivial[0], labels)
             sigma_sets = (sig,)
             sigma_sizes = (len(sig),)
             parity = len(sig) % 2 == (n - 1) % 2
         elif len(q) == 4:
             tag = CASE_KLEIN if minimal else CASE_NON_MINIMAL
             q_abstract = ("Z2xZ2",)
-            s1, s2, s3, parity = _sigma_partition(nontrivial, model)
+            s1, s2, s3, parity = _sigma_partition(nontrivial, labels)
             sigma_sets = (s1, s2, s3)
             sigma_sizes = (len(s1), len(s2), len(s3))
         elif minimal:
@@ -434,41 +429,33 @@ def _bundle_structure(actions: Sequence[FiberAction], model: ConicBundleModel,
 
 
 def _q_pairs(span: Sequence[int], model: ConicBundleModel) -> list:
-    """Q's (isometry, action) pairs from its masks, sorted by
+    """Q's (isometry, mask) pairs from its masks, sorted by
     ``Isometry.key``."""
     n = model.n_blowups
     pi = tuple(model.labels())
     fibers = [model.components[unit(n, k).coords][0] - 2 for k in model.labels()]
-    q_pairs = []
-    for v in span:
-        eps = tuple([-1 if v >> t & 1 else 1 for t in range(n - 1)])
-        g = matrix_from_fiber_action(pi, [eps[t] for t in fibers], n)
-        q_pairs.append((g, FiberAction._trusted(pi, eps)))
+    q_pairs = [(matrix_from_fiber_action(
+        pi, [-1 if v >> t & 1 else 1 for t in fibers], n), v) for v in span]
     return sorted(q_pairs, key=lambda pair: pair[0].key())
 
 
-def _sigma_partition(actions: Sequence[FiberAction], model: ConicBundleModel):
+def _sigma(mask: int, labels: Sequence[int]) -> tuple:
+    """The fibers whose two spheres a base-trivial element with this swap
+    mask preserves: the zero bits of the mask."""
+    return tuple(j for t, j in enumerate(labels) if not mask >> t & 1)
+
+
+def _sigma_partition(masks: Sequence[int], labels: Sequence[int]):
     """The fiber partition cut out by the three involutions of a Klein four.
 
-    Sigma_i collects the fibers whose two spheres tau_i preserves, the
-    zero bits of its swap mask; the sets must be pairwise disjoint and
-    each size must be congruent to N - 1 modulo 2.  Overlap means the
-    data admits no group action on the surface and raises
-    InvariantViolation.  A base-trivial action is an involution, and the
-    product of two has the XOR of their masks, so the Klein relation is
-    m1 ^ m2 = m3.  The sets then cover the fibers: a fiber swapped by
-    tau_1 and tau_2 is preserved by tau_3.
+    ``masks`` are the three nonzero swap masks of Q, a 4-element F2 space,
+    so m1 ^ m2 = m3.  Sigma_i collects the fibers whose two spheres tau_i
+    preserves; the sets must be pairwise disjoint and each size must be
+    congruent to N - 1 modulo 2.  Overlap means the data admits no group
+    action on the surface and raises InvariantViolation.  The sets cover
+    the fibers: a fiber swapped by tau_1 and tau_2 is preserved by tau_3.
     """
-    labels = tuple(model.labels())
-    taus = [a for a in actions if a.mask or a.pi != labels]
-    if len(taus) != 3 or len(set(taus)) != 3:
-        raise LatticeError("exactly three distinct involutions expected")
-    if any(a.pi != labels for a in taus):
-        raise LatticeError("involutions must act trivially on the base")
-    if taus[0].mask ^ taus[1].mask != taus[2].mask:
-        raise LatticeError("the involutions do not form a Klein four group")
-    out = [tuple(j for t, j in enumerate(labels) if not a.mask >> t & 1)
-           for a in taus]
+    out = [_sigma(v, labels) for v in masks]
     for i in range(3):
         for j in range(i + 1, 3):
             common = set(out[i]) & set(out[j])
@@ -572,19 +559,6 @@ class SectionIdentityTable(_Frozen):
                            "product", "holds")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
-
-    def __init__(self, n: int, classes: np.ndarray, i: np.ndarray,
-                 j: np.ndarray, r: np.ndarray, m: np.ndarray,
-                 m_prime: np.ndarray, product: np.ndarray, holds: np.ndarray):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "classes", classes)
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "m_prime", m_prime)
-        object.__setattr__(self, "product", product)
-        object.__setattr__(self, "holds", holds)
 
 
 def section_identity_table(n: int, c_min: int = -2,

@@ -97,9 +97,6 @@ class TorusElement(_Frozen):
         """
         return TorusElement(*self.vertex_weights()[(-steps) % 6], self.modulus)
 
-    def sort_key(self):
-        return (self.a, self.b)
-
 
 def g3_conjugation_check(h: TorusElement) -> bool:
     """Conjugation by the 180-degree rotation inverts every torus element.
@@ -225,9 +222,6 @@ class MonomialGroupElement(_Frozen):
     def is_identity(self) -> bool:
         return self.perm == (0, 1, 2) and self.scalars == (0, 0, 0)
 
-    def sort_key(self):
-        return (self.perm, self.scalars)
-
 
 CYCLE = (2, 0, 1)        # [z2, z0, z1]
 SWAP_12 = (0, 2, 1)      # [z0, z2, z1]
@@ -250,15 +244,6 @@ _COMPLEMENT = {KIND_GN: _C3, KIND_GTN: _S3, KIND_GNKS: _C3, KIND_GTN32: _S3}
 
 class MonomialGroup(_Frozen):
     __slots__ = _fields = ("kind", "n", "k", "s", "generators", "elements")
-
-    def __init__(self, kind: str, n: int, k: int, s: int, generators: tuple,
-                 elements: tuple):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "elements", elements)
 
     @property
     def order(self) -> int:

@@ -19,14 +19,15 @@ Everything is exact: integers and ``fractions.Fraction``, never floats.
 All values are immutable and all operations are pure.  The value types,
 here and in the other modules, are plain ``__slots__`` classes on one
 private base, ``errors._Frozen``: each names its compared fields in
-``_fields`` and sets them in its own ``__init__`` (which validates) or
-``_trusted`` (which does not), and the base gives equality, a hash equal
-to that of the tuple of those fields, a ``repr`` listing them, and
-AttributeError on any assignment.  The base sits in the leaf module
-``errors``, so that ``hexagon``, which needs records but no classes,
-starts without compiling this module.  Result records that nothing
-iterates, indexes or compares as a tuple are ``typing.NamedTuple``
-classes instead.  Both are written out rather than generated, as
+``_fields``, and the base gives an initializer that stores its arguments
+in that order, equality, a hash equal to that of the tuple of those
+fields, a ``repr`` listing them, and AttributeError on any assignment.
+A type that validates or computes its fields sets them in its own
+``__init__``, and may add an unchecked ``_trusted`` constructor.  The
+base sits in the leaf module ``errors``, so that ``hexagon``, which
+needs records but no classes, starts without compiling this module.
+Result records that nothing iterates, indexes or compares as a tuple
+are ``typing.NamedTuple`` classes instead.  Both are written out rather than generated, as
 generating them would import ``inspect`` and add milliseconds to the
 start-up of every CLI call.
 """

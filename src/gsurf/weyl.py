@@ -525,9 +525,6 @@ class StabilizerChain:
         for i in range(len(self.base) - 1, -1, -1):
             self._complete(i)
 
-    def contains(self, perm: tuple) -> bool:
-        return self._strip(0, perm) == self._id
-
     def _strip(self, start: int, p: tuple) -> tuple:
         """Sift ``p``, a full permutation or its images of the seeds."""
         for i in range(start, len(self.base)):

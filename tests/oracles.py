@@ -419,7 +419,7 @@ def monomial_group_by_closure(kind, n, k=None, s=None):
     """Sorted elements of a monomial group, closed breadth-first."""
     gens = _imprimitive_generators(kind, n, k, s)[0]
     seen = _bfs(MonomialGroupElement.identity(n), gens)
-    return tuple(sorted(seen, key=MonomialGroupElement.sort_key))
+    return tuple(sorted(seen, key=lambda g: (g.perm, g.scalars)))
 
 
 @dataclass(frozen=True)
@@ -523,7 +523,7 @@ def bundle_data_by_products(elements, model):
         for b in actions:
             if a.compose(b) not in present:
                 raise LatticeError("input group is not closed under products")
-    q = tuple(g for g, a in pairs if a.is_base_trivial())
+    q = tuple(g for g, a in pairs if _is_base_trivial(a))
     lifts = {a.pi: a for a in actions}
     return q, tuple(sorted(lifts)), _is_minimal_by_eps(actions, model)
 
@@ -574,6 +574,16 @@ def fiber_action_by_rows(g, model):
         pi.append(hit[0])
         eps.append(hit[1])
     return FiberAction(tuple(pi), tuple(eps))
+
+
+def _is_base_trivial(a):
+    return a.pi == tuple(range(2, 2 + len(a.pi)))
+
+
+def _sigma_by_eps(a):
+    """Fiber labels whose pair the action preserves componentwise."""
+    return tuple(j for j, p, e in zip(range(2, 2 + len(a.pi)), a.pi, a.eps)
+                 if p == j and e == 1)
 
 
 def _is_minimal_by_eps(actions, model):
@@ -627,13 +637,13 @@ def _sigma_partition_by_eps(actions, model):
     if len(taus) != 3 or len(set(taus)) != 3:
         raise LatticeError("exactly three distinct involutions expected")
     for a in taus:
-        if not a.is_base_trivial():
+        if not _is_base_trivial(a):
             raise LatticeError("involutions must act trivially on the base")
         if a.compose(a) != identity:
             raise LatticeError("non-involution in the base-trivial subgroup")
     if taus[0].compose(taus[1]) != taus[2]:
         raise LatticeError("the involutions do not form a Klein four group")
-    sigmas = [set(a.sigma()) for a in taus]
+    sigmas = [set(_sigma_by_eps(a)) for a in taus]
     for i in range(3):
         for j in range(i + 1, 3):
             common = sigmas[i] & sigmas[j]
@@ -680,7 +690,7 @@ def decompose_by_matrices(group, model, g0_order=1):
             q_pairs.append((g, FiberAction(pi, eps)))
         q_pairs.sort(key=lambda pair: pair[0].key())
     else:
-        q_pairs = [(g, a) for g, a in zip(elements, actions) if a.is_base_trivial()]
+        q_pairs = [(g, a) for g, a in zip(elements, actions) if _is_base_trivial(a)]
     q = tuple(g for g, _ in q_pairs)
     minimal = _is_minimal_by_eps([*lifts.values(), *(a for _, a in q_pairs)], model)
     identity = FiberAction.identity(n - 1)
@@ -713,7 +723,7 @@ def decompose_by_matrices(group, model, g0_order=1):
     elif len(q) == 2:
         tag = CASE_INVOLUTION if minimal else CASE_NON_MINIMAL
         q_abstract = ("Z2",)
-        sig = nontrivial[0].sigma()
+        sig = _sigma_by_eps(nontrivial[0])
         sigma_sets, sigma_sizes = (sig,), (len(sig),)
         parity = len(sig) % 2 == (n - 1) % 2
     elif len(q) == 4:
@@ -734,7 +744,7 @@ def decompose_by_matrices(group, model, g0_order=1):
 def q_subgroup(group, model):
     """Elements leaving each singular fiber invariant (pi = identity)."""
     return tuple(g for g in group
-                 if fiber_action_by_rows(g, model).is_base_trivial())
+                 if _is_base_trivial(fiber_action_by_rows(g, model)))
 
 
 def q_invariance_by_keys(model, model_prime, group):

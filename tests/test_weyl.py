@@ -614,7 +614,7 @@ class TestChain:
         chain = oracles.root_chain(simple_reflections(4))
         perms = oracles.apply_route([reflection(h_ijk(4, 2, 3, 4))],
                                     all_roots(4))
-        assert chain.contains(perms[0])
+        assert chain._strip(0, perms[0]) == chain._id
 
     @pytest.mark.parametrize("n", (3, 4, 5, 6, 7))
     def test_matches_closure_random_subgroups(self, n):
@@ -760,7 +760,7 @@ class TestSeededChain:
         chain = StabilizerChain(4, seeds=1)
         chain.add_all([cycle])
         assert (chain.order(), chain.base) == (4, [0])
-        assert chain.contains((2, 3, 0, 1))
+        assert chain._strip(0, (2, 3, 0, 1)) == chain._id
 
 
 def test_orbit_growth_is_linear_in_the_points(monkeypatch):
@@ -768,15 +768,22 @@ def test_orbit_growth_is_linear_in_the_points(monkeypatch):
     # infinite-order test off, their orbits grow layer by layer until one
     # passes the limit.  Each new point is labelled from a dict of first
     # positions: a list search per point would make a layer quadratic in
-    # its size, about 1.6 s here on a 2-vCPU VM.
+    # its size.  Four times the points should take about four times as
+    # long; the bound is on that ratio of best-of-3 times, taken in turn,
+    # not on a wall time, so a loaded machine does not fail it.  A list
+    # search read about 8, linear labelling 3 to 4.6 (2-vCPU VM).
     monkeypatch.setattr(gsurf.weyl, "_refuse_infinite_order",
                         lambda mats, limit: None)
     mats = [g.mat for g in _affine_reflections(9)]
-    t0 = time.monotonic()
-    with pytest.raises(LimitExceeded,
-                       match="^group closure exceeded limit 64000$"):
-        _orbits(mats, 64000)
-    assert time.monotonic() - t0 < 1
+    best = {16000: float("inf"), 64000: float("inf")}
+    for _ in range(3):
+        for limit in best:
+            t0 = time.perf_counter()
+            with pytest.raises(LimitExceeded,
+                               match=f"^group closure exceeded limit {limit}$"):
+                _orbits(mats, limit)
+            best[limit] = min(best[limit], time.perf_counter() - t0)
+    assert best[64000] / best[16000] < 6
 
 
 class TestPermAction:

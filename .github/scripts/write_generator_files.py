@@ -4,10 +4,10 @@ Usage: PYTHONPATH=src python .github/scripts/write_generator_files.py DIR
 
 Each file in DIR is a JSON array of integer matrices, as `gsurf
 invariants --gens` and `gsurf conic --gens` read: `swap5.json` holds the
-full swap on five blowups, `e6.json` the simple reflections of W(E6), and
-`klein5.json` the three involutions of a Klein four group on five
-blowups.  Only the standard library is needed, so the script runs under
-`python -S`.
+full swap on five blowups, `e6.json` and `e7.json` the simple reflections
+of W(E6) and W(E7), and `klein5.json` the three involutions of a Klein
+four group on five blowups.  Only the standard library is needed, so the
+script runs under `python -S`.
 """
 
 import json
@@ -25,4 +25,5 @@ def dump(name, gens):
 
 dump("swap5", [full_swap(5)])
 dump("e6", simple_reflections(6))
+dump("e7", simple_reflections(7))
 dump("klein5", klein_four_group(5, next(parity_consistent_partitions(5)))[1:])

@@ -7,10 +7,12 @@ handled with one stabilizer chain on the orbits of the basis classes,
 built by ``generate_group``.  The order is read off the chain; the sorted
 elements and their traces are read off its transversals only when asked
 for, so the order alone is feasible for the largest Weyl group.  The
-chain, the order and ``group_sum`` run on Python ints.  numpy is imported
-only by the ``listing`` module, which builds the arrays behind
-``element_array()``, iteration and ``trace_vector()``; ``gsurf weyl``,
-``invariants`` and ``conic``, which list no group, load neither.
+chain holds each permutation of at most 256 points as a 256-byte table,
+composed by ``bytes.translate``, and a larger one as a tuple; the order
+and ``group_sum`` run on Python ints.  numpy is imported only by the
+``listing`` module, which builds the arrays behind ``element_array()``,
+iteration and ``trace_vector()``; ``gsurf weyl``, ``invariants`` and
+``conic``, which list no group, load neither.
 """
 
 from __future__ import annotations
@@ -187,8 +189,8 @@ class FiniteIsometryGroup:
         k = (-3,) + (1,) * n
         if not moves_k and n * largest + 3 > 3 * _MAX_ENTRY:
             for trans in transversals:
-                for u in trans.values():
-                    h = map(sum, zip(*map(pts.__getitem__, u[:n])))
+                for u in _images(trans, n):
+                    h = map(sum, zip(*map(pts.__getitem__, u)))
                     if any(abs(v - c) > 3 * _MAX_ENTRY for v, c in zip(h, k)):
                         raise LimitExceeded(_RANGE_MESSAGE)
         orbits = {}
@@ -455,10 +457,17 @@ def weyl_group(n: int, limit: Optional[int] = 10_000_000) -> FiniteIsometryGroup
 # Schreier-Sims
 # ---------------------------------------------------------------------------
 
-def _pcompose(p: tuple, q: tuple) -> tuple:
-    """Product acting as q first, then p.  q, a permutation or its images
-    of the seeds, has length >= 2: a non-identity permutation moves two
-    points, and the chain sifts at least two images."""
+# An action on at most this many points holds each permutation as a table
+# of 256 bytes, the images followed by the identity on the unused bytes.
+_TABLE_POINTS = 256
+_TABLE_ID = bytes(range(_TABLE_POINTS))
+
+
+def _pcompose(q: tuple, p: tuple) -> tuple:
+    """Product acting as q first, then p, on tuples: ``bytes.translate``'s
+    argument order.  q, a permutation or its images of the seeds, has
+    length >= 2: a non-identity permutation moves two points, and the
+    chain sifts at least two images."""
     return itemgetter(*q)(p)
 
 
@@ -467,6 +476,16 @@ def _pinv(p: tuple) -> tuple:
     for i, pi in enumerate(p):
         inv[pi] = i
     return tuple(inv)
+
+
+def _tinv(p: bytes) -> bytes:
+    return bytes.maketrans(p, _TABLE_ID)
+
+
+def _images(trans: dict, count: int) -> List[tuple]:
+    """Each element of a chain's transversal as its images of the points
+    0..count-1, in the transversal's order."""
+    return [tuple(u[:count]) for u in trans.values()]
 
 
 class StabilizerChain:
@@ -479,6 +498,14 @@ class StabilizerChain:
     all levels >= i.  Points are only appended, so a level counts, per
     generator, the points whose Schreier generators it has sifted.  Every
     element is stored with its inverse, so sifting inverts nothing.
+
+    *Permutations.*  On at most 256 points a permutation is a 256-byte
+    table, its images padded with the identity: ``bytes.translate``
+    composes two, ``bytes.maketrans`` inverts one, both in C.  On more
+    points it is a tuple, composed with ``operator.itemgetter``.  The two
+    differ only in ``_compose``, ``_invert`` and ``_id``; ``add_all``
+    converts each generator once, and ``_images`` reads a transversal
+    back as tuples.
 
     *Seeds.*  The action must be faithful on the points ``0..seeds-1``
     (all points by default).  Two facts follow, and the Schreier
@@ -503,12 +530,17 @@ class StabilizerChain:
         self.degree = degree
         self.limit = limit
         self.base: List[int] = []
-        self.assigned: List[List[tuple]] = []
+        self.assigned: List[list] = []
         self.transversals: List[dict] = []
-        self._assigned_inv: List[List[tuple]] = []
+        self._assigned_inv: List[list] = []
         self._inverses: List[dict] = []
         self._counts: List[dict] = []
-        self._id = tuple(range(degree))
+        if degree <= _TABLE_POINTS:
+            self._id, self._compose, self._invert = \
+                _TABLE_ID, bytes.translate, _tinv
+        else:
+            self._id, self._compose, self._invert = \
+                tuple(range(degree)), _pcompose, _pinv
         # an element fixing the seeds fixes every point; sifting at least
         # two keeps each itemgetter result a tuple (see _pcompose)
         self._sifted = min(max(degree if seeds is None else seeds, 2), degree)
@@ -520,21 +552,28 @@ class StabilizerChain:
         for perm in dict.fromkeys(perms):
             if len(perm) != self.degree:
                 raise LatticeError("permutation degree mismatch")
+            perm = self._table(perm)
             if perm != self._id:
                 self._assign(perm)
         for i in range(len(self.base) - 1, -1, -1):
             self._complete(i)
 
-    def _strip(self, start: int, p: tuple) -> tuple:
+    def _table(self, perm: Sequence[int]):
+        """``perm``, its images of the points in order, as the chain holds
+        a permutation."""
+        return type(self._id)(perm) + self._id[self.degree:]
+
+    def _strip(self, start: int, p):
         """Sift ``p``, a full permutation or its images of the seeds."""
+        compose = self._compose
         for i in range(start, len(self.base)):
             uinv = self._inverses[i].get(p[self.base[i]])
             if uinv is None:
                 break
-            p = _pcompose(uinv, p)
+            p = compose(p, uinv)
         return p
 
-    def _assign(self, gen: tuple) -> int:
+    def _assign(self, gen) -> int:
         # a residue maps its level's base point out of the orbit: it is new
         at = next((i for i, b in enumerate(self.base) if gen[b] != b),
                   len(self.base))
@@ -547,11 +586,12 @@ class StabilizerChain:
             self._inverses.append({beta: self._id})
             self._counts.append({})
         self.assigned[at].append(gen)
-        self._assigned_inv[at].append(_pinv(gen))
+        self._assigned_inv[at].append(self._invert(gen))
         return at
 
     def _extend_orbit(self, i: int) -> None:
         trans, inverses = self.transversals[i], self._inverses[i]
+        compose = self._compose
         gens = [pair for j in range(i, len(self.base))
                 for pair in zip(self.assigned[j], self._assigned_inv[j])]
         queue = list(trans)
@@ -560,8 +600,8 @@ class StabilizerChain:
             for g, ginv in gens:
                 img = g[pt]
                 if img not in trans:
-                    trans[img] = _pcompose(g, upt)
-                    inverses[img] = _pcompose(uinv, ginv)
+                    trans[img] = compose(upt, g)
+                    inverses[img] = compose(ginv, uinv)
                     queue.append(img)
         if self.limit is not None and self.order() > self.limit:
             raise LimitExceeded(f"group closure exceeded limit {self.limit}")
@@ -572,7 +612,7 @@ class StabilizerChain:
         Assumes deeper levels are complete on entry and re-completes any
         level it adds generators to, so the invariant holds on exit.
         """
-        sifted = self._sifted
+        sifted, compose = self._sifted, self._compose
         ident = self._id[:sifted]
         trans, inverses = self.transversals[i], self._inverses[i]
         counts = self._counts[i]
@@ -586,11 +626,11 @@ class StabilizerChain:
                 for pt in points[start:]:
                     # u_{g(pt)}^-1 g u_pt on the seeds
                     back = inverses[g[pt]]
-                    s = _pcompose(back, _pcompose(g, trans[pt][:sifted]))
+                    s = compose(compose(trans[pt][:sifted], g), back)
                     if s == ident or self._strip(i + 1, s) == ident:
                         continue
                     at = self._assign(self._strip(
-                        i + 1, _pcompose(back, _pcompose(g, trans[pt]))))
+                        i + 1, compose(compose(trans[pt], g), back)))
                     for jj in range(at, i, -1):
                         self._complete(jj)
                     progressed = True

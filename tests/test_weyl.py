@@ -22,6 +22,7 @@ from gsurf.selftest import klein_four_group, parity_consistent_partitions
 from gsurf.weyl import (
     _MAX_FINITE_ORDER,
     _basis_chain,
+    _images,
     _orbits,
     _refuse_infinite_order,
     NEITHER,
@@ -614,7 +615,7 @@ class TestChain:
         chain = oracles.root_chain(simple_reflections(4))
         perms = oracles.apply_route([reflection(h_ijk(4, 2, 3, 4))],
                                     all_roots(4))
-        assert chain._strip(0, perms[0]) == chain._id
+        assert chain._strip(0, chain._table(perms[0])) == chain._id
 
     @pytest.mark.parametrize("n", (3, 4, 5, 6, 7))
     def test_matches_closure_random_subgroups(self, n):
@@ -756,11 +757,74 @@ class TestSeededChain:
 
     def test_one_seed_of_a_larger_action(self):
         # a 1-tuple of seed images would be an int: at least two are sifted
-        cycle = (1, 2, 3, 0)
-        chain = StabilizerChain(4, seeds=1)
-        chain.add_all([cycle])
-        assert (chain.order(), chain.base) == (4, [0])
-        assert chain._strip(0, (2, 3, 0, 1)) == chain._id
+        # (4 points are held as byte tables, 300 as tuples)
+        for degree in (4, 300):
+            cycle = (*range(1, degree), 0)
+            chain = StabilizerChain(degree, seeds=1)
+            chain.add_all([cycle])
+            assert (chain.order(), chain.base) == (degree, [0])
+            square = (*range(2, degree), 0, 1)
+            assert chain._strip(0, chain._table(square)) == chain._id
+
+
+class TestPermutationRoutes:
+    """Byte tables up to 256 points, tuples above: the same chain."""
+
+    def test_dihedral_action_on_300_points(self):
+        # rotation and reflection of a 300-gon: faithful on points 0 and 1
+        rotation = (*range(1, 300), 0)
+        flip = tuple(-i % 300 for i in range(300))
+        chain = StabilizerChain(300, seeds=2)
+        chain.add_all([rotation, flip])
+        assert type(chain._id) is tuple
+        assert chain.order() == 600
+        assert chain.base == [0, 1]
+        assert [len(t) for t in chain.transversals] == [300, 2]
+        mirror = tuple((5 - i) % 300 for i in range(300))
+        assert chain._strip(0, chain._table(mirror)) == chain._id
+        # 256 points, the most a byte table holds, leave no padding
+        edge = StabilizerChain(256, seeds=2)
+        edge.add_all([(*range(1, 256), 0), tuple(-i % 256 for i in range(256))])
+        assert type(edge._id) is bytes
+        assert (edge.order(), edge.base) == (512, [0, 1])
+        assert type(StabilizerChain(257)._id) is tuple
+
+    def test_tables_and_tuples_build_the_same_chain(self):
+        # W(E8) on its 240 roots, and on 300 points fixing the last 60
+        perms = oracles.apply_route(simple_reflections(8), all_roots(8))
+        chains = [StabilizerChain(240), StabilizerChain(300)]
+        chains[0].add_all(perms)
+        chains[1].add_all([p + tuple(range(240, 300)) for p in perms])
+        assert [type(c._id) for c in chains] == [bytes, tuple]
+
+        def read_back(chain):
+            return (chain.base, [_images(t, 240) for t in chain.transversals],
+                    [[g[:240] for g in map(tuple, level)]
+                     for level in chain.assigned])
+
+        assert read_back(chains[0]) == read_back(chains[1])
+        assert chains[0].order() == 696729600
+
+    def test_minus_identity_with_e7(self):
+        # 1,264 points, above the byte tables' 256: the tuple route.  The
+        # values are those the chain gave before byte tables existed.
+        gens = [_minus(7)] + list(simple_reflections(7))
+        chain, points, orbit, moves_k, _ = _basis_chain(gens, None)
+        assert type(chain._id) is tuple and moves_k
+        assert chain.order() == 5806080
+        assert chain.base == [0, 1, 2, 3, 4, 5]
+        assert [len(t) for t in chain.transversals] == [112, 27, 16, 10, 6, 2]
+        group = generate_group(gens)
+        assert group.order == 5806080
+        # -I is in the group, so the elements cancel in pairs
+        assert group.group_sum() == ((0,) * 8,) * 8
+        # E1..E7 share one orbit, +-the 56 exceptional classes (square -1),
+        # labelled 0; H's orbit, the other 1,152 points, is labelled 7
+        pts = list(struct.iter_unpack("<8q", points))
+        assert len(pts) == 1264
+        squares = [p[0] ** 2 - sum(v * v for v in p[1:]) for p in pts]
+        assert orbit == [0 if sq == -1 else 7 for sq in squares]
+        assert orbit.count(0) == 112 and squares.count(1) == 1152
 
 
 def test_orbit_growth_is_linear_in_the_points(monkeypatch):

@@ -5,7 +5,7 @@ Submodules:
 * ``lattice``     - classes, pairing, canonical and fiber class (H - E1),
                     reflections in (-2)-classes, reducedness
 * ``exceptional`` - lattice-class and exceptional enumeration, Cremona
-                    reflections, reduction
+                    descent of exceptional and symplectic classes
 * ``weyl``        - root systems, isometry groups, stabilizer chains,
                     invariant lattices, the rank dichotomy
 * ``listing``     - element order, element arrays and traces read off a

@@ -12,39 +12,26 @@ N >= 9 the caller must supply a degree cap and the result is flagged partial.
 The window and the plan behind the enumeration hold for any family
 x.x = s, K.x = k; the roots (s = -2, k = 0) have a closed form instead,
 ``weyl.all_roots``.
+
+Both descents reflect in H - Ei - Ej - Ek on the three largest b while
+the degree falls, keeping the word of (i, j, k).  Ties break as each
+result was defined, toward the smallest index for ``reduce_exceptional``,
+stably from the last step's order for ``reduce_symplectic``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import groupby
-from math import comb, isqrt
+from math import comb, isqrt, lcm
 from typing import NamedTuple, Optional, Tuple
 
 from .errors import LatticeError, LimitExceeded, _Frozen
-from .lattice import (
-    CohClass,
-    Isometry,
-    SymplecticClass,
-    canonical_class,
-    pairing,
-    permutation_isometry,
-    reflection,
-)
+from .lattice import CohClass, Isometry, SymplecticClass
 
 
 def is_exceptional(e: CohClass) -> bool:
-    return e.square() == -1 and pairing(canonical_class(e.n), e) == -1
-
-
-def h_ijk(n: int, i: int, j: int, k: int) -> CohClass:
-    """The (-2)-class H - Ei - Ej - Ek."""
-    if not (1 <= i < j < k <= n):
-        raise LatticeError(f"need 1 <= i < j < k <= {n}, got ({i},{j},{k})")
-    coords = [0] * (n + 1)
-    coords[0] = 1
-    coords[i] = coords[j] = coords[k] = -1
-    return CohClass(tuple(coords))
+    return e.square() == -1 and 2 * e.coords[0] + sum(e.coords) == 1
 
 
 class ExceptionalSet(_Frozen):
@@ -187,6 +174,8 @@ def enumerate_exceptional(n: int, max_degree: Optional[int] = None,
     """
     if n < 1:
         raise LatticeError("need at least one blowup")
+    if max_degree is not None and max_degree < 0:
+        raise LatticeError(f"max_degree must be at least 0, got {max_degree}")
     if n <= 8:
         lo, hi = _degree_bounds(n, -1, -1)
         complete = max_degree is None or max_degree >= hi
@@ -209,31 +198,8 @@ def enumerate_exceptional(n: int, max_degree: Optional[int] = None,
     return ExceptionalSet(n, _expand(plan), complete, hi)
 
 
-def cremona_reflect(x, indices):
-    """Reflection in H - Ei - Ej - Ek: x + (x . Hijk) * Hijk.
-
-    Fixes the canonical class, is involutive, preserves the pairing, and
-    accepts either an integer or a symplectic class.
-    """
-    i, j, k = indices
-    n = x.n
-    h = h_ijk(n, i, j, k)
-    p = pairing(x, h)
-    if isinstance(x, CohClass):
-        return x + p * h
-    if isinstance(x, SymplecticClass):
-        raw = x.raw()
-        return SymplecticClass.from_raw(
-            tuple(r + p * c for r, c in zip(raw, h.coords)))
-    raise LatticeError("CohClass or SymplecticClass expected")
-
-
 class ReductionTrace(NamedTuple):
-    """Steps of the degree-descent on an exceptional class.
-
-    Each step records (indices (i,j,k), class before, class after); the
-    degree strictly decreases along the steps and the final class is E_l.
-    """
+    """Steps ((i, j, k), class before, class after) of a descent to E_l."""
 
     start: CohClass
     steps: tuple
@@ -244,13 +210,38 @@ class ReductionTrace(NamedTuple):
         return (self.start.degree,) + tuple(after.degree for _, _, after in self.steps)
 
 
-def _largest_three(bs) -> Tuple[int, int, int]:
-    """Indices (1-based, i<j<k) of the three largest b-coefficients.
+def _reflect(c: list, i: int, j: int, k: int) -> int:
+    """Reflect c in H - Ei - Ej - Ek in place; return their pairing."""
+    p = c[0] + c[i] + c[j] + c[k]
+    c[0] += p
+    c[i] -= p
+    c[j] -= p
+    c[k] -= p
+    return p
 
-    Ties break toward the smallest index, which makes traces reproducible.
-    """
-    order = sorted(range(len(bs)), key=lambda t: (-bs[t], t))
-    return tuple(sorted(t + 1 for t in order[:3]))
+
+def _unwind(c: list, word) -> list:
+    """Undo the word's reflections on c in place, last first."""
+    for ijk in reversed(word):
+        _reflect(c, *ijk)
+    return c
+
+
+def _stall(e: CohClass, at: CohClass, word) -> LatticeError:
+    """Refusal of e stalled at ``at``, naming the E_l or H - Ei - Ej that
+    pairs most negatively with ``at``, unwound, if one pairs < 0."""
+    c = at.coords
+    i, j, *_, l = sorted(range(1, len(c)), key=c.__getitem__)
+    w = [0] * len(c)
+    m = c[0] + c[i] + c[j]
+    if m < -c[l]:
+        w[0], w[i], w[j] = 1, -1, -1
+    else:
+        m, w[l] = -c[l], 1
+    if m >= 0:
+        return LatticeError(f"degree did not drop at {at}")
+    return LatticeError(f"{e} is not exceptional: it pairs to {m} with the"
+                        f" exceptional class {CohClass(_unwind(w, word))}")
 
 
 def reduce_exceptional(e: CohClass) -> ReductionTrace:
@@ -259,22 +250,21 @@ def reduce_exceptional(e: CohClass) -> ReductionTrace:
         raise LatticeError("reduction needs at least three blowups")
     if not is_exceptional(e):
         raise LatticeError(f"{e} is not exceptional")
-    steps = []
-    cur = e
-    while cur.degree > 0:
-        ijk = _largest_three(cur.b_vector())
-        nxt = cremona_reflect(cur, ijk)
-        if nxt.degree >= cur.degree:
-            raise LatticeError(f"degree did not drop at {cur}")
+    c = list(e.coords)
+    if c[0] < 0:
+        raise LatticeError(f"descent stalled at {e}")
+    index = range(1, e.n + 1)
+    steps, cur = [], e
+    while c[0] > 0:
+        ijk = tuple(sorted(sorted(index, key=c.__getitem__)[:3]))
+        if _reflect(c, *ijk) >= 0:
+            raise _stall(e, cur, [s[0] for s in steps])
+        nxt = CohClass._trusted(tuple(c))
         steps.append((ijk, cur, nxt))
         cur = nxt
-    if cur.degree != 0:
-        raise LatticeError(f"descent stalled at {cur}")
-    bs = cur.b_vector()
-    nonzero = [t + 1 for t, b in enumerate(bs) if b != 0]
-    if len(nonzero) != 1 or bs[nonzero[0] - 1] != -1:
-        raise LatticeError(f"descent did not end at a basis class: {cur}")
-    return ReductionTrace(e, tuple(steps), cur, nonzero[0])
+    # From a >= 1 the integer bi + bj + bk <= sqrt(3(a^2 + 1)) is <= 2a, so
+    # the degree stops at 0, where sum bs = -1, sum bs^2 = 1 leave E_l.
+    return ReductionTrace(e, tuple(steps), cur, c.index(1))
 
 
 def reduce_symplectic(w: SymplecticClass, max_iters: int = 10_000):
@@ -284,25 +274,24 @@ def reduce_symplectic(w: SymplecticClass, max_iters: int = 10_000):
     output and fixes the canonical class.  Descent on a class of positive
     square is expected to terminate; the cap makes a stall loud.
     """
-    if w.n < 3:
+    n = w.n
+    if n < 3:
         raise LatticeError("reduction needs at least three blowups")
     if w.square() <= 0:
         raise LatticeError("positive square required")
-    n = w.n
-    iso = Isometry.identity(n)
-    cur = w
+    scale = lcm(*(x.denominator for x in w.coords))
+    c = [x.numerator * (scale // x.denominator) for x in w.raw()]
+    pos, word = list(range(1, n + 1)), []
     for _ in range(max_iters):
-        lams = cur.lambdas
-        order = sorted(range(n), key=lambda t: (-lams[t], t))
-        if order != list(range(n)):
-            perm = permutation_isometry(n, {src + 1: dst + 1
-                                            for dst, src in enumerate(order)})
-            cur = perm.apply(cur)
-            iso = perm @ iso
-        if cur.nu - sum(cur.lambdas[:3]) < 0:
-            step = reflection(h_ijk(n, 1, 2, 3))
-            cur = cremona_reflect(cur, (1, 2, 3))
-            iso = step @ iso
-        else:
-            return cur, iso
-    raise LimitExceeded(f"no reduced form after {max_iters} iterations")
+        pos.sort(key=c.__getitem__)  # stable: ties keep the last order
+        if c[0] + c[pos[0]] + c[pos[1]] + c[pos[2]] >= 0:
+            break
+        word.append(pos[:3])
+        _reflect(c, *pos[:3])
+    else:
+        raise LimitExceeded(f"no reduced form after {max_iters} iterations")
+    # Column t of the inverse is E_rows[t] unwound
+    rows = [0] + pos
+    inv = [_unwind([int(r == t) for t in range(n + 1)], word) for r in rows]
+    iso = Isometry._trusted(tuple(zip(*inv))).inverse()
+    return iso.apply(w), iso

@@ -102,9 +102,6 @@ class CohClass(_Frozen):
             raise LatticeError(f"index {s} out of range 1..{self.n}")
         return -self.coords[s]
 
-    def b_vector(self) -> tuple:
-        return tuple(-c for c in self.coords[1:])
-
     def raw(self) -> tuple:
         return self.coords
 
@@ -305,10 +302,6 @@ class Isometry(_Frozen):
         """Cached, as isometries are frozen; trusted: its rows are unit classes."""
         return cls._trusted(tuple(unit(n, i).coords for i in range(n + 1)))
 
-    @classmethod
-    def from_columns(cls, cols: Sequence[Sequence[int]]) -> "Isometry":
-        return cls(tuple(zip(*cols)))
-
     def is_identity(self) -> bool:
         return self.mat == Isometry.identity(self.n).mat
 
@@ -353,18 +346,6 @@ class Isometry(_Frozen):
 
     def __str__(self):
         return "\n".join(" ".join(f"{v:3d}" for v in row) for row in self.mat)
-
-
-def permutation_isometry(n: int, images: dict) -> Isometry:
-    """Isometry permuting the Ei coordinates: Ei -> E_images[i], fixing H.
-
-    ``images`` maps a subset of 1..N bijectively; omitted indices are fixed.
-    """
-    perm = {i: images.get(i, i) for i in range(1, n + 1)}
-    if sorted(perm.values()) != list(range(1, n + 1)):
-        raise LatticeError("not a permutation of 1..N")
-    return Isometry.from_columns(
-        [unit(n, 0).coords] + [unit(n, perm[i]).coords for i in range(1, n + 1)])
 
 
 def reflection(alpha: CohClass) -> Isometry:

@@ -21,7 +21,11 @@ columns of its listing, or off a plain list checked for closure product
 by product).  The conic-bundle classifier's matrix routes are here too:
 each fiber action read off full rows and columns with F and K checked
 first, the classification on eps tuples, and Q's independence of the
-labelling by comparing matrix keys.
+labelling by comparing matrix keys.  So are the package's two Cremona
+descents as they ran before integer coordinates: a ``CohClass`` and a
+pairing per exceptional step, and an isometry product per symplectic
+step, with the reflections, the permutation isometries and the tie rules
+they were defined by.
 """
 
 import itertools
@@ -33,6 +37,7 @@ from math import factorial, floor, gcd, isqrt
 from gsurf.cone import FULL, OUTSIDE, PARTIAL_POSITIVE
 from gsurf.errors import InvariantViolation, LatticeError, LimitExceeded
 from gsurf.exceptional import (
+    ReductionTrace,
     _degree_bounds,
     _expand,
     _multisets,
@@ -57,7 +62,8 @@ from gsurf.hexagon import (
     _imprimitive_generators,
     propagate_rotation,
 )
-from gsurf.lattice import CohClass, Isometry, canonical_class, pairing, unit
+from gsurf.lattice import (CohClass, Isometry, SymplecticClass,
+                           canonical_class, pairing, reflection, unit)
 from gsurf.weyl import (FiniteIsometryGroup, StabilizerChain, all_roots,
                         integer_kernel)
 
@@ -230,6 +236,121 @@ def is_reduced_by_minimal_areas(w):
         if any(w.area(e) < w.area(ei) for e in sub):
             return False
     return True
+
+
+# -- the Cremona descents by class arithmetic and matrix products -------------
+
+def h_ijk(n, i, j, k):
+    """The (-2)-class H - Ei - Ej - Ek."""
+    if not (1 <= i < j < k <= n):
+        raise LatticeError(f"need 1 <= i < j < k <= {n}, got ({i},{j},{k})")
+    coords = [0] * (n + 1)
+    coords[0] = 1
+    coords[i] = coords[j] = coords[k] = -1
+    return CohClass(tuple(coords))
+
+
+def cremona_reflect(x, indices):
+    """Reflection in H - Ei - Ej - Ek: x + (x . Hijk) * Hijk.
+
+    Fixes the canonical class, is involutive, preserves the pairing, and
+    accepts either an integer or a symplectic class.
+    """
+    i, j, k = indices
+    n = x.n
+    h = h_ijk(n, i, j, k)
+    p = pairing(x, h)
+    if isinstance(x, CohClass):
+        return x + p * h
+    if isinstance(x, SymplecticClass):
+        raw = x.raw()
+        return SymplecticClass.from_raw(
+            tuple(r + p * c for r, c in zip(raw, h.coords)))
+    raise LatticeError("CohClass or SymplecticClass expected")
+
+
+def permutation_isometry(n, images):
+    """Isometry permuting the Ei coordinates: Ei -> E_images[i], fixing H.
+
+    ``images`` maps a subset of 1..N bijectively; omitted indices are fixed.
+    """
+    perm = {i: images.get(i, i) for i in range(1, n + 1)}
+    if sorted(perm.values()) != list(range(1, n + 1)):
+        raise LatticeError("not a permutation of 1..N")
+    cols = [unit(n, 0).coords] + [unit(n, perm[i]).coords
+                                  for i in range(1, n + 1)]
+    return Isometry(tuple(zip(*cols)))
+
+
+def is_exceptional_by_pairing(e):
+    return e.square() == -1 and pairing(canonical_class(e.n), e) == -1
+
+
+def b_vector(x):
+    """(b1, ..., bN) of x = a*H - sum bs*Es."""
+    return tuple(-c for c in x.coords[1:])
+
+
+def _largest_three(bs):
+    """Indices (1-based, i<j<k) of the three largest b-coefficients.
+
+    Ties break toward the smallest index, which makes traces reproducible.
+    """
+    order = sorted(range(len(bs)), key=lambda t: (-bs[t], t))
+    return tuple(sorted(t + 1 for t in order[:3]))
+
+
+def reduce_exceptional_by_classes(e):
+    """The package's descent before it ran on integer coordinates: a
+    ``CohClass`` and a pairing per step."""
+    if e.n < 3:
+        raise LatticeError("reduction needs at least three blowups")
+    if not is_exceptional_by_pairing(e):
+        raise LatticeError(f"{e} is not exceptional")
+    steps = []
+    cur = e
+    while cur.degree > 0:
+        ijk = _largest_three(b_vector(cur))
+        nxt = cremona_reflect(cur, ijk)
+        if nxt.degree >= cur.degree:
+            raise LatticeError(f"degree did not drop at {cur}")
+        steps.append((ijk, cur, nxt))
+        cur = nxt
+    if cur.degree != 0:
+        raise LatticeError(f"descent stalled at {cur}")
+    bs = b_vector(cur)
+    nonzero = [t + 1 for t, b in enumerate(bs) if b != 0]
+    if len(nonzero) != 1 or bs[nonzero[0] - 1] != -1:
+        raise LatticeError(f"descent did not end at a basis class: {cur}")
+    return ReductionTrace(e, tuple(steps), cur, nonzero[0])
+
+
+def reduce_symplectic_by_isometries(w, max_iters=10_000):
+    """The package's symplectic descent before it ran on integer
+    coordinates: sort the class, reflect in H - E1 - E2 - E3, and multiply
+    (N+1)x(N+1) isometries at every step."""
+    if w.n < 3:
+        raise LatticeError("reduction needs at least three blowups")
+    if w.square() <= 0:
+        raise LatticeError("positive square required")
+    n = w.n
+    iso = Isometry.identity(n)
+    cur = w
+    for _ in range(max_iters):
+        lams = cur.lambdas
+        order = sorted(range(n), key=lambda t: (-lams[t], t))
+        if order != list(range(n)):
+            perm = permutation_isometry(n, {src + 1: dst + 1
+                                            for dst, src in enumerate(order)})
+            cur = perm.apply(cur)
+            iso = perm @ iso
+        if cur.nu - sum(cur.lambdas[:3]) < 0:
+            step = reflection(h_ijk(n, 1, 2, 3))
+            cur = cremona_reflect(cur, (1, 2, 3))
+            iso = step @ iso
+        else:
+            return cur, iso
+    raise LimitExceeded(f"no reduced form after {max_iters} iterations")
 
 
 def tuple_closure(gen_mats, limit=1_000_000):

@@ -14,11 +14,11 @@ import pytest
 import gsurf
 
 from gsurf import cli
-from gsurf.exceptional import h_ijk
 from gsurf.gconic import full_swap
 from gsurf.lattice import coh_from_json
 from gsurf.selftest import klein_four_group, parity_consistent_partitions
 from gsurf.weyl import reflection, simple_reflections
+from oracles import h_ijk
 from test_gconic import _weyl_d_generators
 from test_weyl import _affine_reflections, _conjugated, _transpositions
 
@@ -102,6 +102,22 @@ def test_reduce_conflicting_n(capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert "conflicts" in err
+
+
+def test_reduce_names_a_witness_when_the_class_does_not_descend(capsys):
+    # 3H - E1 - ... - E9 + E10 has e.e = K.e = -1, but E10 pairs to -1 with it
+    code = cli.main(["reduce", "--class", "[3,-1,-1,-1,-1,-1,-1,-1,-1,-1,1]"])
+    assert code == 1
+    assert capsys.readouterr() == (
+        "", "error: [3,-1,-1,-1,-1,-1,-1,-1,-1,-1,1] is not exceptional: it"
+        " pairs to -1 with the exceptional class [0,0,0,0,0,0,0,0,0,0,1]\n")
+
+
+@pytest.mark.parametrize("n", ["6", "9"])
+def test_exc_refuses_a_negative_degree_cap(capsys, n):
+    assert cli.main(["exc", "--n", n, "--max-degree", "-5"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: max_degree must be at least 0, got -5\n")
 
 
 def test_weyl(capsys):
@@ -326,8 +342,13 @@ HOSTILE_ARGV = [
     ["exc", "--n", "-1"], ["exc", "--n", "0"], ["exc", "--n", "40"],
     ["exc", "--n", "6", "--limit", "0"], ["exc", "--n", "6", "--limit", "-1"],
     ["exc", "--n", "12", "--max-degree", "1000"],
+    ["exc", "--n", "6", "--max-degree", "-5"],
+    ["exc", "--n", "9", "--max-degree", "-5"],
     ["reduce", "--class", "[]"], ["reduce", "--class", "[1.5,1]"],
     ["reduce", "--class", "[true,false,false]"],
+    ["reduce", "--class", "[3,-1,-1,-1,-1,-1,-1,-1,-1,-1,1]"],
+    ["reduce", "--class", "[-3,1,1,1,1,1,1,1,1,1,1]"],
+    ["reduce", "--class", "[-7,2,2,2,2,2,2,2,2,2,2,2,2,-1,-1]"],
     ["weyl", "--n", "-1"], ["weyl", "--n", "2"], ["weyl", "--n", "9"],
     ["weyl", "--n", "20"], ["weyl", "--n", "6", "--limit", "0"],
     ["weyl", "--n", "6", "--limit", "-1"], ["weyl", "--n", "1e3"],

@@ -1,5 +1,8 @@
 import itertools
+import json
 import random
+import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -10,9 +13,7 @@ from gsurf.exceptional import (
     _arrangements,
     _degree_bounds,
     _distinct_permutations,
-    cremona_reflect,
     enumerate_exceptional,
-    h_ijk,
     is_exceptional,
     reduce_exceptional,
     reduce_symplectic,
@@ -28,6 +29,7 @@ from gsurf.lattice import (
 from gsurf.weyl import reflection
 
 import oracles
+from oracles import cremona_reflect, h_ijk
 
 FROZEN_COUNTS = {2: 3, 3: 6, 4: 10, 5: 16, 6: 27, 7: 56, 8: 240}
 
@@ -148,7 +150,7 @@ def test_positive_degree_coefficient_shape():
             a = e.degree
             if a <= 0:
                 continue
-            bs = sorted(e.b_vector(), reverse=True)
+            bs = sorted(oracles.b_vector(e), reverse=True)
             assert all(b >= 0 for b in bs)
             assert bs[0] <= a < bs[0] + bs[1] + bs[2]
 
@@ -275,6 +277,117 @@ def test_descent_of_a_word_image_ends_at_a_basis_class(n, l, seed, length):
     assert all(d2 < d1 for d1, d2 in zip(degrees, degrees[1:]))
     assert degrees[-1] == 0
     assert trace.final == unit(n, trace.final_index)
+    assert trace == oracles.reduce_exceptional_by_classes(e)
+
+
+def _outcome(reduce, x, *args):
+    """What a descent returns, or the type and message of its refusal."""
+    try:
+        return reduce(x, *args)
+    except (LatticeError, LimitExceeded) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("args", [(n,) for n in range(3, 9)] + [(9, 5)],
+                         ids=lambda args: ",".join(map(str, args)))
+def test_traces_equal_the_class_arithmetic_oracle(args):
+    for e in enumerate_exceptional(*args):
+        assert reduce_exceptional(e) == oracles.reduce_exceptional_by_classes(e)
+
+
+@pytest.mark.parametrize("x", [CohClass((0, 1, 0)), CohClass((1, -1, -1)),
+                               CohClass((1, 0, 0, 0)), CohClass((0, 0, 0, 2)),
+                               CohClass((2, -1, -1, -1, -1, -1, -1)),
+                               CohClass((1, 1, 1, 1, 1)), canonical_class(8),
+                               canonical_class(10),
+                               CohClass((-7,) + (2,) * 12 + (-1, -1))],
+                         ids=str)
+def test_refusals_equal_the_oracle(x):
+    got = _outcome(reduce_exceptional, x)
+    assert got[0] is LatticeError
+    assert got == _outcome(oracles.reduce_exceptional_by_classes, x)
+
+
+WITNESS = re.compile(r"(\[[-0-9,]+\]) is not exceptional: it pairs to (-\d+)"
+                     r" with the exceptional class (\[[-0-9,]+\])")
+
+
+def _checked_witness(e, message):
+    """The witness a refusal of e names, checked: exceptional, descending
+    to a basis class, and pairing negatively with e as stated."""
+    start, m, w = WITNESS.fullmatch(message).groups()
+    assert json.loads(start) == list(e.coords)
+    w = CohClass(tuple(json.loads(w)))
+    assert is_exceptional(w) and w != e
+    assert oracles.reduce_exceptional_by_classes(w).final.degree == 0
+    assert pairing(e, w) == int(m) < 0
+    return w
+
+
+def test_a_stalled_class_names_its_witness():
+    e = CohClass((3,) + (-1,) * 9 + (1,))
+    with pytest.raises(LatticeError) as stop:
+        reduce_exceptional(e)
+    assert _checked_witness(e, str(stop.value)) == unit(10, 10)
+
+
+@pytest.mark.parametrize("n, max_degree", [(10, 5), (11, 4), (12, 3)])
+def test_every_stall_names_a_witness_and_nothing_else_changes(n, max_degree):
+    """The numerical classes at N >= 10 hold some that stall, at the
+    start or after steps; each names a witness mapped back through the
+    word, where the oracle says the degree did not drop."""
+    stalls = set()
+    for e in enumerate_exceptional(n, max_degree):
+        want = _outcome(oracles.reduce_exceptional_by_classes, e)
+        got = _outcome(reduce_exceptional, e)
+        if want[0] is LatticeError:
+            head, _, stalled = want[1].partition(" at ")
+            assert head == "degree did not drop"
+            _checked_witness(e, got[1])
+            stalls.add(stalled == str(e))
+        else:
+            assert got == want
+    # at N = 12 up to degree 3 every stall comes before any step
+    assert stalls == ({True} if n == 12 else {True, False})
+
+
+def _symplectic_sweep(n, count=60):
+    """Seeded classes at N = n: areas from a small pool, so that ties are
+    common, some of them Fractions, and nu around the top three's sum."""
+    rng = random.Random(n)
+    pool = [1, 2, 3, 5, Fraction(1, 2), Fraction(3, 2), Fraction(7, 3)]
+    for _ in range(count):
+        lams = [rng.choice(pool) for _ in range(n)]
+        top = sum(sorted(lams, reverse=True)[:3])
+        yield SymplecticClass((top + Fraction(rng.randint(-9, 6), 2), *lams))
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_symplectic_descent_equals_the_isometry_oracle(n):
+    tied = fractional = descended = 0
+    for w in _symplectic_sweep(n):
+        tied += len(set(w.lambdas)) < n
+        fractional += any(isinstance(x, Fraction) for x in w.coords)
+        got = _outcome(reduce_symplectic, w)
+        assert got == _outcome(oracles.reduce_symplectic_by_isometries, w)
+        descended += isinstance(got[1], Isometry) and not got[1].is_identity()
+    assert tied and fractional and descended
+
+
+@pytest.mark.parametrize("w, max_iters", [
+    (SymplecticClass((3, 2, 1, 1)), 0), (SymplecticClass((3, 2, 1, 1)), 1),
+    (SymplecticClass((3, 2, 1, 1)), 2), (SymplecticClass((3, 1, 1, 1)), 0),
+    (SymplecticClass((1, 1, 1, 1)), 5), (SymplecticClass((3, 1, 1)), 5)],
+    ids=str)
+def test_symplectic_refusals_equal_the_oracle(w, max_iters):
+    assert _outcome(reduce_symplectic, w, max_iters) == \
+        _outcome(oracles.reduce_symplectic_by_isometries, w, max_iters)
+
+
+@pytest.mark.parametrize("n", [6, 9])
+def test_a_negative_degree_cap_is_refused(n):
+    with pytest.raises(LatticeError, match="max_degree must be at least 0"):
+        enumerate_exceptional(n, -5)
 
 
 class TestReduceSymplectic:

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from gsurf import cli
 from gsurf.errors import LatticeError
-from gsurf.exceptional import h_ijk
 from gsurf.gconic import (
     CASE_KLEIN,
     ConicBundleModel,
@@ -23,9 +22,11 @@ from gsurf.gconic import (
     decompose,
     matrix_from_fiber_action,
 )
-from gsurf.lattice import CohClass, Isometry, permutation_isometry, unit
+from gsurf.lattice import CohClass, Isometry, unit
 from gsurf.selftest import klein_four_group
 from gsurf.weyl import FiniteIsometryGroup, generate_group, reflection, weyl_group
+
+from oracles import h_ijk, permutation_isometry
 
 
 def assert_valid_isometry(g):

@@ -1,11 +1,22 @@
 """Equivariant symplectic-cone arithmetic at desk scale.
 
-Cone membership for a rational class is tested by positivity of the square
-and positivity of the area of every exceptional class; the test is exact
-for N <= 8 (complete enumeration) and necessary-only for N >= 9, where the
-enumeration is degree-capped.  The rank-2 slice spanned by the canonical
-class and a fiber class is parametrized by the gap coordinate delta in
-[omega] = -K + delta*F after scaling the fiber area to 2.
+A rational class w is in the cone when w.w > 0 and every exceptional
+class has positive area (Li and Liu 2001).  For 3 <= N <= 9 membership is
+decided by Cremona descent: sort the areas, reflect in H - E1 - E2 - E3
+while nu < lam1 + lam2 + lam3, and stop at a reduced form or at an E_l or
+H - Ei - Ej of area <= 0.  A class in reduced form with positive square
+and positive areas is in the cone (Li and Li, *Symplectic genus, minimal
+genus and diffeomorphisms*, 2002; Karshon and Kessler 2017), and Cremona
+reflections permute the exceptional classes.  The verdict is that of the
+area scan over the enumeration: exact for N <= 8, and for N = 9 exact up
+to the degree cap, as every class of the capped set descends to an E_l
+and so is exceptional.  From N = 10 on the capped numerical set holds
+classes that are not exceptional (ROADMAP item 12), which the descent
+does not see, so N <= 2 and N >= 10 keep the scan: positivity of the
+area of every enumerated class, necessary-only for N >= 9.  The rank-2
+slice spanned by the canonical class and a fiber class is parametrized
+by the gap coordinate delta in [omega] = -K + delta*F after scaling the
+fiber area to 2.
 """
 
 from __future__ import annotations
@@ -32,16 +43,77 @@ OUTSIDE = "outside"
 DEFAULT_PARTIAL_DEGREE = 5
 
 
+def _descend(c: list, budget: int):
+    """Cremona descent of the raw integer coordinates c, in place.
+
+    Sorts the areas, largest first, then stops at an E_l of area <= 0, at
+    an H - Ei - Ej of area <= 0 (Ei, Ej of the two largest areas), or at a
+    reduced form, nu >= lam1 + lam2 + lam3; otherwise reflects in
+    H - Ei - Ej - Ek on the three largest areas.  Returns (True, c) at a
+    reduced form, (False, witness) with the raw coordinates of the
+    stopping class unwound to the input's, or None once ``budget``
+    reflections have not decided.  Reflections and unwinding go through
+    ``exceptional`` so that a wrapper installed there sees each step.
+    """
+    reflect = exceptional._reflect
+    pos = list(range(1, len(c)))
+    word = []
+    while True:
+        pos.sort(key=c.__getitem__)  # ci = -lam_i: largest area first
+        i, j, k = pos[:3]
+        if c[pos[-1]] >= 0 or c[0] + c[i] + c[j] <= 0:
+            break
+        if c[0] + c[i] + c[j] + c[k] >= 0:
+            return True, c
+        if len(word) == budget:
+            return None
+        word.append((i, j, k))
+        reflect(c, i, j, k)
+    witness = [0] * len(c)
+    if c[pos[-1]] >= 0:
+        witness[pos[-1]] = 1
+    else:
+        witness[0], witness[i], witness[j] = 1, -1, -1
+    return False, exceptional._unwind(witness, word)
+
+
 def is_in_cone(w: SymplecticClass,
                limit: int = exceptional.DEFAULT_LIMIT) -> str:
     """Positivity of the square and of every exceptional area.
 
     Returns ``full`` (N <= 8, all checks pass), ``partial-positive``
-    (N >= 9, checks up to degree ``DEFAULT_PARTIAL_DEGREE`` pass, necessary
-    conditions only), or ``outside``.  ``limit`` caps the exceptional
-    enumeration.
+    (N >= 9, checks up to degree ``DEFAULT_PARTIAL_DEGREE`` pass), or
+    ``outside``.  ``limit`` caps the exceptional enumeration, which is
+    made for every N and sets ``full`` against ``partial-positive``.
+
+    For 3 <= N <= 9 the answer comes from the Cremona descent (see the
+    module docstring).  A reduced form is inside.  An E_l or H - Ei - Ej
+    of area <= 0, unwound through the word, is an exceptional class of
+    area <= 0 with the input, so outside, when its degree is within the
+    enumeration's cap; above the cap (N = 9) the capped scan decides.
+    The descent reflects at most ``len(exc)`` times; the scan decides a
+    class it leaves open.
+
+    The bound is never reached for N <= 8.  Let D(c) be the set of roots
+    b (b.b = -2, K.b = 0) of degree > 0 with c.b < 0, and s the reflection
+    in a = H - Ei - Ej - Ek on the three largest areas, c.a < 0.  A root
+    g with deg(s g) > 0 and c.g < 0 is in D(c) - {a}: deg(s g) =
+    deg g + g.a, g.a is in {-1, 0, 1} for g != +-a as the pairing is
+    negative definite on K-perp, and c.(-a) > 0, so a g of degree <= 0
+    would be Ep - Eq with p among i, j, k and q not, of area
+    lam_p - lam_q >= 0.  So |D| falls by one per reflection, and a
+    descent takes at most as many steps as there are roots of positive
+    degree: 1, 4, 10, 21, 42, 92 at N = 3..8, against 6, 10, 16, 27, 56,
+    240 exceptional classes.  At N = 9 there is no such bound (the Weyl
+    group is affine E8): the classes (3A; A + B, A - B, A x 6, A - 1)
+    with A = B^2 + 1 have w.w = 1, and their descent takes about 4B
+    steps to reach an exceptional class of degree 3B^2 and area 0.
     """
-    if w.square() <= 0:
+    # Clear denominators once: with L > 0 the lcm of the denominators, the
+    # square's sign and the area of e's sign are those of L*w, integers.
+    scale = lcm(*(c.denominator for c in w.coords))
+    scaled = [c.numerator * (scale // c.denominator) for c in w.coords]
+    if scaled[0] * scaled[0] <= sum(x * x for x in scaled[1:]):
         return OUTSIDE
     n = w.n
     # Positional, as every other caller passes it: lru_cache keys a keyword
@@ -52,15 +124,21 @@ def is_in_cone(w: SymplecticClass,
     if limit != exceptional.DEFAULT_LIMIT:
         args = (n, DEFAULT_PARTIAL_DEGREE if n > 8 else None, limit)
     exc = exceptional.enumerate_exceptional(*args)
-    # Clear denominators once: with L > 0 the lcm of the denominators, the
-    # area of e is positive exactly when (L*w).e is, and (L*w).e is an
-    # integer dot product with e's raw coordinates.
-    scale = lcm(*(c.denominator for c in w.coords))
-    scaled = [c.numerator * (scale // c.denominator) for c in w.coords]
+    verdict = FULL if exc.complete else PARTIAL_POSITIVE
+    if 3 <= n <= 9:
+        found = _descend([scaled[0]] + [-x for x in scaled[1:]], len(exc))
+        if found is not None:
+            inside, v = found
+            if inside:
+                return verdict
+            if v[0] <= exc.max_degree:
+                return OUTSIDE
+    # The area of e is (L*w).e, an integer dot product with e's raw
+    # coordinates.
     for e in exc:
         if sum(map(mul, scaled, e.coords)) <= 0:
             return OUTSIDE
-    return FULL if exc.complete else PARTIAL_POSITIVE
+    return verdict
 
 
 def span2_coefficients(w: SymplecticClass, u: CohClass, v: CohClass):

@@ -32,11 +32,13 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, floor, gcd, isqrt
+from math import factorial, floor, gcd, isqrt, lcm
+from operator import mul
 
-from gsurf.cone import FULL, OUTSIDE, PARTIAL_POSITIVE
+from gsurf.cone import DEFAULT_PARTIAL_DEGREE, FULL, OUTSIDE, PARTIAL_POSITIVE
 from gsurf.errors import InvariantViolation, LatticeError, LimitExceeded
 from gsurf.exceptional import (
+    DEFAULT_LIMIT,
     ReductionTrace,
     _degree_bounds,
     _expand,
@@ -204,6 +206,29 @@ def cone_verdict_by_fraction_areas(w, max_degree=5):
         else enumerate_exceptional(n, max_degree)
     for e in exc:
         if w.area(e) <= 0:
+            return OUTSIDE
+    return FULL if exc.complete else PARTIAL_POSITIVE
+
+
+def cone_verdict_by_scan(w, limit=DEFAULT_LIMIT):
+    """Cone membership by the integer area of every enumerated class.
+
+    The square in ``Fraction``s; then, with L the lcm of the denominators,
+    the area of e is positive exactly when (L*w).e is, an integer dot
+    product with e's raw coordinates.  The enumeration is called as
+    ``cone.is_in_cone`` calls it, so ``limit`` reaches it the same way.
+    """
+    if w.square() <= 0:
+        return OUTSIDE
+    n = w.n
+    args = (n,) if n <= 8 else (n, DEFAULT_PARTIAL_DEGREE)
+    if limit != DEFAULT_LIMIT:
+        args = (n, DEFAULT_PARTIAL_DEGREE if n > 8 else None, limit)
+    exc = enumerate_exceptional(*args)
+    scale = lcm(*(c.denominator for c in w.coords))
+    scaled = [c.numerator * (scale // c.denominator) for c in w.coords]
+    for e in exc:
+        if sum(map(mul, scaled, e.coords)) <= 0:
             return OUTSIDE
     return FULL if exc.complete else PARTIAL_POSITIVE
 

@@ -462,6 +462,8 @@ GOLDEN_REPORTS = {
         "9a4b381232157b38630d0701c5e5562df47cffac5607cd92474b251f687b6f07",
     "cone --n 5 --scan 0,1/2,1,2":
         "ec4e51677d3e99181d6a7c2adf2ff2c02ae59ce53a4be2d1b02366f92a43fb50",
+    "cone --n 8 --scan=-1/2,-1/4,0,1":
+        "a40e471e82a4d1425a97a0209fbc18e53e5b2a9ba01f9c4954b10c4ee6b54754",
     "hexagon --kind Gnks --n 9 --k 3 --s 2 --verify":
         "67299d817fe17d07de3a8bf17999e1df17e9a5bd8ff6edf057a057ce5638423a",
     "invariants --gens swap5.json":

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from gsurf.cone import (
     OUTSIDE,
     PARTIAL_POSITIVE,
     ConeSlice,
+    _descend,
     blowdown_obstruction,
     delta,
     fiber_pairs,
@@ -20,9 +22,11 @@ from gsurf.cone import (
     span2_coefficients,
 )
 from gsurf.errors import LatticeError, LimitExceeded
-from gsurf.exceptional import enumerate_exceptional
+from gsurf.exceptional import enumerate_exceptional, reduce_exceptional
 from gsurf.gconic import fiber_class
-from gsurf.lattice import CohClass, SymplecticClass, canonical_class, pairing
+from gsurf.lattice import (CohClass, SymplecticClass, canonical_class,
+                           is_reduced_class, pairing, unit)
+from gsurf.weyl import all_roots
 
 import oracles
 
@@ -104,6 +108,188 @@ class TestMembership:
         monkeypatch.setattr(exceptional, "enumerate_exceptional", spy)
         assert is_in_cone(SymplecticClass((3,) + (1,) * 5)) == FULL
         assert calls == [(5,)]
+
+
+def _fraction(rng, lo, hi):
+    d = rng.randint(1, 6)
+    return Fraction(rng.randint(lo * d, hi * d), d)
+
+
+def _seeded_class(rng, n, kind):
+    """A class with denominators up to 24, of kind 0 to 3.
+
+    0: reduced (sorted positive areas, nu >= lam1 + lam2 + lam3, positive
+    square); 1: outside through H - E1 - E2; 2: outside through an area
+    <= 0; 3: near -K, each exceptional area near 1, where the boundary is
+    close.  About one in four of kinds 0 to 2 has its areas tied in pairs.
+    """
+    if kind == 3:
+        return SymplecticClass((3 + _fraction(rng, -1, 1) / 4,)
+                               + tuple(1 + _fraction(rng, -1, 1) / 4
+                                       for _ in range(n)))
+    lam = sorted((_fraction(rng, 1, 5) for _ in range(n)), reverse=True)
+    if rng.random() < 0.25:
+        lam = sorted(lam[: (n + 1) // 2] * 2, reverse=True)[:n]
+    nu = sum(lam[:3]) + _fraction(rng, 0, 2)
+    nu = max(nu, Fraction(math.isqrt(math.ceil(sum(x * x for x in lam))) + 1))
+    if kind == 1 and n >= 2:
+        nu = lam[0] + lam[1] - _fraction(rng, 0, 1)
+    elif kind == 2:
+        lam[rng.randrange(n)] = -_fraction(rng, 0, 2)
+    return SymplecticClass((nu,) + tuple(lam))
+
+
+def _scrambled(rng, w):
+    """w moved by a random Weyl word: a few Cremona reflections on random
+    triples, then a shuffle of the areas.  The cone is invariant."""
+    c = list(w.raw())
+    if w.n >= 3:
+        for _ in range(rng.randint(1, 6)):
+            exceptional._reflect(c, *rng.sample(range(1, w.n + 1), 3))
+    rest = c[1:]
+    rng.shuffle(rest)
+    return SymplecticClass.from_raw([c[0]] + rest)
+
+
+def _assert_scan_verdict(w):
+    want = oracles.cone_verdict_by_scan(w)
+    assert is_in_cone(w) == want, w
+    assert oracles.cone_verdict_by_fraction_areas(w) == want, w
+    return want
+
+
+def _slice_threshold(n):
+    """delta* = max((N - 9)/4, max over e with F.e > 0 of -1/F.e), N <= 8:
+    -K + delta*F has square (9 - N) + 4 delta and areas 1 + delta F.e."""
+    return max([Fraction(n - 9, 4)]
+               + [Fraction(-1, e.coords[0] + e.coords[1])
+                  for e in enumerate_exceptional(n)
+                  if e.coords[0] + e.coords[1] > 0])
+
+
+def _raw_integers(w):
+    scale = math.lcm(*(c.denominator for c in w.raw()))
+    return [int(c * scale) for c in w.raw()]
+
+
+class TestDescentMatchesTheScan:
+    """``is_in_cone`` decides N = 3..9 by descent and the rest by scan;
+    both oracles scan every enumerated class."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_seeded_and_scrambled(self, n):
+        rng = random.Random(3200 + n)
+        seen = set()
+        for i in range(60 if n <= 9 else 4 if n <= 11 else 2):
+            w = _seeded_class(rng, n, i % 4)
+            if n >= 10:
+                # Up to 209,760 classes, each paired in Fractions by the
+                # second oracle; integers keep it to a second, and scaling
+                # changes no verdict.
+                w = SymplecticClass.from_raw(_raw_integers(w))
+            seen.add(_assert_scan_verdict(w))
+            _assert_scan_verdict(_scrambled(rng, w))
+        assert OUTSIDE in seen and len(seen) == 2
+        if n >= 11:
+            enumerate_exceptional.cache_clear()  # 48,796 or 209,760 classes
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_tied_and_fraction_areas(self, n):
+        for lam in [(1,) * n, (2, 2) + (1,) * (n - 2),
+                    (Fraction(3, 2),) * 3 + (Fraction(1, 2),) * (n - 3),
+                    (Fraction(5, 4),) * (n - 1) + (0,)]:
+            top = sum(sorted(lam, reverse=True)[:3])
+            for d in (-1, Fraction(-1, 6), 0, Fraction(1, 6), 1):
+                w = SymplecticClass((top + d,) + lam)
+                _assert_scan_verdict(w)
+                _assert_scan_verdict(w.scale(Fraction(7, 3)))
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_slice_points_across_the_threshold(self, n):
+        k0, f = canonical_class(n), fiber_class(n)
+        star = _slice_threshold(n)
+        for t in (-1, Fraction(-1, 10), Fraction(-1, 1000), 0,
+                  Fraction(1, 1000), Fraction(1, 10), 1):
+            w = slice_point(k0, f, star + t)
+            assert (_assert_scan_verdict(w) != OUTSIDE) == (t > 0), (n, t)
+
+
+# At N = 3..8, the number of roots of positive degree and of exceptional
+# classes; the first bounds a descent's reflections, and stays below the
+# second, the budget.
+POSITIVE_DEGREE_ROOTS = {3: 1, 4: 4, 5: 10, 6: 21, 7: 42, 8: 92}
+
+
+class TestDescentSteps:
+    def test_roots_of_positive_degree_fit_the_budget(self):
+        for n, count in POSITIVE_DEGREE_ROOTS.items():
+            assert sum(1 for r in all_roots(n) if r.degree > 0) == count
+            assert count < len(enumerate_exceptional(n))
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_steps_within_the_positive_degree_roots(self, n):
+        rng = random.Random(3300 + n)
+        for i in range(150):
+            w = _scrambled(rng, _seeded_class(rng, n, i % 4))
+            if w.square() > 0:
+                c = _raw_integers(w)
+                assert _descend(c, POSITIVE_DEGREE_ROOTS[n]) is not None, w
+
+    def test_spent_budget_leaves_the_class_open(self):
+        c = [5, -2, -2, -2, -1]  # (5; 2, 2, 2, 1) needs one reflection
+        assert _descend(list(c), 0) is None
+        assert _descend(list(c), 1) == (True, [4, -1, -1, -1, -1])
+
+    @pytest.mark.parametrize("b", [10, 10**3, 10**6, 10**9])
+    def test_long_descent_at_nine_blowups(self, monkeypatch, b):
+        # (3A; A + B, A - B, A x 6, A - 1) with A = B^2 + 1 has w.w = 1 and
+        # an exceptional class of degree 3B^2 and area 0, reached after
+        # about 4B reflections; below the budget (B = 10) its degree is
+        # above the cap, and either way the capped scan decides.
+        a = b * b + 1
+        w = SymplecticClass((3 * a, a + b, a - b) + (a,) * 6 + (a - 1,))
+        assert w.square() == 1
+        budget = len(enumerate_exceptional(9, 5))
+        calls = []
+        original = exceptional._reflect
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(exceptional, "_reflect", counted)
+        assert is_in_cone(w) == PARTIAL_POSITIVE
+        assert oracles.cone_verdict_by_scan(w) == PARTIAL_POSITIVE
+        if b == 10:
+            # 38 reflections, then as many to unwind the witness
+            assert len(calls) == 76
+            inside, v = _descend(_raw_integers(w), budget)
+            assert not inside and v[0] == 3 * b * b
+            assert pairing(w, CohClass(tuple(v))) == 0
+        else:
+            assert len(calls) == budget
+
+
+class TestDescentCertificates:
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_witnesses_and_reduced_forms(self, n):
+        rng = random.Random(3400 + n)
+        seen = set()
+        for i in range(100):
+            w = _scrambled(rng, _seeded_class(rng, n, i % 4))
+            if w.square() <= 0:
+                continue
+            inside, v = _descend(_raw_integers(w), 10**4)
+            seen.add(inside)
+            if inside:
+                lam = sorted((-x for x in v[1:]), reverse=True)
+                assert is_reduced_class(SymplecticClass((v[0], *lam))), w
+            else:
+                e = CohClass(tuple(v))
+                trace = reduce_exceptional(e)
+                assert trace.final == unit(n, trace.final_index)
+                assert pairing(w, e) <= 0
+        assert seen == {False, True}
 
 
 @pytest.mark.parametrize("n,want", [

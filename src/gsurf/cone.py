@@ -7,16 +7,17 @@ while nu < lam1 + lam2 + lam3, and stop at a reduced form or at an E_l or
 H - Ei - Ej of area <= 0.  A class in reduced form with positive square
 and positive areas is in the cone (Li and Li, *Symplectic genus, minimal
 genus and diffeomorphisms*, 2002; Karshon and Kessler 2017), and Cremona
-reflections permute the exceptional classes.  The verdict is that of the
-area scan over the enumeration: exact for N <= 8, and for N = 9 exact up
-to the degree cap, as every class of the capped set descends to an E_l
-and so is exceptional.  From N = 10 on the capped numerical set holds
-classes that are not exceptional (ROADMAP item 12), which the descent
-does not see, so N <= 2 and N >= 10 keep the scan: positivity of the
-area of every enumerated class, necessary-only for N >= 9.  The rank-2
-slice spanned by the canonical class and a fiber class is parametrized
-by the gap coordinate delta in [omega] = -K + delta*F after scaling the
-fiber area to 2.
+reflections permute the exceptional classes.  For N <= 8 the verdict is
+that of the area scan over the enumeration.  At N = 9 an outside verdict
+rests on its witness, a Weyl image of E_l or H - Ei - Ej and so
+exceptional whatever its degree, so a witness above the enumeration's
+degree cap answers outside where the capped scan may not.  From N = 10
+on the capped numerical set holds classes that are not exceptional
+(ROADMAP item 12), which the descent does not see, so N <= 2 and N >= 10
+keep the scan: positivity of the area of every enumerated class,
+necessary-only for N >= 9.  The rank-2 slice spanned by the canonical
+class and a fiber class is parametrized by the gap coordinate delta in
+[omega] = -K + delta*F after scaling the fiber area to 2.
 """
 
 from __future__ import annotations
@@ -43,40 +44,6 @@ OUTSIDE = "outside"
 DEFAULT_PARTIAL_DEGREE = 5
 
 
-def _descend(c: list, budget: int):
-    """Cremona descent of the raw integer coordinates c, in place.
-
-    Sorts the areas, largest first, then stops at an E_l of area <= 0, at
-    an H - Ei - Ej of area <= 0 (Ei, Ej of the two largest areas), or at a
-    reduced form, nu >= lam1 + lam2 + lam3; otherwise reflects in
-    H - Ei - Ej - Ek on the three largest areas.  Returns (True, c) at a
-    reduced form, (False, witness) with the raw coordinates of the
-    stopping class unwound to the input's, or None once ``budget``
-    reflections have not decided.  Reflections and unwinding go through
-    ``exceptional`` so that a wrapper installed there sees each step.
-    """
-    reflect = exceptional._reflect
-    pos = list(range(1, len(c)))
-    word = []
-    while True:
-        pos.sort(key=c.__getitem__)  # ci = -lam_i: largest area first
-        i, j, k = pos[:3]
-        if c[pos[-1]] >= 0 or c[0] + c[i] + c[j] <= 0:
-            break
-        if c[0] + c[i] + c[j] + c[k] >= 0:
-            return True, c
-        if len(word) == budget:
-            return None
-        word.append((i, j, k))
-        reflect(c, i, j, k)
-    witness = [0] * len(c)
-    if c[pos[-1]] >= 0:
-        witness[pos[-1]] = 1
-    else:
-        witness[0], witness[i], witness[j] = 1, -1, -1
-    return False, exceptional._unwind(witness, word)
-
-
 def is_in_cone(w: SymplecticClass,
                limit: int = exceptional.DEFAULT_LIMIT) -> str:
     """Positivity of the square and of every exceptional area.
@@ -86,13 +53,13 @@ def is_in_cone(w: SymplecticClass,
     ``outside``.  ``limit`` caps the exceptional enumeration, which is
     made for every N and sets ``full`` against ``partial-positive``.
 
-    For 3 <= N <= 9 the answer comes from the Cremona descent (see the
-    module docstring).  A reduced form is inside.  An E_l or H - Ei - Ej
-    of area <= 0, unwound through the word, is an exceptional class of
-    area <= 0 with the input, so outside, when its degree is within the
-    enumeration's cap; above the cap (N = 9) the capped scan decides.
-    The descent reflects at most ``len(exc)`` times; the scan decides a
-    class it leaves open.
+    For 3 <= N <= 9 the answer comes from ``exceptional._descend`` (see
+    the module docstring).  A reduced form is inside.  An E_l or
+    H - Ei - Ej of area <= 0, unwound through the word, is an exceptional
+    class of area <= 0 with the input, so outside, whatever its degree:
+    at N = 9 it can lie above the enumeration's cap.  The descent
+    reflects at most ``len(exc)`` times; the capped scan decides a class
+    it leaves open.
 
     The bound is never reached for N <= 8.  Let D(c) be the set of roots
     b (b.b = -2, K.b = 0) of degree > 0 with c.b < 0, and s the reflection
@@ -126,13 +93,10 @@ def is_in_cone(w: SymplecticClass,
     exc = exceptional.enumerate_exceptional(*args)
     verdict = FULL if exc.complete else PARTIAL_POSITIVE
     if 3 <= n <= 9:
-        found = _descend([scaled[0]] + [-x for x in scaled[1:]], len(exc))
+        found = exceptional._descend([scaled[0]] + [-x for x in scaled[1:]],
+                                     len(exc))
         if found is not None:
-            inside, v = found
-            if inside:
-                return verdict
-            if v[0] <= exc.max_degree:
-                return OUTSIDE
+            return verdict if found[0] else OUTSIDE
     # The area of e is (L*w).e, an integer dot product with e's raw
     # coordinates.
     for e in exc:

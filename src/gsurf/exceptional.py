@@ -13,21 +13,24 @@ The window and the plan behind the enumeration hold for any family
 x.x = s, K.x = k; the roots (s = -2, k = 0) have a closed form instead,
 ``weyl.all_roots``.
 
-Both descents reflect in H - Ei - Ej - Ek on the three largest b while
-the degree falls, keeping the word of (i, j, k).  Ties break as each
-result was defined, toward the smallest index for ``reduce_exceptional``,
-stably from the last step's order for ``reduce_symplectic``.
+Both descents, ``reduce_exceptional`` on an exceptional class and
+``_descend`` on the integer areas of a symplectic class, run on raw
+coordinates c (c0 the degree, ci = -bi) and reflect in H - Ei - Ej - Ek
+on the three largest b while the degree falls, keeping the word of
+(i, j, k) for ``_unwind``.  Ties break as each result was defined, toward
+the smallest index for ``reduce_exceptional``, stably from the last
+step's order for ``_descend``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import groupby
-from math import comb, isqrt, lcm
+from math import comb, isqrt
 from typing import NamedTuple, Optional, Tuple
 
 from .errors import LatticeError, LimitExceeded, _Frozen
-from .lattice import CohClass, Isometry, SymplecticClass
+from .lattice import CohClass
 
 
 def is_exceptional(e: CohClass) -> bool:
@@ -227,21 +230,55 @@ def _unwind(c: list, word) -> list:
     return c
 
 
-def _stall(e: CohClass, at: CohClass, word) -> LatticeError:
-    """Refusal of e stalled at ``at``, naming the E_l or H - Ei - Ej that
-    pairs most negatively with ``at``, unwound, if one pairs < 0."""
-    c = at.coords
-    i, j, *_, l = sorted(range(1, len(c)), key=c.__getitem__)
-    w = [0] * len(c)
-    m = c[0] + c[i] + c[j]
-    if m < -c[l]:
-        w[0], w[i], w[j] = 1, -1, -1
+def _descend(c: list, budget: int):
+    """Cremona descent of the raw integer coordinates c, in place.
+
+    Sorts the areas, largest first, then stops at an E_l of area <= 0, at
+    an H - Ei - Ej of area <= 0 (Ei, Ej of the two largest areas), or at a
+    reduced form, nu >= lam1 + lam2 + lam3; otherwise reflects in
+    H - Ei - Ej - Ek on the three largest areas.  Returns (True, c) at a
+    reduced form, (False, witness) with the raw coordinates of the
+    stopping class unwound to the input's, or None once ``budget``
+    reflections have not decided.
+    """
+    pos = list(range(1, len(c)))
+    word = []
+    while True:
+        pos.sort(key=c.__getitem__)  # ci = -lam_i: largest area first
+        i, j, k = pos[:3]
+        if c[pos[-1]] >= 0 or c[0] + c[i] + c[j] <= 0:
+            break
+        if c[0] + c[i] + c[j] + c[k] >= 0:
+            return True, c
+        if len(word) == budget:
+            return None
+        word.append((i, j, k))
+        _reflect(c, i, j, k)
+    witness = [0] * len(c)
+    if c[pos[-1]] >= 0:
+        witness[pos[-1]] = 1
     else:
-        m, w[l] = -c[l], 1
-    if m >= 0:
+        witness[0], witness[i], witness[j] = 1, -1, -1
+    return False, _unwind(witness, word)
+
+
+def _stall(e: CohClass, at: CohClass, word) -> LatticeError:
+    """Refusal of e stalled at ``at``, naming E_l, unwound, for the l of
+    the largest raw entry (the last of the stable sort), if it pairs < 0
+    with ``at``.
+
+    No H - Ei - Ej pairs below E_l: at a stall the three smallest raw
+    entries i, j, k have p = c0 + ci + cj + ck >= 0, so
+    c0 + ci + cj >= -ck >= -cl.
+    """
+    c = at.coords
+    l = sorted(range(1, len(c)), key=c.__getitem__)[-1]
+    if c[l] <= 0:
         return LatticeError(f"degree did not drop at {at}")
-    return LatticeError(f"{e} is not exceptional: it pairs to {m} with the"
-                        f" exceptional class {CohClass(_unwind(w, word))}")
+    w = [0] * len(c)
+    w[l] = 1
+    return LatticeError(f"{e} is not exceptional: it pairs to {-c[l]} with"
+                        f" the exceptional class {CohClass(_unwind(w, word))}")
 
 
 def reduce_exceptional(e: CohClass) -> ReductionTrace:
@@ -265,33 +302,3 @@ def reduce_exceptional(e: CohClass) -> ReductionTrace:
     # From a >= 1 the integer bi + bj + bk <= sqrt(3(a^2 + 1)) is <= 2a, so
     # the degree stops at 0, where sum bs = -1, sum bs^2 = 1 leave E_l.
     return ReductionTrace(e, tuple(steps), cur, c.index(1))
-
-
-def reduce_symplectic(w: SymplecticClass, max_iters: int = 10_000):
-    """Sort areas and apply Cremona steps until the class is in reduced form.
-
-    Returns (reduced class, isometry); the isometry maps the input to the
-    output and fixes the canonical class.  Descent on a class of positive
-    square is expected to terminate; the cap makes a stall loud.
-    """
-    n = w.n
-    if n < 3:
-        raise LatticeError("reduction needs at least three blowups")
-    if w.square() <= 0:
-        raise LatticeError("positive square required")
-    scale = lcm(*(x.denominator for x in w.coords))
-    c = [x.numerator * (scale // x.denominator) for x in w.raw()]
-    pos, word = list(range(1, n + 1)), []
-    for _ in range(max_iters):
-        pos.sort(key=c.__getitem__)  # stable: ties keep the last order
-        if c[0] + c[pos[0]] + c[pos[1]] + c[pos[2]] >= 0:
-            break
-        word.append(pos[:3])
-        _reflect(c, *pos[:3])
-    else:
-        raise LimitExceeded(f"no reduced form after {max_iters} iterations")
-    # Column t of the inverse is E_rows[t] unwound
-    rows = [0] + pos
-    inv = [_unwind([int(r == t) for t in range(n + 1)], word) for r in rows]
-    iso = Isometry._trusted(tuple(zip(*inv))).inverse()
-    return iso.apply(w), iso

@@ -21,11 +21,9 @@ columns of its listing, or off a plain list checked for closure product
 by product).  The conic-bundle classifier's matrix routes are here too:
 each fiber action read off full rows and columns with F and K checked
 first, the classification on eps tuples, and Q's independence of the
-labelling by comparing matrix keys.  So are the package's two Cremona
-descents as they ran before integer coordinates: a ``CohClass`` and a
-pairing per exceptional step, and an isometry product per symplectic
-step, with the reflections, the permutation isometries and the tie rules
-they were defined by.
+labelling by comparing matrix keys.  So is the package's exceptional
+Cremona descent as it ran before integer coordinates: a ``CohClass`` and a
+pairing per step, with the reflection and the tie rule it was defined by.
 """
 
 import itertools
@@ -65,7 +63,7 @@ from gsurf.hexagon import (
     propagate_rotation,
 )
 from gsurf.lattice import (CohClass, Isometry, SymplecticClass,
-                           canonical_class, pairing, reflection, unit)
+                           canonical_class, pairing, unit)
 from gsurf.weyl import (FiniteIsometryGroup, StabilizerChain, all_roots,
                         integer_kernel)
 
@@ -348,34 +346,6 @@ def reduce_exceptional_by_classes(e):
     if len(nonzero) != 1 or bs[nonzero[0] - 1] != -1:
         raise LatticeError(f"descent did not end at a basis class: {cur}")
     return ReductionTrace(e, tuple(steps), cur, nonzero[0])
-
-
-def reduce_symplectic_by_isometries(w, max_iters=10_000):
-    """The package's symplectic descent before it ran on integer
-    coordinates: sort the class, reflect in H - E1 - E2 - E3, and multiply
-    (N+1)x(N+1) isometries at every step."""
-    if w.n < 3:
-        raise LatticeError("reduction needs at least three blowups")
-    if w.square() <= 0:
-        raise LatticeError("positive square required")
-    n = w.n
-    iso = Isometry.identity(n)
-    cur = w
-    for _ in range(max_iters):
-        lams = cur.lambdas
-        order = sorted(range(n), key=lambda t: (-lams[t], t))
-        if order != list(range(n)):
-            perm = permutation_isometry(n, {src + 1: dst + 1
-                                            for dst, src in enumerate(order)})
-            cur = perm.apply(cur)
-            iso = perm @ iso
-        if cur.nu - sum(cur.lambdas[:3]) < 0:
-            step = reflection(h_ijk(n, 1, 2, 3))
-            cur = cremona_reflect(cur, (1, 2, 3))
-            iso = step @ iso
-        else:
-            return cur, iso
-    raise LimitExceeded(f"no reduced form after {max_iters} iterations")
 
 
 def tuple_closure(gen_mats, limit=1_000_000):

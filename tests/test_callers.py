@@ -20,9 +20,6 @@ SRC = ROOT / "src" / "gsurf"
 
 # Public names kept without a caller, each with the reason it stays.
 ALLOWED_UNCALLED = {
-    "exceptional.reduce_symplectic":
-        "Cremona descent of a symplectic class; exact cone membership for"
-        " every N is built on it (ROADMAP item 10)",
     "cone.fiber_report":
         "the core-uniqueness rule over the rank dichotomy's fiber"
         " candidates, returned as a FiberReport; the equivariant cone of a"
@@ -32,7 +29,8 @@ ALLOWED_UNCALLED = {
         " inverse of slice_point; the exact slice threshold and the"
         " equivariant cone are stated in it (ROADMAP items 2 and 11)",
     "lattice.is_reduced_class":
-        "reduced form, the stopping test of ROADMAP item 10",
+        "the public reduced-form test of a symplectic class, in"
+        " gsurf.__all__; the cone's descent tests its own raw form",
     "cone.FiberReport.consistent":
         "whether a report with a forced fiber class has exactly one"
         " effective candidate; it belongs to the allow-listed fiber_report"
@@ -123,4 +121,4 @@ def test_readme_tour_runs_and_states_its_values():
         else:
             exec(compile(ast.Module([stmt], []), "README.md", "exec"),
                  namespace)
-    assert checked == [240, (0, True), "rank1", "involution"]
+    assert checked == [240, (1, 0, -1, -1), (0, True), "rank1", "involution"]

@@ -12,7 +12,6 @@ from gsurf.cone import (
     OUTSIDE,
     PARTIAL_POSITIVE,
     ConeSlice,
-    _descend,
     blowdown_obstruction,
     delta,
     fiber_pairs,
@@ -22,7 +21,8 @@ from gsurf.cone import (
     span2_coefficients,
 )
 from gsurf.errors import LatticeError, LimitExceeded
-from gsurf.exceptional import enumerate_exceptional, reduce_exceptional
+from gsurf.exceptional import (_descend, enumerate_exceptional,
+                               reduce_exceptional)
 from gsurf.gconic import fiber_class
 from gsurf.lattice import (CohClass, SymplecticClass, canonical_class,
                            is_reduced_class, pairing, unit)
@@ -244,8 +244,9 @@ class TestDescentSteps:
     def test_long_descent_at_nine_blowups(self, monkeypatch, b):
         # (3A; A + B, A - B, A x 6, A - 1) with A = B^2 + 1 has w.w = 1 and
         # an exceptional class of degree 3B^2 and area 0, reached after
-        # about 4B reflections; below the budget (B = 10) its degree is
-        # above the cap, and either way the capped scan decides.
+        # about 4B reflections.  Below the budget (B = 10) that witness
+        # answers outside, though its degree is above the scan's cap; past
+        # it the capped scan decides.
         a = b * b + 1
         w = SymplecticClass((3 * a, a + b, a - b) + (a,) * 6 + (a - 1,))
         assert w.square() == 1
@@ -258,14 +259,17 @@ class TestDescentSteps:
             return original(*args)
 
         monkeypatch.setattr(exceptional, "_reflect", counted)
-        assert is_in_cone(w) == PARTIAL_POSITIVE
+        assert is_in_cone(w) == (OUTSIDE if b == 10 else PARTIAL_POSITIVE)
         assert oracles.cone_verdict_by_scan(w) == PARTIAL_POSITIVE
         if b == 10:
             # 38 reflections, then as many to unwind the witness
             assert len(calls) == 76
             inside, v = _descend(_raw_integers(w), budget)
             assert not inside and v[0] == 3 * b * b
-            assert pairing(w, CohClass(tuple(v))) == 0
+            e = CohClass(tuple(v))
+            assert pairing(w, e) == 0
+            trace = reduce_exceptional(e)
+            assert trace.final == unit(9, trace.final_index)
         else:
             assert len(calls) == budget
 
@@ -290,6 +294,29 @@ class TestDescentCertificates:
                 assert trace.final == unit(n, trace.final_index)
                 assert pairing(w, e) <= 0
         assert seen == {False, True}
+
+    def test_witnesses_above_the_degree_cap(self):
+        # At N = 9 a witness is exceptional whatever its degree, so one
+        # above the cap answers outside where the capped scan may not.
+        rng = random.Random(3509)
+        exc = enumerate_exceptional(9, 5)
+        changed = 0
+        for i in range(800):
+            w = _seeded_class(rng, 9, i % 4)
+            once = _scrambled(rng, w)
+            for x in (w, once, _scrambled(rng, once)):
+                if x.square() <= 0:
+                    continue
+                found = _descend(_raw_integers(x), len(exc))
+                if found is None or found[0] or found[1][0] <= exc.max_degree:
+                    continue
+                e = CohClass(tuple(found[1]))
+                trace = reduce_exceptional(e)
+                assert trace.final == unit(9, trace.final_index)
+                assert pairing(x, e) <= 0
+                assert is_in_cone(x) == OUTSIDE
+                changed += oracles.cone_verdict_by_scan(x) == PARTIAL_POSITIVE
+        assert changed
 
 
 @pytest.mark.parametrize("n,want", [

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gsurf import exceptional
 from gsurf.errors import LatticeError, LimitExceeded
 from gsurf.exceptional import (
     _arrangements,
@@ -16,7 +17,6 @@ from gsurf.exceptional import (
     enumerate_exceptional,
     is_exceptional,
     reduce_exceptional,
-    reduce_symplectic,
 )
 from gsurf.lattice import (
     CohClass,
@@ -332,11 +332,25 @@ def test_a_stalled_class_names_its_witness():
 
 
 @pytest.mark.parametrize("n, max_degree", [(10, 5), (11, 4), (12, 3)])
-def test_every_stall_names_a_witness_and_nothing_else_changes(n, max_degree):
+def test_every_stall_names_a_witness_and_nothing_else_changes(
+        monkeypatch, n, max_degree):
     """The numerical classes at N >= 10 hold some that stall, at the
     start or after steps; each names a witness mapped back through the
-    word, where the oracle says the degree did not drop."""
-    stalls = set()
+    word, where the oracle says the degree did not drop.  At every stall
+    H - Ei - Ej, on the two largest b, pairs no lower than E_l, on the
+    smallest: c0 + ci + cj >= -cl, so E_l is the only witness."""
+    stalled_at = []
+
+    def spy(e, at, word):
+        c = at.coords
+        i, j, *_, l = sorted(range(1, len(c)), key=c.__getitem__)
+        assert c[0] + c[i] + c[j] >= -c[l], at
+        stalled_at.append(at)
+        return original(e, at, word)
+
+    original = exceptional._stall
+    monkeypatch.setattr(exceptional, "_stall", spy)
+    stalls, want_stalled_at = set(), []
     for e in enumerate_exceptional(n, max_degree):
         want = _outcome(oracles.reduce_exceptional_by_classes, e)
         got = _outcome(reduce_exceptional, e)
@@ -345,86 +359,18 @@ def test_every_stall_names_a_witness_and_nothing_else_changes(n, max_degree):
             assert head == "degree did not drop"
             _checked_witness(e, got[1])
             stalls.add(stalled == str(e))
+            want_stalled_at.append(stalled)
         else:
             assert got == want
     # at N = 12 up to degree 3 every stall comes before any step
     assert stalls == ({True} if n == 12 else {True, False})
-
-
-def _symplectic_sweep(n, count=60):
-    """Seeded classes at N = n: areas from a small pool, so that ties are
-    common, some of them Fractions, and nu around the top three's sum."""
-    rng = random.Random(n)
-    pool = [1, 2, 3, 5, Fraction(1, 2), Fraction(3, 2), Fraction(7, 3)]
-    for _ in range(count):
-        lams = [rng.choice(pool) for _ in range(n)]
-        top = sum(sorted(lams, reverse=True)[:3])
-        yield SymplecticClass((top + Fraction(rng.randint(-9, 6), 2), *lams))
-
-
-@pytest.mark.parametrize("n", range(3, 13))
-def test_symplectic_descent_equals_the_isometry_oracle(n):
-    tied = fractional = descended = 0
-    for w in _symplectic_sweep(n):
-        tied += len(set(w.lambdas)) < n
-        fractional += any(isinstance(x, Fraction) for x in w.coords)
-        got = _outcome(reduce_symplectic, w)
-        assert got == _outcome(oracles.reduce_symplectic_by_isometries, w)
-        descended += isinstance(got[1], Isometry) and not got[1].is_identity()
-    assert tied and fractional and descended
-
-
-@pytest.mark.parametrize("w, max_iters", [
-    (SymplecticClass((3, 2, 1, 1)), 0), (SymplecticClass((3, 2, 1, 1)), 1),
-    (SymplecticClass((3, 2, 1, 1)), 2), (SymplecticClass((3, 1, 1, 1)), 0),
-    (SymplecticClass((1, 1, 1, 1)), 5), (SymplecticClass((3, 1, 1)), 5)],
-    ids=str)
-def test_symplectic_refusals_equal_the_oracle(w, max_iters):
-    assert _outcome(reduce_symplectic, w, max_iters) == \
-        _outcome(oracles.reduce_symplectic_by_isometries, w, max_iters)
+    assert [str(at) for at in stalled_at] == want_stalled_at
 
 
 @pytest.mark.parametrize("n", [6, 9])
 def test_a_negative_degree_cap_is_refused(n):
     with pytest.raises(LatticeError, match="max_degree must be at least 0"):
         enumerate_exceptional(n, -5)
-
-
-class TestReduceSymplectic:
-    def test_already_reduced(self):
-        w = SymplecticClass((3, 1, 1, 1))
-        red, iso = reduce_symplectic(w)
-        assert red == w
-        assert iso.is_identity()
-
-    def test_descent_to_degenerate_class(self):
-        w = SymplecticClass((3, 2, 1, 1))
-        red, iso = reduce_symplectic(w)
-        assert red == SymplecticClass((2, 1, 0, 0))
-        assert iso.apply(w) == red
-        assert iso.fixes(canonical_class(3))
-        from gsurf.lattice import is_reduced_class
-        assert not is_reduced_class(red)  # zero areas flag non-symplectic
-
-    def test_descent_n5(self):
-        w = SymplecticClass((4, 2, 1, 1, 1, 1))
-        red, iso = reduce_symplectic(w)
-        assert all(lam > 0 for lam in red.lambdas)
-        assert iso.apply(w) == red
-
-    def test_sorting_is_recorded_in_isometry(self):
-        w = SymplecticClass((4, 1, 1, 1, 1, 2))
-        red, iso = reduce_symplectic(w)
-        assert red == SymplecticClass((4, 2, 1, 1, 1, 1))
-        assert iso.apply(w) == red
-
-    def test_iteration_cap(self):
-        with pytest.raises(LimitExceeded):
-            reduce_symplectic(SymplecticClass((3, 2, 1, 1)), max_iters=1)
-
-    def test_requires_positive_square(self):
-        with pytest.raises(LatticeError):
-            reduce_symplectic(SymplecticClass((1, 1, 1, 1)))
 
 
 class TestReducedByAreas:

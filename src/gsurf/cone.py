@@ -35,6 +35,7 @@ from .lattice import (
     fiber_class,
     pairing,
     rational_to_json,
+    _norm_rat,
 )
 
 FULL = "full"
@@ -256,8 +257,9 @@ class ConeSlice(_Frozen):
 
 
 def slice_point(k0: CohClass, fiber: CohClass, d) -> SymplecticClass:
-    """The class -K0 + delta*F as a symplectic candidate."""
-    d = Fraction(d)
+    """The class -K0 + delta*F as a symplectic candidate.  delta is an int
+    or a Fraction; a float or bool is refused, as for any coordinate."""
+    d = Fraction(_norm_rat(d))
     raw = tuple(-k + d * f for k, f in zip(k0.coords, fiber.coords))
     return SymplecticClass.from_raw(raw)
 
@@ -272,7 +274,7 @@ def slice_scan(n: int, fiber: CohClass, k0: CohClass, delta_grid: Sequence,
     if fiber.n != n or k0.n != n:
         raise LatticeError("dimension mismatch")
     check_fiber(k0, fiber)
-    grid = sorted(Fraction(d) for d in delta_grid)
+    grid = sorted(Fraction(_norm_rat(d)) for d in delta_grid)
     if len(set(grid)) != len(grid):
         raise LatticeError("duplicate grid values")
     flags = [is_in_cone(slice_point(k0, fiber, d), limit) != OUTSIDE

@@ -1,4 +1,5 @@
-"""Exception types and the immutable record base shared across the package.
+"""Exception types, the integer-argument check and the immutable record
+base shared across the package.
 
 Every gsurf module imports this leaf module, and it imports nothing from
 gsurf, so the record base ``_Frozen`` lives here too: ``hexagon``, whose
@@ -24,6 +25,14 @@ class InvariantViolation(RuntimeError):
     lattice data with no geometric realization, or the library is wrong.
     CLI exit code 2.
     """
+
+
+def _require_ints(**values):
+    """Refuse, with LatticeError, any value that is not an int; a bool is
+    refused too, as it would pass for 0 or 1."""
+    for name, value in values.items():
+        if type(value) is not int:
+            raise LatticeError(f"{name} must be an int, got {type(value).__name__}")
 
 
 class _Frozen:

@@ -29,7 +29,7 @@ from itertools import groupby
 from math import comb, isqrt
 from typing import NamedTuple, Optional, Tuple
 
-from .errors import LatticeError, LimitExceeded, _Frozen
+from .errors import LatticeError, LimitExceeded, _Frozen, _require_ints
 from .lattice import CohClass
 
 
@@ -160,13 +160,15 @@ def _expand(plan) -> tuple:
 DEFAULT_LIMIT = 1_000_000
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def enumerate_exceptional(n: int, max_degree: Optional[int] = None,
                           limit: int = DEFAULT_LIMIT) -> ExceptionalSet:
     """All classes with e.e = -1, K.e = -1 up to the degree bound.
 
     Complete for N <= 8; for N >= 9 ``max_degree`` is required and the
-    result is flagged partial.  Results are cached and immutable.  Raises
+    result is flagged partial.  Results are cached and immutable, keyed by
+    the arguments' types as well, so a float or bool argument, equal to an
+    int one, still reaches the check that refuses it.  Raises
     LimitExceeded, before any class is built, when there are more than
     ``limit`` classes.
 
@@ -175,10 +177,13 @@ def enumerate_exceptional(n: int, max_degree: Optional[int] = None,
     holds for all a >= -1 (N = 9 needs a >= -4/3; for N >= 10 the
     quadratic's discriminant 4N(10 - N) is <= 0).
     """
+    _require_ints(n=n, limit=limit)
     if n < 1:
         raise LatticeError("need at least one blowup")
-    if max_degree is not None and max_degree < 0:
-        raise LatticeError(f"max_degree must be at least 0, got {max_degree}")
+    if max_degree is not None:
+        _require_ints(max_degree=max_degree)
+        if max_degree < 0:
+            raise LatticeError(f"max_degree must be at least 0, got {max_degree}")
     if n <= 8:
         lo, hi = _degree_bounds(n, -1, -1)
         complete = max_degree is None or max_degree >= hi

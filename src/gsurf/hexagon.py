@@ -17,7 +17,8 @@ import itertools
 from math import gcd
 from typing import NamedTuple, Optional
 
-from .errors import InvariantViolation, LatticeError, LimitExceeded, _Frozen
+from .errors import (InvariantViolation, LatticeError, LimitExceeded, _Frozen,
+                     _require_ints)
 
 
 def propagate_rotation(pair) -> list:
@@ -48,15 +49,12 @@ class TorusElement(_Frozen):
     __slots__ = _fields = ("a", "b", "modulus")
 
     def __init__(self, a: int, b: int, modulus: int):
+        _require_ints(a=a, b=b, modulus=modulus)
         if modulus < 1:
             raise LatticeError("order must be positive")
         object.__setattr__(self, "a", a % modulus)
         object.__setattr__(self, "b", b % modulus)
         object.__setattr__(self, "modulus", modulus)
-
-    @classmethod
-    def identity(cls, n: int) -> "TorusElement":
-        return cls(0, 0, n)
 
     @property
     def order(self) -> int:
@@ -81,9 +79,6 @@ class TorusElement(_Frozen):
 
     def __pow__(self, k: int) -> "TorusElement":
         return TorusElement(k * self.a, k * self.b, self.modulus)
-
-    def is_identity(self) -> bool:
-        return self.a == 0 and self.b == 0
 
     def vertex_weights(self) -> list:
         return [reduce_pair(p, self.modulus)
@@ -133,6 +128,7 @@ def g2_action_check(n: int, k: int, b: int) -> bool:
     hold for the least v with k*v = b^2 + b + 1 (mod n); no valid v means
     the triple (n, k, b) is inconsistent.
     """
+    _require_ints(n=n, k=k, b=b)
     if n < 1 or k < 1 or n % k:
         raise LatticeError(f"k = {k} must divide n = {n}")
     v = _solve_congruence(k, b * b + b + 1, n)
@@ -219,9 +215,6 @@ class MonomialGroupElement(_Frozen):
             acc = acc * self
         return acc
 
-    def is_identity(self) -> bool:
-        return self.perm == (0, 1, 2) and self.scalars == (0, 0, 0)
-
 
 CYCLE = (2, 0, 1)        # [z2, z0, z1]
 SWAP_12 = (0, 2, 1)      # [z0, z2, z1]
@@ -252,11 +245,9 @@ class MonomialGroup(_Frozen):
     def __len__(self) -> int:
         return len(self.elements)
 
-    def __iter__(self):
-        return iter(self.elements)
-
 
 def _imprimitive_generators(kind: str, n: int, k: Optional[int], s: Optional[int]):
+    _require_ints(n=n)
     if n < 1:
         raise LatticeError("n must be positive")
     if kind in (KIND_GN, KIND_GTN, KIND_GTN32) and (k, s) != (None, None):
@@ -274,6 +265,7 @@ def _imprimitive_generators(kind: str, n: int, k: Optional[int], s: Optional[int
     if kind == KIND_GNKS:
         if k is None or s is None:
             raise LatticeError("kind Gnks needs k and s")
+        _require_ints(k=k, s=s)
         if k <= 1 or n % k:
             raise LatticeError(f"need k > 1 dividing n, got k = {k}, n = {n}")
         if (s * s - s + 1) % k:
@@ -313,6 +305,7 @@ def make_imprimitive(kind: str, n: int, k: Optional[int] = None,
     exceeds ``limit``.
     """
     gens, expected, k_eff, s_eff = _imprimitive_generators(kind, n, k, s)
+    _require_ints(limit=limit)
     if expected > limit:
         raise LimitExceeded(f"{kind} at n = {n} has order {expected}, above"
                             f" the limit of {limit} (gsurf hexagon --limit)")
@@ -345,6 +338,7 @@ def presentation_check(n: int, k: int, s: int) -> bool:
     g^2 satisfy g^2 t1 g^-2 = t2^k t1^-s and g^2 t2 g^-2 = t2^(s-1) t1^-v,
     where k*v = s^2 - s + 1 (mod n).
     """
+    _require_ints(n=n, k=k, s=s)
     if n < 1 or k < 1 or n % k:
         raise LatticeError(f"k = {k} must divide n = {n}")
     v = _solve_congruence(k, s * s - s + 1, n)

@@ -4,10 +4,14 @@ The lattice has basis (H, E1, ..., EN) with Gram matrix diag(1, -1, ..., -1).
 Two storage conventions coexist, both of length N+1:
 
 * integer classes (``CohClass``) are stored raw as (c0, c1, ..., cN),
-  meaning c0*H + sum_i ci*Ei; the classical form a*H - sum_s bs*Es is
-  recovered through accessors (a = c0, bs = -cs);
+  meaning c0*H + sum_i ci*Ei, so the classical form a*H - sum_s bs*Es
+  has a = c0 (the ``degree``) and bs = -cs;
 * symplectic classes (``SymplecticClass``) are stored as (nu; lam1..lamN),
   meaning nu*H - sum_i lami*Ei, so that the area of Ei is lami.
+
+``pairing``, ``Isometry.fixes`` and ``coords_to_json`` take classes of
+either kind, and ``Isometry.apply`` takes an integer class; raw
+coordinate tuples go to ``raw_pairing`` and ``Isometry.apply_raw``.
 
 The classes and maps that several modules share live here too:
 ``canonical_class``, ``fiber_class`` (H - E1, the standard conic-bundle
@@ -96,12 +100,6 @@ class CohClass(_Frozen):
         """Coefficient a of H in the form a*H - sum bs*Es."""
         return self.coords[0]
 
-    def b(self, s: int) -> int:
-        """Coefficient bs in the form a*H - sum bs*Es (1 <= s <= N)."""
-        if not 1 <= s <= self.n:
-            raise LatticeError(f"index {s} out of range 1..{self.n}")
-        return -self.coords[s]
-
     def raw(self) -> tuple:
         return self.coords
 
@@ -170,37 +168,19 @@ class SymplecticClass(_Frozen):
         """Raw coordinates (nu, -lam1, ..., -lamN)."""
         return (self.coords[0],) + tuple(-c for c in self.coords[1:])
 
-    def square(self) -> Rational:
-        r = self.raw()
-        return raw_pairing(r, r)
-
     def area(self, e) -> Rational:
         """Symplectic area pairing(self, e)."""
         return pairing(self, e)
 
-    def __neg__(self) -> "SymplecticClass":
-        return SymplecticClass(tuple(-c for c in self.coords))
-
     def scale(self, t: Rational) -> "SymplecticClass":
         return SymplecticClass(tuple(_norm_rat(Fraction(t) * c) for c in self.coords))
 
-    def __str__(self):
-        return "(" + str(self.coords[0]) + "; " + \
-            ",".join(str(c) for c in self.coords[1:]) + ")"
 
-
-LatticeVector = Union[CohClass, SymplecticClass, Sequence[Rational]]
-
-
-def _raw(x: LatticeVector) -> Sequence[Rational]:
-    if isinstance(x, (CohClass, SymplecticClass)):
-        return x.raw()
-    return tuple(x)
-
-
-def pairing(x: LatticeVector, y: LatticeVector) -> Rational:
-    """Intersection pairing; symmetric and bilinear over the rationals."""
-    return raw_pairing(_raw(x), _raw(y))
+def pairing(x, y) -> Rational:
+    """Intersection pairing of two classes, each a CohClass or a
+    SymplecticClass; symmetric and bilinear over the rationals.  Raw
+    coordinate tuples pair with ``raw_pairing``."""
+    return raw_pairing(x.raw(), y.raw())
 
 
 def unit(n: int, i: int) -> CohClass:
@@ -243,10 +223,6 @@ def is_reduced_class(w: SymplecticClass) -> bool:
 # Isometries
 # ---------------------------------------------------------------------------
 
-def _gram_diag(dim: int) -> tuple:
-    return (1,) + (-1,) * (dim - 1)
-
-
 class Isometry(_Frozen):
     """Integer matrix acting on raw coordinates and preserving the pairing."""
 
@@ -277,7 +253,7 @@ class Isometry(_Frozen):
 
     def _pairing_witness(self):
         """First basis pair whose pairing the matrix breaks, or None."""
-        q = _gram_diag(self.dim)
+        q = (1,) + (-1,) * (self.dim - 1)
         cols = tuple(zip(*self.mat))
         for i, j in itertools.combinations_with_replacement(range(self.dim), 2):
             want = q[i] if i == j else 0
@@ -312,16 +288,16 @@ class Isometry(_Frozen):
             raise LatticeError("dimension mismatch")
         return tuple(_norm_rat(sum(map(mul, row, vec))) for row in self.mat)
 
-    def apply(self, x: LatticeVector):
-        """Image of x; that of a CohClass is trusted, M being integral."""
-        if isinstance(x, CohClass):
-            return CohClass._trusted(self.apply_raw(x.coords))
-        if isinstance(x, SymplecticClass):
-            return SymplecticClass.from_raw(self.apply_raw(x.raw()))
-        return self.apply_raw(tuple(x))
+    def apply(self, x: CohClass) -> CohClass:
+        """Image of the integer class x; trusted, M being integral.  Raw
+        coordinate tuples map with ``apply_raw``."""
+        if not isinstance(x, CohClass):
+            raise LatticeError("apply maps a CohClass; raw tuples go to apply_raw")
+        return CohClass._trusted(self.apply_raw(x.coords))
 
-    def fixes(self, x: LatticeVector) -> bool:
-        return self.apply_raw(_raw(x)) == tuple(_raw(x))
+    def fixes(self, x) -> bool:
+        """Whether M fixes the class x, a CohClass or a SymplecticClass."""
+        return self.apply_raw(x.raw()) == x.raw()
 
     # -- group operations --------------------------------------------------
 
@@ -333,13 +309,6 @@ class Isometry(_Frozen):
         cols = tuple(zip(*other.mat))
         return Isometry._trusted(tuple(
             tuple([sum(map(mul, row, col)) for col in cols]) for row in self.mat))
-
-    def inverse(self) -> "Isometry":
-        """Trusted: M^T Q M = Q with Q = Q^-1 gives M^-1 = Q M^T Q."""
-        q = _gram_diag(self.dim)
-        return Isometry._trusted(tuple(
-            tuple(q[i] * self.mat[j][i] * q[j] for j in range(self.dim))
-            for i in range(self.dim)))
 
     def key(self) -> tuple:
         return tuple(itertools.chain.from_iterable(self.mat))
@@ -389,8 +358,10 @@ def rational_from_json(v) -> Rational:
     raise LatticeError(f"bad rational {v!r}")
 
 
-def coords_to_json(x: LatticeVector) -> list:
-    return [rational_to_json(c) for c in _raw(x)]
+def coords_to_json(x) -> list:
+    """Raw coordinates of a CohClass or a SymplecticClass, rationals as
+    "p/q" strings."""
+    return [rational_to_json(c) for c in x.raw()]
 
 
 def coh_from_json(v) -> CohClass:

@@ -6,7 +6,8 @@ versus the multiset enumerator in the package, a dict-based pure-Python
 closure versus the vectorized one, and the scans that the package's closed
 forms replaced (the a-scan blowdown obstruction and fiber pairs, the
 m-scan of the largest swap-closed section, the section identity through
-the lattice pairing, the expansion of each multiset through all of its
+the lattice pairing, the vertical decompositions of a class by a scan
+over every multiplicity, the expansion of each multiset through all of its
 n! orderings, cone membership by exact ``Fraction`` areas, reducedness by
 minimal exceptional areas beside the coefficient inequalities, the
 breadth-first closures of the hexagon subgroups and the monomial
@@ -197,7 +198,7 @@ def blowdown_obstruction_scan(n, a_min):
 
 def cone_verdict_by_fraction_areas(w, max_degree=5):
     """Cone membership with each exceptional area paired in ``Fraction``s."""
-    if w.square() <= 0:
+    if pairing(w, w) <= 0:
         return OUTSIDE
     n = w.n
     exc = enumerate_exceptional(n) if n <= 8 \
@@ -216,7 +217,7 @@ def cone_verdict_by_scan(w, limit=DEFAULT_LIMIT):
     product with e's raw coordinates.  The enumeration is called as
     ``cone.is_in_cone`` calls it, so ``limit`` reaches it the same way.
     """
-    if w.square() <= 0:
+    if pairing(w, w) <= 0:
         return OUTSIDE
     n = w.n
     args = (n,) if n <= 8 else (n, DEFAULT_PARTIAL_DEGREE)
@@ -430,6 +431,35 @@ def section_identity_by_pairing(e, e_prime, model):
     m, m_p = -e.square(), -e_prime.square()
     prod = pairing(e, e_prime)
     return SectionIdentity(r, m, m_p, prod, n - 1 == r + m + m_p + 2 * prod)
+
+
+def vertical_decompositions_by_scan(target, n):
+    """``vertical_decompositions`` by scan, as a set: every nonnegative
+    p_j, q_j (j = 2..N) and u with sum q_j + u equal to the H-degree a, each
+    p_j at most a + |t_j|, kept when sum p_j Ej + q_j (F - Ej) + u F is the
+    target in ``CohClass`` arithmetic.  Only label j's own p_j and q_j
+    touch the Ej coordinate, so a partial sum that misses it there is
+    dropped at once.  There is no degree or lower-bound pre-check and no
+    p_j = t_j + q_j: a target of negative degree has no (q, u) at all."""
+    f = fiber_class(n)
+    t = target.coords
+    found = set()
+
+    def scan(j, budget, total, parts):
+        if j > n:
+            if total + budget * f == target:
+                found.add(tuple(sorted(((c, m) for c, m in parts + [(f, budget)]
+                                        if m), key=lambda cm: cm[0].coords)))
+            return
+        e = unit(n, j)
+        for q in range(budget + 1):
+            for p in range(t[0] + abs(t[j]) + 1):
+                step = total + p * e + q * (f - e)
+                if step.coords[j] == t[j]:
+                    scan(j + 1, budget - q, step, parts + [(e, p), (f - e, q)])
+
+    scan(2, t[0], CohClass((0,) * (n + 1)), [])
+    return found
 
 
 def _hexagon_subgroups():

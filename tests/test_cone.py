@@ -231,7 +231,7 @@ class TestDescentSteps:
         rng = random.Random(3300 + n)
         for i in range(150):
             w = _scrambled(rng, _seeded_class(rng, n, i % 4))
-            if w.square() > 0:
+            if pairing(w, w) > 0:
                 c = _raw_integers(w)
                 assert _descend(c, POSITIVE_DEGREE_ROOTS[n]) is not None, w
 
@@ -249,7 +249,7 @@ class TestDescentSteps:
         # it the capped scan decides.
         a = b * b + 1
         w = SymplecticClass((3 * a, a + b, a - b) + (a,) * 6 + (a - 1,))
-        assert w.square() == 1
+        assert pairing(w, w) == 1
         budget = len(enumerate_exceptional(9, 5))
         calls = []
         original = exceptional._reflect
@@ -281,7 +281,7 @@ class TestDescentCertificates:
         seen = set()
         for i in range(100):
             w = _scrambled(rng, _seeded_class(rng, n, i % 4))
-            if w.square() <= 0:
+            if pairing(w, w) <= 0:
                 continue
             inside, v = _descend(_raw_integers(w), 10**4)
             seen.add(inside)
@@ -305,7 +305,7 @@ class TestDescentCertificates:
             w = _seeded_class(rng, 9, i % 4)
             once = _scrambled(rng, w)
             for x in (w, once, _scrambled(rng, once)):
-                if x.square() <= 0:
+                if pairing(x, x) <= 0:
                     continue
                 found = _descend(_raw_integers(x), len(exc))
                 if found is None or found[0] or found[1][0] <= exc.max_degree:
@@ -484,6 +484,18 @@ class TestSliceScan:
     def test_duplicate_grid_rejected(self):
         with pytest.raises(LatticeError):
             slice_scan(5, fiber_class(5), canonical_class(5), [0, Fraction(0)])
+
+    @pytest.mark.parametrize("d, name", [(0.1, "float"), (True, "bool")])
+    def test_float_and_bool_gaps_rejected(self, d, name):
+        # Refused as a SymplecticClass coordinate is, not converted to the
+        # Fraction nearest the float or to 1.
+        n = 5
+        k0, f = canonical_class(n), fiber_class(n)
+        message = f"^exact coordinate expected, got {name}$"
+        with pytest.raises(LatticeError, match=message):
+            slice_scan(n, f, k0, [0, d])
+        with pytest.raises(LatticeError, match=message):
+            slice_point(k0, f, d)
 
     def test_bad_fiber_rejected(self):
         n = 5

@@ -373,6 +373,18 @@ def test_a_negative_degree_cap_is_refused(n):
         enumerate_exceptional(n, -5)
 
 
+@pytest.mark.parametrize("args, name, got", [
+    ((3.0,), "n", "float"), ((True,), "n", "bool"),
+    ((9, 2.0), "max_degree", "float"), ((9, True), "max_degree", "bool"),
+    ((1, None, 10.0), "limit", "float"), ((1, None, True), "limit", "bool")])
+def test_non_int_arguments_are_refused(args, name, got):
+    # The equal int call is cached first: the cache keys by type as well,
+    # so a cached 3 does not answer for 3.0, nor a cached 1 for True.
+    enumerate_exceptional(*(a if a is None else int(a) for a in args))
+    with pytest.raises(LatticeError, match=f"^{name} must be an int, got {got}$"):
+        enumerate_exceptional(*args)
+
+
 class TestReducedByAreas:
     """Cross-check of the two reducedness routes on in-cone classes.
 

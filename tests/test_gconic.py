@@ -35,7 +35,7 @@ from gsurf.gconic import (
     section_identity_table,
     vertical_decompositions,
 )
-from gsurf.lattice import CohClass, Isometry, canonical_class, pairing
+from gsurf.lattice import CohClass, Isometry, canonical_class, pairing, unit
 from gsurf.selftest import (
     _swap_relabels,
     klein_four_group,
@@ -934,6 +934,37 @@ class TestVertical:
                 assert mult > 0
                 total = total + mult * cls
             assert total == 2 * fiber_class(n)
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_matches_the_scan_on_seeded_targets(self, n):
+        # Odd targets are vertical combinations, so they have a solution;
+        # even ones are any small class of H-degree -1..3.  The relabeled
+        # models have the same fiber, so the same decompositions.
+        rng = random.Random(3800 + n)
+        f = fiber_class(n)
+        targets = []
+        for i in range(12):
+            a = rng.randint(0 if i % 2 else -1, 3)
+            if i % 2:
+                qs = [0] * (n + 1)
+                for _ in range(a):
+                    qs[rng.randint(1, n)] += 1  # qs[1] is u, the F part
+                target = qs[1] * f
+                for j in range(2, n + 1):
+                    e = unit(n, j)
+                    target = target + rng.randint(0, 2) * e + qs[j] * (f - e)
+            else:
+                target = CohClass((a, -a + rng.randint(-1, 1),
+                                   *(rng.randint(-2, 2) for _ in range(n - 1))))
+            targets.append(target)
+        sizes = []
+        for target in targets:
+            want = oracles.vertical_decompositions_by_scan(target, n)
+            for model in _models(n):
+                got = vertical_decompositions(target, model)
+                assert len(got) == len(want) and set(got) == want, (target, model)
+            sizes.append(len(want))
+        assert 0 in sizes and max(sizes) > 1, sizes
 
 
 def test_invariant_exceptional_n6():

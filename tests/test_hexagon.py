@@ -82,18 +82,18 @@ class TestTorusElement:
     def test_orders(self):
         assert TorusElement(1, 0, 4).order == 4
         assert TorusElement(2, 0, 4).order == 2
-        assert TorusElement.identity(1).order == 1
+        assert TorusElement(0, 0, 1).order == 1
 
     def test_composition_adds(self):
         x = TorusElement(1, 2, 5)
         y = TorusElement(3, 4, 5)
         assert (x * y).rotation_numbers(5) == (4, 1)
-        assert (x * x.inverse()).is_identity()
+        assert x * x.inverse() == TorusElement(0, 0, 5)
 
     def test_g3_examples(self):
         assert g3_conjugation_check(TorusElement(1, 0, 4))
         assert g3_conjugation_check(TorusElement(2, 3, 7))
-        assert g3_conjugation_check(TorusElement.identity(1))
+        assert g3_conjugation_check(TorusElement(0, 0, 1))
 
     def test_conjugation_shift(self):
         h = TorusElement(1, 0, 2)
@@ -114,6 +114,13 @@ class TestTorusElement:
     def test_cross_modulus_product_rejected(self):
         with pytest.raises(LatticeError, match="modulus mismatch"):
             TorusElement(1, 0, 2) * TorusElement(1, 0, 4)
+
+    @pytest.mark.parametrize("args, name, got", [
+        ((1, 1, 2.5), "modulus", "float"), ((1, 1, True), "modulus", "bool"),
+        ((0.5, 1, 2), "a", "float"), ((1, False, 2), "b", "bool")])
+    def test_non_int_arguments_rejected(self, args, name, got):
+        with pytest.raises(LatticeError, match=f"^{name} must be an int, got {got}$"):
+            TorusElement(*args)
 
 
 def _small_torus_elements():
@@ -171,6 +178,13 @@ class TestG2Action:
         with pytest.raises(LatticeError):
             g2_action_check(4, 3, 1)
 
+    @pytest.mark.parametrize("args, name, got", [
+        ((6.0, 3, 1), "n", "float"), ((6, 3.0, 1), "k", "float"),
+        ((6, 3, True), "b", "bool")])
+    def test_non_int_arguments_rejected(self, args, name, got):
+        with pytest.raises(LatticeError, match=f"^{name} must be an int, got {got}$"):
+            g2_action_check(*args)
+
     def test_v_solution_class_is_irrelevant(self):
         # replacing v by v + n/k multiplies by h1^(n/k) = identity
         n, k, b = 9, 3, 7
@@ -205,8 +219,8 @@ class TestMonomial:
         for _ in range(20):
             x = MonomialGroupElement(rng.choice(perms),
                                      tuple(rng.randrange(7) for _ in range(3)), 7)
-            assert (x * x.inverse()).is_identity()
-            assert (x.inverse() * x).is_identity()
+            assert x * x.inverse() == MonomialGroupElement.identity(7)
+            assert x.inverse() * x == MonomialGroupElement.identity(7)
 
     def test_cross_modulus_product_rejected(self):
         with pytest.raises(LatticeError, match="modulus mismatch"):
@@ -268,6 +282,17 @@ class TestImprimitive:
         with pytest.raises(LimitExceeded):
             make_imprimitive(KIND_GN, 3000)   # 27,000,000 elements
 
+    @pytest.mark.parametrize("args, limit, name, got", [
+        ((KIND_GNKS, 9, 3.0, 2), 100, "k", "float"),
+        ((KIND_GNKS, 9, 3, True), 100, "s", "bool"),
+        ((KIND_GN, True), 100, "n", "bool"),
+        ((KIND_GTN, 4.0), 100, "n", "float"),
+        ((KIND_GN, 2), 100.0, "limit", "float")])
+    def test_non_int_arguments_rejected(self, args, limit, name, got):
+        # A float k once gave float scalars, a bool n a group of modulus True.
+        with pytest.raises(LatticeError, match=f"^{name} must be an int, got {got}$"):
+            make_imprimitive(*args, limit=limit)
+
 
 class TestPresentation:
     def test_examples(self):
@@ -279,6 +304,13 @@ class TestPresentation:
         for s in range(6):
             with pytest.raises(LatticeError):
                 presentation_check(6, 2, s)
+
+    @pytest.mark.parametrize("args, name, got", [
+        ((5.0, 1, 0), "n", "float"), ((9, True, 2), "k", "bool"),
+        ((9, 3, 2.0), "s", "float")])
+    def test_non_int_arguments_rejected(self, args, name, got):
+        with pytest.raises(LatticeError, match=f"^{name} must be an int, got {got}$"):
+            presentation_check(*args)
 
 
 def test_transitive_subgroups():

@@ -93,8 +93,6 @@ class TestTrustedAgreesWithValidated:
         for letter in word:
             g = g @ letter
             assert_valid_isometry(g)
-        assert_valid_isometry(g.inverse())
-        assert (g @ g.inverse()).is_identity()
         x = CohClass(tuple(coords[:n + 1]))
         y = g.apply(x)
         for c in (y, x + y, x - y, -y, k * y, unit(n, k % (n + 1))):
@@ -153,8 +151,7 @@ class TestBoundaryGuard:
     def test_products_and_lifts_are_not_rechecked(self, witness_calls):
         a = matrix_from_fiber_action((3, 2, 4), (-1, -1, 1), 4)
         b = matrix_from_fiber_action((2, 4, 3), (1, -1, -1), 4)
-        c = a @ b
-        c.inverse()
+        a @ b
         Isometry.identity(9)
         assert witness_calls == []
 

@@ -1,23 +1,27 @@
 """Equivariant symplectic-cone arithmetic at desk scale.
 
-A rational class w is in the cone when w.w > 0 and every exceptional
-class has positive area (Li and Liu 2001).  For 3 <= N <= 9 membership is
-decided by Cremona descent: sort the areas, reflect in H - E1 - E2 - E3
-while nu < lam1 + lam2 + lam3, and stop at a reduced form or at an E_l or
-H - Ei - Ej of area <= 0.  A class in reduced form with positive square
-and positive areas is in the cone (Li and Li, *Symplectic genus, minimal
-genus and diffeomorphisms*, 2002; Karshon and Kessler 2017), and Cremona
-reflections permute the exceptional classes.  For N <= 8 the verdict is
-that of the area scan over the enumeration.  At N = 9 an outside verdict
-rests on its witness, a Weyl image of E_l or H - Ei - Ej and so
-exceptional whatever its degree, so a witness above the enumeration's
-degree cap answers outside where the capped scan may not.  From N = 10
-on the capped numerical set holds classes that are not exceptional
-(ROADMAP item 12), which the descent does not see, so N <= 2 and N >= 10
-keep the scan: positivity of the area of every enumerated class,
-necessary-only for N >= 9.  The rank-2 slice spanned by the canonical
-class and a fiber class is parametrized by the gap coordinate delta in
-[omega] = -K + delta*F after scaling the fiber area to 2.
+A rational class w is in the cone when w.w > 0, w lies in the forward
+half of the positive cone (nu = w(H) > 0, H being the class of a
+symplectic sphere), and every exceptional class has positive area (Li
+and Liu 2001).  For N >= 2 the areas of E1, E2 and H - E1 - E2 already
+force nu > 0, so the degree test decides only at N = 1.  For
+3 <= N <= 9 membership is decided by Cremona descent: sort the areas,
+reflect in H - E1 - E2 - E3 while nu < lam1 + lam2 + lam3, and stop at a
+reduced form or at an E_l or H - Ei - Ej of area <= 0.  A class in
+reduced form with positive square and positive areas is in the cone (Li
+and Li, *Symplectic genus, minimal genus and diffeomorphisms*, 2002;
+Karshon and Kessler 2017), and Cremona reflections permute the
+exceptional classes.  For N <= 8 the verdict is that of the area scan
+over the enumeration.  At N = 9 an outside verdict rests on its witness,
+a Weyl image of E_l or H - Ei - Ej and so exceptional whatever its
+degree, so a witness above the enumeration's degree cap answers outside
+where the capped scan may not.  From N = 10 on the capped numerical set
+holds classes that are not exceptional (ROADMAP item 12), which the
+descent does not see, so N <= 2 and N >= 10 keep the scan: positivity of
+the area of every enumerated class, necessary-only for N >= 9.  The
+rank-2 slice spanned by the canonical class and a fiber class is
+parametrized by the gap coordinate delta in [omega] = -K + delta*F after
+scaling the fiber area to 2.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from operator import mul
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 from . import exceptional
-from .errors import InvariantViolation, LatticeError, _Frozen
+from .errors import InvariantViolation, LatticeError, _Frozen, _require_ints
 from .lattice import (
     CohClass,
     SymplecticClass,
@@ -47,7 +51,8 @@ DEFAULT_PARTIAL_DEGREE = 5
 
 def is_in_cone(w: SymplecticClass,
                limit: int = exceptional.DEFAULT_LIMIT) -> str:
-    """Positivity of the square and of every exceptional area.
+    """Positivity of the degree nu, of the square and of every exceptional
+    area.
 
     Returns ``full`` (N <= 8, all checks pass), ``partial-positive``
     (N >= 9, checks up to degree ``DEFAULT_PARTIAL_DEGREE`` pass), or
@@ -78,10 +83,11 @@ def is_in_cone(w: SymplecticClass,
     steps to reach an exceptional class of degree 3B^2 and area 0.
     """
     # Clear denominators once: with L > 0 the lcm of the denominators, the
-    # square's sign and the area of e's sign are those of L*w, integers.
+    # signs of nu, of the square and of the area of e are those of L*w,
+    # integers.
     scale = lcm(*(c.denominator for c in w.coords))
     scaled = [c.numerator * (scale // c.denominator) for c in w.coords]
-    if scaled[0] * scaled[0] <= sum(x * x for x in scaled[1:]):
+    if scaled[0] <= 0 or scaled[0] ** 2 <= sum(x * x for x in scaled[1:]):
         return OUTSIDE
     n = w.n
     # Positional, as every other caller passes it: lru_cache keys a keyword
@@ -106,22 +112,6 @@ def is_in_cone(w: SymplecticClass,
     return verdict
 
 
-def span2_coefficients(w: SymplecticClass, u: CohClass, v: CohClass):
-    """Exact (x, y) with w = x*u + y*v, or None if w is outside the span."""
-    raw = w.raw()
-    gm = [[u.square(), pairing(u, v)], [pairing(u, v), v.square()]]
-    rhs = [pairing(w, u), pairing(w, v)]
-    det = gm[0][0] * gm[1][1] - gm[0][1] * gm[1][0]
-    if det == 0:
-        raise LatticeError("degenerate span basis")
-    x = Fraction(rhs[0] * gm[1][1] - rhs[1] * gm[0][1], det)
-    y = Fraction(gm[0][0] * rhs[1] - gm[1][0] * rhs[0], det)
-    if all(Fraction(c) == x * a + y * b
-           for c, a, b in zip(raw, u.coords, v.coords)):
-        return x, y
-    return None
-
-
 def fiber_pairs(n: int) -> Tuple[int, ...]:
     """Admissible a with a second fiber class F' = -a*K - F.
 
@@ -131,6 +121,7 @@ def fiber_pairs(n: int) -> Tuple[int, ...]:
     F.F' = 2a hold.  So a = 4/(9 - N) when 9 - N is a positive divisor of
     4: N = 5, 7, 8 with a = 1, 2, 4.
     """
+    _require_ints(n=n)
     if n < 2:
         raise LatticeError("need at least two blowups")
     ksq = 9 - n
@@ -152,6 +143,7 @@ def blowdown_obstruction(n: int, a_min: int) -> Tuple[Tuple[int, int], ...]:
     d.  In the bundle range N >= 5 only N = 6, a = -1 survives; below it
     N = 2, 3, 4 give one pair each.
     """
+    _require_ints(n=n, a_min=a_min)
     if a_min > -1:
         raise LatticeError("a_min must be at most -1")
     ksq = 9 - n
@@ -164,17 +156,22 @@ def blowdown_obstruction(n: int, a_min: int) -> Tuple[Tuple[int, int], ...]:
 
 
 def delta(w: SymplecticClass, fiber: CohClass, k0: CohClass) -> Fraction:
-    """Gap coordinate: scale w so w(F) = 2 and write it as -K0 + delta*F."""
+    """Gap coordinate: scale w so w(F) = 2 and write it as -K0 + delta*F.
+
+    In closed form, as F.F = 0 and K0.F = -2 (``check_fiber``): w = x*K0 +
+    y*F has w.F = -2x and w.K0 = x*K0^2 - 2y, and (2/w.F)*w = -K0 +
+    delta*F with delta = 2y/w.F = -K0^2/2 - (w.K0)/(w.F).
+    """
+    check_fiber(k0, fiber)
     area = w.area(fiber)
     if area <= 0:
         raise LatticeError("fiber area must be positive")
-    if span2_coefficients(w, k0, fiber) is None:
+    x = Fraction(-area, 2)
+    y = (x * k0.square() - pairing(w, k0)) / 2
+    if any(c != x * a + y * b
+           for c, a, b in zip(w.raw(), k0.coords, fiber.coords)):
         raise LatticeError("class is outside the rank-2 span")
-    scaled = w.scale(Fraction(2, area))
-    x2, y2 = span2_coefficients(scaled, k0, fiber)
-    if x2 != -1:  # pragma: no cover - forced by (-K0).F = 2
-        raise InvariantViolation("fiber normalization failed")
-    return Fraction(y2)
+    return 2 * y / area
 
 
 class FiberReport(NamedTuple):

@@ -16,7 +16,7 @@ import itertools
 from operator import mul, ne, sub
 from typing import Iterable, List, NamedTuple, Optional, Sequence
 
-from .errors import InvariantViolation, LatticeError, _Frozen
+from .errors import InvariantViolation, LatticeError, _Frozen, _require_ints
 from .lattice import (CohClass, Isometry, canonical_class, fiber_class, pairing,
                       unit)
 from .weyl import FiniteIsometryGroup
@@ -43,6 +43,7 @@ class ConicBundleModel(_Frozen):
     __slots__ = _fields + ("components", "columns")
 
     def __init__(self, n_blowups: int, sphere_classes: tuple = None):
+        _require_ints(n_blowups=n_blowups)
         n = n_blowups
         if n < 3:
             raise LatticeError("a conic bundle model needs at least 3 blowups")
@@ -473,6 +474,7 @@ def _sigma_partition(masks: Sequence[int], labels: Sequence[int]):
 
 def section_class(n: int, c: int, marks: Sequence[int]) -> CohClass:
     """E1 + c*F + sum of Et over t in marks (the section normal form)."""
+    _require_ints(n=n)
     if n < 1:
         raise LatticeError("need at least one blowup")
     coords = [0] * (n + 1)
@@ -613,6 +615,7 @@ def max_swap_closed_section(n: int) -> int:
 
     The section E1 + E2 + ... + Em (c = 0) witnesses the square -m.
     """
+    _require_ints(n=n)
     if n % 2 or n < 6:
         raise LatticeError("even N >= 6 required")
     m = (n - 4) // 2

@@ -9,6 +9,13 @@ E1, H-E1-E2, E2, H-E2-E3, E3, H-E1-E3.  A finite map acting
 trivially on the lattice is pinned down by its pair of rotation weights at
 the first vertex (the corner of H-E1-E3 and E1); the weights at the other
 five vertices follow by propagation around the hexagon.
+
+The imprimitive monomial subgroups G_n, G~_n, G_{n,k,s} and G~_{n,3,2}
+of PGL(3) (Dolgachev and Iskovskikh, *Finite subgroups of the plane
+Cremona group*, 2009, section 4) are built from their generators as
+T x| P, a torus T of scalar residue pairs mod n and a permutation
+complement P, C3 or S3, and held as those two factors; their elements,
+|T| * |P| of them, are never listed.
 """
 
 from __future__ import annotations
@@ -64,6 +71,9 @@ class TorusElement(_Frozen):
         """The rotation numbers mod n, of an element whose order divides n
         (by default its order)."""
         n = self.order if n is None else n
+        _require_ints(n=n)
+        if n < 1:
+            raise LatticeError("n must be positive")
         m = self.modulus
         if (self.a * n) % m or (self.b * n) % m:
             raise LatticeError(f"element order does not divide {n}")
@@ -173,8 +183,11 @@ class MonomialGroupElement(_Frozen):
     __slots__ = _fields = ("perm", "scalars", "modulus")
 
     def __init__(self, perm: tuple, scalars: tuple, modulus: int):
-        if sorted(perm) != [0, 1, 2]:
+        _require_ints(modulus=modulus)
+        if sorted(perm) != [0, 1, 2] or list(map(type, perm)) != [int, int, int]:
             raise LatticeError("perm must be a permutation of (0, 1, 2)")
+        if list(map(type, scalars)) != [int, int, int]:
+            raise LatticeError(f"scalars must be three ints, got {scalars}")
         if modulus < 1:
             raise LatticeError("modulus must be positive")
         c0 = scalars[0]
@@ -236,14 +249,24 @@ _COMPLEMENT = {KIND_GN: _C3, KIND_GTN: _S3, KIND_GNKS: _C3, KIND_GTN32: _S3}
 
 
 class MonomialGroup(_Frozen):
-    __slots__ = _fields = ("kind", "n", "k", "s", "generators", "elements")
+    """The group T x| P of ``make_imprimitive``, held as its two factors.
+
+    ``complement`` is P, its permutations sorted (C3 or S3), and ``torus``
+    is T, the sorted pairs (c1, c2) of scalar residues mod n.  Each element
+    is ``MonomialGroupElement(p, (0, c1, c2), n)`` for exactly one p in
+    ``complement`` and one (c1, c2) in ``torus``; taken with p outer, they
+    come in sorted order.  No element is built.
+    """
+
+    __slots__ = _fields = ("kind", "n", "k", "s", "generators", "complement",
+                           "torus")
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.complement) * len(self.torus)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return self.order
 
 
 def _imprimitive_generators(kind: str, n: int, k: Optional[int], s: Optional[int]):
@@ -289,7 +312,7 @@ DEFAULT_LIMIT = 100_000
 def make_imprimitive(kind: str, n: int, k: Optional[int] = None,
                      s: Optional[int] = None,
                      limit: int = DEFAULT_LIMIT) -> MonomialGroup:
-    """The group of the listed generators, built as T x| P, sorted.
+    """The group of the listed generators as T x| P, its factors sorted.
 
     The permutation generators carry zero scalars, so they generate a
     complement P (C3 or S3, as ``_COMPLEMENT`` proves).  Conjugation by a
@@ -299,7 +322,9 @@ def make_imprimitive(kind: str, n: int, k: Optional[int] = None,
     uniquely t * p, so the order is |T| * |P| (3n^2, 6n^2, 3n^2/k, 2n^2
     by kind).  T grows by coset extension: for each generator v with m
     least such that m*v is in T, T + {0, ..., m-1}*v is a subgroup m
-    times larger, with no repeats.
+    times larger, with no repeats.  The group holds P and T, not the
+    |T| * |P| elements (see ``MonomialGroup``): only the generators are
+    built as ``MonomialGroupElement``s.
 
     Raises LimitExceeded, before building anything, when that order
     exceeds ``limit``.
@@ -325,9 +350,7 @@ def make_imprimitive(kind: str, n: int, k: Optional[int] = None,
         raise InvariantViolation(
             f"{kind} closure has order {order}, expected {expected}")
     torus.sort()
-    elements = tuple(MonomialGroupElement(p, (0,) + t, n)
-                     for p in perms for t in torus)
-    return MonomialGroup(kind, n, k_eff, s_eff, gens, elements)
+    return MonomialGroup(kind, n, k_eff, s_eff, gens, perms, tuple(torus))
 
 
 def presentation_check(n: int, k: int, s: int) -> bool:

@@ -45,7 +45,7 @@ from math import gcd
 from operator import add, mul, neg, sub
 from typing import Sequence, Union
 
-from .errors import LatticeError, _Frozen
+from .errors import LatticeError, _Frozen, _require_ints
 
 Rational = Union[int, Fraction]
 
@@ -172,20 +172,22 @@ class SymplecticClass(_Frozen):
         """Symplectic area pairing(self, e)."""
         return pairing(self, e)
 
-    def scale(self, t: Rational) -> "SymplecticClass":
-        return SymplecticClass(tuple(_norm_rat(Fraction(t) * c) for c in self.coords))
-
 
 def pairing(x, y) -> Rational:
     """Intersection pairing of two classes, each a CohClass or a
     SymplecticClass; symmetric and bilinear over the rationals.  Raw
     coordinate tuples pair with ``raw_pairing``."""
-    return raw_pairing(x.raw(), y.raw())
+    try:
+        return raw_pairing(x.raw(), y.raw())
+    except AttributeError:
+        raise LatticeError(
+            "pairing takes classes; raw tuples go to raw_pairing") from None
 
 
 def unit(n: int, i: int) -> CohClass:
     """The basis class with raw coordinate i equal to 1: H for i = 0, else Ei;
     trusted once N >= 1, as its coordinates are N + 1 ints 0 and 1."""
+    _require_ints(n=n, i=i)
     if n < 1:
         raise LatticeError("need at least the H and one E coordinate")
     if not 0 <= i <= n:
@@ -195,6 +197,7 @@ def unit(n: int, i: int) -> CohClass:
 
 def canonical_class(n: int) -> CohClass:
     """The class -3H + E1 + ... + EN; its square is 9 - N."""
+    _require_ints(n=n)
     if n < 1:
         raise LatticeError("need at least one blowup")
     return CohClass((-3,) + (1,) * n)
@@ -202,6 +205,7 @@ def canonical_class(n: int) -> CohClass:
 
 def fiber_class(n: int) -> CohClass:
     """H - E1."""
+    _require_ints(n=n)
     if n < 1:
         raise LatticeError("need at least one blowup")
     return CohClass((1, -1) + (0,) * (n - 1))
@@ -297,7 +301,11 @@ class Isometry(_Frozen):
 
     def fixes(self, x) -> bool:
         """Whether M fixes the class x, a CohClass or a SymplecticClass."""
-        return self.apply_raw(x.raw()) == x.raw()
+        try:
+            return self.apply_raw(x.raw()) == x.raw()
+        except AttributeError:
+            raise LatticeError(
+                "fixes takes a class; raw tuples go to apply_raw") from None
 
     # -- group operations --------------------------------------------------
 
@@ -361,7 +369,11 @@ def rational_from_json(v) -> Rational:
 def coords_to_json(x) -> list:
     """Raw coordinates of a CohClass or a SymplecticClass, rationals as
     "p/q" strings."""
-    return [rational_to_json(c) for c in x.raw()]
+    try:
+        return [rational_to_json(c) for c in x.raw()]
+    except AttributeError:
+        raise LatticeError("coords_to_json takes a class; a raw tuple maps"
+                           " with rational_to_json") from None
 
 
 def coh_from_json(v) -> CohClass:

@@ -24,7 +24,8 @@ from math import isqrt, prod
 from operator import itemgetter, matmul, mul
 from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import InvariantViolation, LatticeError, LimitExceeded
+from .errors import (InvariantViolation, LatticeError, LimitExceeded,
+                     _require_ints)
 from .lattice import (CohClass, Isometry, canonical_class, pairing,
                       reflection, unit)
 
@@ -35,6 +36,7 @@ ROOT_SYSTEM_TYPES = {3: "A2+A1", 4: "A4", 5: "D5", 6: "E6", 7: "E7", 8: "E8"}
 
 
 def root_system_type(n: int) -> str:
+    _require_ints(n=n)
     if n not in ROOT_SYSTEM_TYPES:
         raise LatticeError(f"root system defined for 3 <= N <= 8, got {n}")
     return ROOT_SYSTEM_TYPES[n]
@@ -47,7 +49,7 @@ def simple_roots(n: int) -> Tuple[CohClass, ...]:
     return (first,) + tuple(unit(n, i) - unit(n, i + 1) for i in range(1, n))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def all_roots(n: int) -> Tuple[CohClass, ...]:
     """All integer r with r.r = -2 and K.r = 0, sorted by coordinates.
 
@@ -80,7 +82,7 @@ def all_roots(n: int) -> Tuple[CohClass, ...]:
     return tuple(CohClass._trusted(tuple(c)) for c in coords)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def simple_reflections(n: int) -> Tuple[Isometry, ...]:
     """Reflections in the simple roots; cached, as isometries are immutable."""
     return tuple(reflection(a) for a in simple_roots(n))

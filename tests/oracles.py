@@ -9,10 +9,11 @@ m-scan of the largest swap-closed section, the section identity through
 the lattice pairing, the vertical decompositions of a class by a scan
 over every multiplicity, the expansion of each multiset through all of its
 n! orderings, cone membership by exact ``Fraction`` areas, reducedness by
-minimal exceptional areas beside the coefficient inequalities, the
-breadth-first closures of the hexagon subgroups and the monomial
-groups, torus elements as ``Fraction`` angles in Q/Z
-beside the package's integer residues, the bundle isometries pushed
+minimal exceptional areas beside the coefficient inequalities, the gap
+coordinate of a slice class by the 2x2 Gram system, the breadth-first
+closures of the hexagon subgroups and the monomial groups beside the
+listing of a monomial group's two factors, torus elements as
+``Fraction`` angles in Q/Z beside the package's integer residues, the bundle isometries pushed
 through ``CohClass`` arithmetic, a stabilizer chain on the roots beside the library's chain on
 the orbits of the basis classes, the order of a parabolic subgroup of
 W(E7) as a product over the Coxeter components, the invariant lattice
@@ -197,8 +198,10 @@ def blowdown_obstruction_scan(n, a_min):
 
 
 def cone_verdict_by_fraction_areas(w, max_degree=5):
-    """Cone membership with each exceptional area paired in ``Fraction``s."""
-    if pairing(w, w) <= 0:
+    """Cone membership with each exceptional area paired in ``Fraction``s;
+    a class of degree nu <= 0 is in the backward half of the positive
+    cone, so outside."""
+    if pairing(w, w) <= 0 or w.nu <= 0:
         return OUTSIDE
     n = w.n
     exc = enumerate_exceptional(n) if n <= 8 \
@@ -216,8 +219,9 @@ def cone_verdict_by_scan(w, limit=DEFAULT_LIMIT):
     the area of e is positive exactly when (L*w).e is, an integer dot
     product with e's raw coordinates.  The enumeration is called as
     ``cone.is_in_cone`` calls it, so ``limit`` reaches it the same way.
+    A class of degree nu <= 0 is outside before any enumeration.
     """
-    if pairing(w, w) <= 0:
+    if pairing(w, w) <= 0 or w.nu <= 0:
         return OUTSIDE
     n = w.n
     args = (n,) if n <= 8 else (n, DEFAULT_PARTIAL_DEGREE)
@@ -230,6 +234,23 @@ def cone_verdict_by_scan(w, limit=DEFAULT_LIMIT):
         if sum(map(mul, scaled, e.coords)) <= 0:
             return OUTSIDE
     return FULL if exc.complete else PARTIAL_POSITIVE
+
+
+def span2_coefficients(w, u, v):
+    """Exact (x, y) with w = x*u + y*v, or None if w is outside the span:
+    the 2x2 Gram system solved by Cramer's rule, then checked coordinate
+    by coordinate.  The reference for ``cone.delta``'s closed form."""
+    gm = [[u.square(), pairing(u, v)], [pairing(u, v), v.square()]]
+    rhs = [pairing(w, u), pairing(w, v)]
+    det = gm[0][0] * gm[1][1] - gm[0][1] * gm[1][0]
+    if det == 0:
+        raise LatticeError("degenerate span basis")
+    x = Fraction(rhs[0] * gm[1][1] - rhs[1] * gm[0][1], det)
+    y = Fraction(gm[0][0] * rhs[1] - gm[1][0] * rhs[0], det)
+    if all(Fraction(c) == x * a + y * b
+           for c, a, b in zip(w.raw(), u.coords, v.coords)):
+        return x, y
+    return None
 
 
 def is_reduced_by_minimal_areas(w):
@@ -566,6 +587,14 @@ def monomial_group_by_closure(kind, n, k=None, s=None):
     gens = _imprimitive_generators(kind, n, k, s)[0]
     seen = _bfs(MonomialGroupElement.identity(n), gens)
     return tuple(sorted(seen, key=lambda g: (g.perm, g.scalars)))
+
+
+def monomial_group_elements(group):
+    """The elements of a ``MonomialGroup``, expanded from its factors: each
+    p of the complement and t of the torus give
+    ``MonomialGroupElement(p, (0,) + t, n)``, in sorted order."""
+    return tuple(MonomialGroupElement(p, (0,) + t, group.n)
+                 for p in group.complement for t in group.torus)
 
 
 @dataclass(frozen=True)

@@ -67,7 +67,7 @@ SHARED_MEMBER_CALLERS = {
     "lattice.CohClass.raw": "lattice.Isometry.fixes",
     "lattice.Isometry.n": "weyl.minimality_rank_dichotomy",
     "lattice.SymplecticClass.n": "cone.is_in_cone",
-    "lattice.SymplecticClass.raw": "cone.span2_coefficients",
+    "lattice.SymplecticClass.raw": "lattice.pairing",
     "weyl.FiniteIsometryGroup.n": "weyl.trace_sum_condition",
     "weyl.StabilizerChain.order": "weyl.generate_group",
 }

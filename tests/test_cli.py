@@ -447,8 +447,14 @@ def test_help_exits_0(capsys, argv):
     assert capsys.readouterr().out.startswith("usage: gsurf")
 
 
-# SHA-256 of the stdout of each README example, and of `invariants` and
-# `conic` on the full swap and on a Klein four-group at N = 5.
+# The monomial-group kinds the README example (Gnks) leaves unpinned.
+HEXAGON_KINDS = ["hexagon --kind Gn --n 16 --verify",
+                 "hexagon --kind Gtn --n 11 --verify",
+                 "hexagon --kind Gtn32 --n 15 --verify"]
+
+# SHA-256 of the stdout of each README example, of `invariants` and
+# `conic` on the full swap and on a Klein four-group at N = 5, and of
+# `hexagon` on the other three kinds.
 GOLDEN_REPORTS = {
     "exc --n 6":
         "aaafa015ff691c7d773b437fd9e69131ad52164ed68aa1fbf175cd8385ad81bb",
@@ -474,6 +480,12 @@ GOLDEN_REPORTS = {
         "42fab0c782f6038107489710d71813e9bce7072850ebe1d8f3773d69fa4e0790",
     "conic --gens klein5.json":
         "b9dd6313c5e946c3d668c885eaafabc72ca949752be14cd479502315225874ce",
+    "hexagon --kind Gn --n 16 --verify":
+        "28b99ef12db2de73ce86f7209c4c8f1506a930039c8232df1d49370811145985",
+    "hexagon --kind Gtn --n 11 --verify":
+        "d89006e187ad8c2539bbfca13b9cf9425493347365c239b9f5371b450d452966",
+    "hexagon --kind Gtn32 --n 15 --verify":
+        "099887882cc434c46b46291aa6db26e14fff18b94a2d03b232b35d2c955f07c8",
 }
 
 
@@ -487,7 +499,8 @@ def test_reports_are_byte_identical(tmp_path, monkeypatch, capsys):
             json.dumps([list(map(list, g.mat)) for g in gens]))
     examples = readme_cli_examples() + [
         [cmd, "--gens", f"{name}.json"] for name in ("swap5", "klein5")
-        for cmd in ("invariants", "conic")]
+        for cmd in ("invariants", "conic")] + [
+        shlex.split(argv) for argv in HEXAGON_KINDS]
     digests = {}
     for argv in examples:
         code, out = run(capsys, *argv)

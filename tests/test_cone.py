@@ -18,7 +18,6 @@ from gsurf.cone import (
     is_in_cone,
     slice_point,
     slice_scan,
-    span2_coefficients,
 )
 from gsurf.errors import LatticeError, LimitExceeded
 from gsurf.exceptional import (_descend, enumerate_exceptional,
@@ -66,6 +65,15 @@ class TestMembership:
     def test_outside_nonpositive_square(self):
         assert is_in_cone(SymplecticClass((3, 2, 2, 1))) == OUTSIDE
 
+    @pytest.mark.parametrize("coords, want", [((-3, 1), OUTSIDE), ((3, 1), FULL)])
+    def test_degree_sign_at_one_blowup(self, coords, want):
+        # (-3; 1) has square 8 and area 1 on E1, but area -3 on H: it lies
+        # in the backward half of the positive cone, and once read full.
+        w = SymplecticClass(coords)
+        assert is_in_cone(w) == want
+        assert oracles.cone_verdict_by_scan(w) == want
+        assert oracles.cone_verdict_by_fraction_areas(w) == want
+
     def test_partial_positive_for_many_blowups(self):
         w = SymplecticClass((4,) + (1,) * 9)
         assert is_in_cone(w) == PARTIAL_POSITIVE
@@ -108,6 +116,11 @@ class TestMembership:
         monkeypatch.setattr(exceptional, "enumerate_exceptional", spy)
         assert is_in_cone(SymplecticClass((3,) + (1,) * 5)) == FULL
         assert calls == [(5,)]
+
+
+def _scaled(w, t):
+    """t*w, for a rational t."""
+    return SymplecticClass(tuple(t * c for c in w.coords))
 
 
 def _fraction(rng, lo, hi):
@@ -202,7 +215,7 @@ class TestDescentMatchesTheScan:
             for d in (-1, Fraction(-1, 6), 0, Fraction(1, 6), 1):
                 w = SymplecticClass((top + d,) + lam)
                 _assert_scan_verdict(w)
-                _assert_scan_verdict(w.scale(Fraction(7, 3)))
+                _assert_scan_verdict(_scaled(w, Fraction(7, 3)))
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_slice_points_across_the_threshold(self, n):
@@ -327,6 +340,17 @@ def test_fiber_pairs(n, want):
     assert fiber_pairs(n) == want
 
 
+@pytest.mark.parametrize("call, name, got", [
+    (lambda: fiber_pairs(5.0), "n", "float"), (lambda: fiber_pairs(True), "n", "bool"),
+    (lambda: blowdown_obstruction(6.0, -10), "n", "float"),
+    (lambda: blowdown_obstruction(6, -10.0), "a_min", "float"),
+    (lambda: blowdown_obstruction(6, True), "a_min", "bool")])
+def test_non_int_arguments_rejected(call, name, got):
+    # fiber_pairs(5.0) once returned (1.0,).
+    with pytest.raises(LatticeError, match=f"^{name} must be an int, got {got}$"):
+        call()
+
+
 def test_fiber_pairs_matches_scan():
     for n in range(2, 41):
         assert fiber_pairs(n) == oracles.fiber_pairs_scan(n), n
@@ -383,13 +407,25 @@ class TestBlowdown:
             blowdown_obstruction(6, 0)
 
 
+def _delta_by_gram_system(w, fiber, k0):
+    """delta as it was computed before its closed form: w scaled to fiber
+    area 2, then written as x*K0 + y*F by the Gram system, x = -1; None
+    outside the span."""
+    if oracles.span2_coefficients(w, k0, fiber) is None:
+        return None
+    x, y = oracles.span2_coefficients(_scaled(w, Fraction(2, w.area(fiber))),
+                                      k0, fiber)
+    assert x == -1
+    return y
+
+
 class TestDelta:
     def test_examples(self):
         n = 5
         k0, f = canonical_class(n), fiber_class(n)
         assert delta(slice_point(k0, f, 0), f, k0) == 0
         assert delta(slice_point(k0, f, 1), f, k0) == 1
-        doubled = slice_point(k0, f, 3).scale(2)  # -2K + 6F
+        doubled = _scaled(slice_point(k0, f, 3), 2)  # -2K + 6F
         assert delta(doubled, f, k0) == 3
 
     def test_fiber_area_must_be_positive(self):
@@ -409,8 +445,51 @@ class TestDelta:
         n = 5
         k0, f = canonical_class(n), fiber_class(n)
         raw = tuple(-2 * kc + 3 * fc for kc, fc in zip(k0.coords, f.coords))
-        x, y = span2_coefficients(SymplecticClass.from_raw(raw), k0, f)
+        x, y = oracles.span2_coefficients(SymplecticClass.from_raw(raw), k0, f)
         assert (x, y) == (-2, 3)
+        assert oracles.span2_coefficients(
+            SymplecticClass((3, 2, 1, 1, 1, 1)), k0, f) is None
+
+    def test_bad_fiber_refused_as_input(self):
+        # 2K is no canonical class for F (2K.F = -4); this once ended in
+        # the bug-report error "fiber normalization failed".
+        n = 5
+        k0, f = canonical_class(n), fiber_class(n)
+        with pytest.raises(LatticeError, match="^fiber class must satisfy"):
+            delta(slice_point(k0, f, 1), f, 2 * k0)
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_closed_form_matches_the_gram_system(self, n):
+        # Classes t*(-K + d*F), t > 0, and the same with one coordinate
+        # moved, mostly off the span, on the standard fiber and on
+        # 2H - E1 - ... - E4.
+        rng = random.Random(3500 + n)
+        k0 = canonical_class(n)
+        fibers = [fiber_class(n)]
+        if n >= 4:
+            fibers.append(CohClass((2, -1, -1, -1, -1) + (0,) * (n - 4)))
+        outside = 0
+        for f in fibers:
+            for _ in range(40):
+                d = _fraction(rng, -3, 3)
+                t = rng.choice((1, 2, 3, Fraction(1, 3), Fraction(7, 5)))
+                w = _scaled(slice_point(k0, f, d), t)
+                assert _delta_by_gram_system(w, f, k0) == d
+                assert delta(w, f, k0) == d
+                assert type(delta(w, f, k0)) is Fraction
+                moved = list(w.coords)
+                moved[rng.randrange(n + 1)] += Fraction(1, 2)
+                moved = SymplecticClass(tuple(moved))
+                if moved.area(f) <= 0:
+                    continue
+                want = _delta_by_gram_system(moved, f, k0)
+                if want is None:
+                    outside += 1
+                    with pytest.raises(LatticeError, match="outside the rank-2 span"):
+                        delta(moved, f, k0)
+                else:
+                    assert delta(moved, f, k0) == want
+        assert outside >= 20
 
 
 class TestFiberReport:

@@ -46,6 +46,18 @@ from gsurf.weyl import FiniteIsometryGroup, generate_group, reflection
 import oracles
 
 
+@pytest.mark.parametrize("call, name, got", [
+    (lambda: section_class(True, 0, ()), "n", "bool"),
+    (lambda: section_class(5.0, 0, ()), "n", "float"),
+    (lambda: ConicBundleModel(5.0), "n_blowups", "float"),
+    (lambda: ConicBundleModel(True), "n_blowups", "bool"),
+    (lambda: max_swap_closed_section(6.0), "n", "float")])
+def test_non_int_n_rejected(call, name, got):
+    # A bool once built an N = 1 section, a float ended in a TypeError.
+    with pytest.raises(LatticeError, match=f"^{name} must be an int, got {got}$"):
+        call()
+
+
 def units(n):
     return [CohClass(tuple(1 if t == i else 0 for t in range(n + 1)))
             for i in range(n + 1)]

@@ -111,6 +111,14 @@ class TestTorusElement:
         with pytest.raises(LatticeError, match="element order does not divide 2"):
             h.rotation_numbers(2)
 
+    @pytest.mark.parametrize("n, message", [
+        (8.0, "n must be an int, got float"), (True, "n must be an int, got bool"),
+        (0, "n must be positive")])
+    def test_rotation_numbers_refuse_a_bad_n(self, n, message):
+        # A float n once gave float rotation numbers (2.0, 0.0).
+        with pytest.raises(LatticeError, match=f"^{message}$"):
+            TorusElement(1, 0, 4).rotation_numbers(n)
+
     def test_cross_modulus_product_rejected(self):
         with pytest.raises(LatticeError, match="modulus mismatch"):
             TorusElement(1, 0, 2) * TorusElement(1, 0, 4)
@@ -226,6 +234,19 @@ class TestMonomial:
         with pytest.raises(LatticeError, match="modulus mismatch"):
             MonomialGroupElement.identity(2) * MonomialGroupElement.identity(3)
 
+    @pytest.mark.parametrize("args, message", [
+        (((0, 1, 2), (0.5, 0, 0), 3), r"scalars must be three ints, got \(0\.5, 0, 0\)"),
+        (((0, 1, 2), (0, 1, 0), 2.0), "modulus must be an int, got float"),
+        (((0, 1, 2), (0, 1, 0), True), "modulus must be an int, got bool"),
+        (((0, 1, 2), (0, True, 0), 3), r"scalars must be three ints, got \(0, True, 0\)"),
+        (((0, 1, 2), (0, 1), 3), r"scalars must be three ints, got \(0, 1\)"),
+        (((0.0, 1, 2), (0, 1, 0), 3), r"perm must be a permutation of \(0, 1, 2\)"),
+        (((0, 1, 2), (0, 1, 0), 0), "modulus must be positive")])
+    def test_non_int_inputs_rejected(self, args, message):
+        # Once unchecked: float scalars (0.0, 2.5, 2.5) and a modulus 2.0.
+        with pytest.raises(LatticeError, match=f"^{message}$"):
+            MonomialGroupElement(*args)
+
 
 class TestImprimitive:
     def test_orders_small(self):
@@ -275,8 +296,26 @@ class TestImprimitive:
         params += [(KIND_GNKS, n, k, s)
                    for n, k, s in valid_gnks_parameters(12)]
         for kind, n, k, s in params:
-            assert make_imprimitive(kind, n, k, s).elements == \
+            group = make_imprimitive(kind, n, k, s)
+            elements = oracles.monomial_group_elements(group)
+            assert elements == \
                 oracles.monomial_group_by_closure(kind, n, k, s), (kind, n, k, s)
+            closed_form = 3 * n * n // k if kind == KIND_GNKS else \
+                {KIND_GN: 3, KIND_GTN: 6, KIND_GTN32: 2}[kind] * n * n
+            assert group.order == len(group) == len(elements) == closed_form, \
+                (kind, n, k, s)
+
+    def test_only_the_generators_are_built(self, monkeypatch):
+        built = []
+        init = MonomialGroupElement.__init__
+
+        def spy(self, *args):
+            built.append(args)
+            init(self, *args)
+        monkeypatch.setattr(MonomialGroupElement, "__init__", spy)
+        group = make_imprimitive(KIND_GTN, 11)
+        assert group.order == 726
+        assert len(built) == len(group.generators) == 4
 
     def test_default_limit_stops_a_huge_closure(self):
         with pytest.raises(LimitExceeded):

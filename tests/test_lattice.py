@@ -63,6 +63,34 @@ def test_fiber_class_needs_a_blowup(n):
         canonical_class(n)
 
 
+@pytest.mark.parametrize("call, name, got", [
+    (lambda: unit(True, 1), "n", "bool"), (lambda: unit(5.0, 1), "n", "float"),
+    (lambda: unit(3, 1.0), "i", "float"),
+    (lambda: canonical_class(True), "n", "bool"),
+    (lambda: canonical_class(5.0), "n", "float"),
+    (lambda: lattice.fiber_class(True), "n", "bool"),
+    (lambda: lattice.fiber_class(5.0), "n", "float")])
+def test_non_int_n_rejected(call, name, got):
+    # A bool once built an N = 1 class, and a float ended in a TypeError.
+    with pytest.raises(LatticeError, match=f"^{name} must be an int, got {got}$"):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: pairing((1, 0, 0), unit(2, 1)),
+     "pairing takes classes; raw tuples go to raw_pairing"),
+    (lambda: pairing(unit(2, 1), [1, 0, 0]),
+     "pairing takes classes; raw tuples go to raw_pairing"),
+    (lambda: Isometry.identity(2).fixes((1, 0, 0)),
+     "fixes takes a class; raw tuples go to apply_raw"),
+    (lambda: coords_to_json((1, 0, 0)),
+     "coords_to_json takes a class; a raw tuple maps with rational_to_json")])
+def test_raw_tuples_refused_where_classes_are_taken(call, message):
+    # These once ended in AttributeError: 'tuple' object has no attribute 'raw'.
+    with pytest.raises(LatticeError, match=f"^{message}$"):
+        call()
+
+
 def test_moved_helpers_keep_their_old_names():
     # reflection and fiber_class live in lattice; weyl and gconic re-export
     # the same objects, so callers of either name see one function.

@@ -89,14 +89,11 @@ CASES = [
      " last_outside=None, first_member=Fraction(0, 1))"),
     (MonomialGroup, lambda: make_imprimitive("Gn", 1),
      lambda: make_imprimitive("Gn", 2),
-     ("kind", "n", "k", "s", "generators", "elements"),
+     ("kind", "n", "k", "s", "generators", "complement", "torus"),
      "MonomialGroup(kind='Gn', n=1, k=1, s=0, generators=("
      + ", ".join(f"MonomialGroupElement(perm={p}, scalars=(0, 0, 0), modulus=1)"
                  for p in ((0, 1, 2), (0, 1, 2), (2, 0, 1)))
-     + "), elements=("
-     + ", ".join(f"MonomialGroupElement(perm={p}, scalars=(0, 0, 0), modulus=1)"
-                 for p in ((0, 1, 2), (1, 2, 0), (2, 0, 1)))
-     + "))"),
+     + "), complement=((0, 1, 2), (1, 2, 0), (2, 0, 1)), torus=((0, 0),))"),
     (HexagonSubgroup, lambda: HexagonSubgroup(2, True, ((0, 1), (1, 0))),
      lambda: HexagonSubgroup(1, True, ((0, 1),)),
      ("order", "cyclic", "vertex_perms"),

@@ -57,6 +57,18 @@ def test_root_system_types():
         root_system_type(9)
 
 
+@pytest.mark.parametrize("call, got", [
+    (lambda: root_system_type(6.0), "float"), (lambda: root_system_type(True), "bool"),
+    (lambda: simple_roots(6.0), "float"), (lambda: all_roots(6.0), "float"),
+    (lambda: weyl_group(4.0), "float"), (lambda: simple_reflections(5.0), "float")])
+def test_non_int_n_rejected(call, got):
+    # root_system_type(6.0) once read 'E6' and all_roots(6.0) a TypeError.
+    # The int results are cached first: the caches key 6 and 6.0 apart.
+    all_roots(6), simple_reflections(5), weyl_group(4)
+    with pytest.raises(LatticeError, match=f"^n must be an int, got {got}$"):
+        call()
+
+
 @pytest.mark.parametrize("n", range(3, 9))
 def test_simple_roots_are_roots(n):
     k = canonical_class(n)
